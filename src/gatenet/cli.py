@@ -427,7 +427,7 @@ def cmd_bench(args) -> int:
     threads_list = (1,) if settings["deterministic"] else (1, multi)
     report = benchmark(circuit, batch, threads_list=threads_list)
     print(f"cpu: {report['cpu']}")
-    print(f"gates: {report['gates']}, samples: {report['samples']}, word bits: {report['word_bits']}")
+    print(f"gates: {report['gates']}, samples: {report['samples']}, word bits: 64")
     for threads, entry in report["per_thread"].items():
         label = "single thread" if threads == 1 else f"{threads} threads"
         print(f"{label}: {entry['samples_per_sec']:,.0f} samples/s "

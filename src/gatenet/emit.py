@@ -2,7 +2,7 @@
 
 The emitted translation unit is plain C99 with no dependencies beyond
 <stdint.h>/<stddef.h>. It evaluates the circuit word-parallel, one bitwise
-statement per gate over W-bit unsigned words, then folds the output wires
+statement per gate over 64-bit unsigned words, then folds the output wires
 into per-sample class scores (popcount over each output group, or binary
 decode of counter wires when the circuit carries an adder aggregation).
 Emission is a pure function of the circuit, so the text is byte-identical
@@ -23,8 +23,6 @@ from numpy import ctypeslib as npct
 
 from .model import Circuit
 from .packed import PackedBatch, pack
-
-_WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
 
 # C expression per opcode, over the gate's two source words {a} and {b}.
 # {one} is the all-ones word; ~ binds tighter than the binary operators, so
@@ -59,24 +57,22 @@ def _const_table(name: str, values, ctype: str = "uint32_t") -> list[str]:
     return lines
 
 
-def emit_source(circuit: Circuit, symbol: str = "circuit_eval", word_bits: int = 64) -> str:
+def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
     """Render the circuit as a self-contained C function.
 
     The function signature is::
 
-        void <symbol>(const uintW_t *in, size_t lanes,
+        void <symbol>(const uint64_t *in, size_t lanes,
                       int64_t *scores, size_t samples);
 
-    ``in`` holds one plane of ``lanes`` W-bit words per input wire,
+    ``in`` holds one plane of ``lanes`` 64-bit words per input wire,
     wire-major (word of wire i in lane L sits at ``in[i*lanes + L]``); bit b
-    of lane L is sample W*L+b, matching the packed batch layout. ``scores``
+    of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
     receives samples x k signed counts, sample-major: popcounts of each
     output group, or decoded counter values for adder-aggregated circuits.
     Downstream scaling (count/tau + beta) is left to the caller.
     """
-    if word_bits not in _WORD_DTYPES:
-        raise ValueError(f"word_bits must be one of {sorted(_WORD_DTYPES)}")
-    wt = f"uint{word_bits}_t"
+    wt = "uint64_t"
     w_in = circuit.input_width
     k = circuit.readout.k
     n_out = len(circuit.output_wires)
@@ -102,7 +98,7 @@ def emit_source(circuit: Circuit, symbol: str = "circuit_eval", word_bits: int =
         f"#define GN_INPUTS {w_in}",
         f"#define GN_WIRES {circuit.num_wires}",
         f"#define GN_CLASSES {k}",
-        f"#define GN_WORD_BITS {word_bits}",
+        "#define GN_WORD_BITS 64",
         "",
     ]
 
@@ -167,20 +163,17 @@ class CompiledCircuit:
 
     input_width: int
     classes: int
-    word_bits: int
     library_path: str
     _fn: object = field(repr=False)
     _keepalive: object = field(repr=False)
 
     def scores(self, samples) -> np.ndarray:
         """(samples, k) int64 class scores for raw 0/1 rows or a PackedBatch."""
-        batch = samples if isinstance(samples, PackedBatch) else pack(samples, self.word_bits)
+        batch = samples if isinstance(samples, PackedBatch) else pack(samples)
         if batch.feature_count != self.input_width:
             raise ValueError(
                 f"batch has {batch.feature_count} features, circuit wants {self.input_width}"
             )
-        if batch.word_bits != self.word_bits:
-            raise ValueError(f"batch packed at {batch.word_bits} bits, compiled for {self.word_bits}")
         out = np.zeros((batch.sample_count, self.classes), dtype=np.int64)
         words = np.ascontiguousarray(batch.words)
         self._fn(words, batch.lanes, out, batch.sample_count)
@@ -190,7 +183,6 @@ class CompiledCircuit:
 def compile_and_load(
     circuit: Circuit,
     symbol: str = "circuit_eval",
-    word_bits: int = 64,
     cc: str | None = None,
     optimize: str = "-O1",
     keep_dir: str | None = None,
@@ -203,7 +195,7 @@ def compile_and_load(
     compiler = cc or os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc)")
-    source = emit_source(circuit, symbol=symbol, word_bits=word_bits)
+    source = emit_source(circuit, symbol=symbol)
     tmp = None
     if keep_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="gatenet_emit_")
@@ -223,7 +215,7 @@ def compile_and_load(
     fn = getattr(lib, symbol)
     fn.restype = None
     fn.argtypes = [
-        npct.ndpointer(dtype=_WORD_DTYPES[word_bits], flags="C_CONTIGUOUS"),
+        npct.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS"),
         ctypes.c_size_t,
         npct.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
         ctypes.c_size_t,
@@ -231,7 +223,6 @@ def compile_and_load(
     return CompiledCircuit(
         input_width=circuit.input_width,
         classes=circuit.readout.k,
-        word_bits=word_bits,
         library_path=so_path,
         _fn=fn,
         _keepalive=(lib, tmp),

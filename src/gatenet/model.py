@@ -247,6 +247,22 @@ class Circuit:
             base += w
         return out
 
+    def levels(self) -> np.ndarray:
+        """Dependency level of every gate: inputs are level 0, a gate is 1 + its deeper source.
+
+        Every gate is updated at once, repeatedly, until no level changes;
+        levels only grow toward their final values, so that takes depth + 1
+        vectorised sweeps.
+        """
+        level = np.zeros(self.num_wires, dtype=np.int64)
+        first, second = np.ascontiguousarray(self.sources.T, dtype=np.intp)
+        gates = level[self.input_width :]
+        while True:
+            nxt = 1 + np.maximum(level[first], level[second])
+            if np.array_equal(nxt, gates):
+                return nxt
+            gates[:] = nxt
+
     def structurally_equal(self, other: "Circuit") -> bool:
         return (
             self.input_width == other.input_width

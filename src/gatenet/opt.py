@@ -199,7 +199,6 @@ def check_equivalence(
     mode: str = "auto",
     samples: int = 10_000,
     seed: int = 0,
-    word_bits: int = 64,
 ) -> EquivalenceReport:
     """Compare two circuits' output bits input by input.
 
@@ -241,8 +240,8 @@ def check_equivalence(
 
     tested = 0
     for x in batches():
-        o1 = unpack(execute_packed(c1, pack(x, word_bits)))
-        o2 = unpack(execute_packed(c2, pack(x, word_bits)))
+        o1 = unpack(execute_packed(c1, pack(x)))
+        o2 = unpack(execute_packed(c2, pack(x)))
         if not np.array_equal(o1, o2):
             row = int(np.nonzero((o1 != o2).any(axis=1))[0][0])
             return EquivalenceReport(False, mode, tested + row + 1, x[row].copy())
@@ -283,14 +282,10 @@ def op_histogram(model: Circuit | LogicNet) -> CircuitStats:
         per_layer = np.zeros((0, NUM_GATES), dtype=np.int64)
 
     w_in = circuit.input_width
-    n = circuit.num_gates
     src = circuit.sources.astype(np.int64)
-    level = np.zeros(circuit.num_wires, dtype=np.int64)
     needed = np.zeros(circuit.num_wires, dtype=bool)
     needed[circuit.output_wires.astype(np.int64)] = True
-    for i in range(n):
-        level[w_in + i] = 1 + max(level[src[i, 0]], level[src[i, 1]])
-    for i in range(n - 1, -1, -1):
+    for i in range(circuit.num_gates - 1, -1, -1):
         if needed[w_in + i]:
             needed[src[i, 0]] = True
             needed[src[i, 1]] = True
@@ -299,7 +294,7 @@ def op_histogram(model: Circuit | LogicNet) -> CircuitStats:
         layer_sizes=circuit.layer_sizes,
         per_layer=per_layer,
         live_gates=int(np.count_nonzero(live_mask)),
-        depth=int(level[w_in:][live_mask].max(initial=0)),
+        depth=int(circuit.levels()[live_mask].max(initial=0)),
         constant_gates=int(np.isin(circuit.opcodes, (0, 15)).sum()),
     )
 

@@ -1,7 +1,7 @@
 """Word-parallel execution of Boolean circuits.
 
-Samples are bit-transposed: feature i of W consecutive samples lives in one
-W-bit unsigned word, so a single bitwise operation evaluates one gate for W
+Samples are bit-transposed: feature i of 64 consecutive samples lives in one
+64-bit unsigned word, so a single bitwise operation evaluates one gate for 64
 samples at once. All 16 gates lower to {AND, OR, XOR, NOT} word primitives:
 
     id  gate            words            id  gate            words
@@ -40,8 +40,6 @@ import numpy as np
 
 from .model import Circuit, ReadoutConfig
 
-_WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-
 
 def _require_little_endian() -> None:
     if sys.byteorder != "little":
@@ -50,15 +48,14 @@ def _require_little_endian() -> None:
 
 @dataclass
 class PackedBatch:
-    """Bit-transposed samples: words[i, l] holds feature i of samples l*W .. l*W+W-1.
+    """Bit-transposed samples: words[i, l] holds feature i of samples 64*l .. 64*l+63.
 
-    Bit j (LSB-first) of that word is sample l*W + j. Bits at or beyond
-    sample_count in the last lane are zero.
+    The words are ``np.uint64``; bit j (LSB-first) of that word is sample
+    64*l + j. Bits at or beyond sample_count in the last lane are zero.
     """
 
     words: np.ndarray
     sample_count: int
-    word_bits: int
 
     @property
     def lanes(self) -> int:
@@ -69,22 +66,18 @@ class PackedBatch:
         return self.words.shape[0]
 
 
-def _pad_mask(sample_count: int, lanes: int, word_bits: int) -> np.ndarray:
+def _pad_mask(sample_count: int, lanes: int) -> np.ndarray:
     """One word per lane with 1s at valid sample bits."""
-    dtype = _WORD_DTYPES[word_bits]
-    full = np.invert(dtype(0))
-    mask = np.full(lanes, full, dtype=dtype)
-    tail = sample_count % word_bits
+    mask = np.full(lanes, np.iinfo(np.uint64).max, dtype=np.uint64)
+    tail = sample_count % 64
     if tail:
-        mask[-1] = dtype((1 << tail) - 1)
+        mask[-1] = (1 << tail) - 1
     return mask
 
 
-def pack(samples: np.ndarray, word_bits: int = 64) -> PackedBatch:
-    """Bit-transpose a (samples, features) 0/1 matrix."""
+def pack(samples: np.ndarray) -> PackedBatch:
+    """Bit-transpose a (samples, features) 0/1 matrix into 64-bit words."""
     _require_little_endian()
-    if word_bits not in _WORD_DTYPES:
-        raise ValueError(f"word_bits must be one of {sorted(_WORD_DTYPES)}")
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("need a non-empty 2-d sample matrix")
@@ -92,11 +85,11 @@ def pack(samples: np.ndarray, word_bits: int = 64) -> PackedBatch:
     if bits.max(initial=0) > 1:
         raise ValueError("samples must be Boolean (0/1)")
     n, f = samples.shape
-    lanes = -(-n // word_bits)
-    padded = np.zeros((f, lanes * word_bits), dtype=np.uint8)
+    lanes = -(-n // 64)
+    padded = np.zeros((f, lanes * 64), dtype=np.uint8)
     padded[:, :n] = bits
-    words = np.packbits(padded, axis=1, bitorder="little").view(_WORD_DTYPES[word_bits])
-    return PackedBatch(words=words, sample_count=n, word_bits=word_bits)
+    words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    return PackedBatch(words=words, sample_count=n)
 
 
 def unpack(batch: PackedBatch) -> np.ndarray:
@@ -164,13 +157,8 @@ class _ExecPlan:
         """
         w_in = circuit.input_width
         row = np.arange(circuit.num_wires, dtype=np.int64)  # wire id -> plane row
-        level = np.zeros(circuit.num_wires, dtype=np.int32)
         src = circuit.sources
-        lvl_gate = np.empty(circuit.num_gates, dtype=np.int32)
-        for g in range(circuit.num_gates):
-            lv = 1 + max(level[src[g, 0]], level[src[g, 1]])
-            level[w_in + g] = lv
-            lvl_gate[g] = lv
+        lvl_gate = circuit.levels()
         waves = []
         order = np.argsort(lvl_gate, kind="stable")
         start = 0
@@ -303,8 +291,8 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
         out = np.concatenate(parts, axis=1)
     else:
         out = _execute_serial(circuit, batch.words)
-    out &= _pad_mask(batch.sample_count, lanes, batch.word_bits)
-    return PackedBatch(words=out, sample_count=batch.sample_count, word_bits=batch.word_bits)
+    out &= _pad_mask(batch.sample_count, lanes)
+    return PackedBatch(words=out, sample_count=batch.sample_count)
 
 
 def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
@@ -385,14 +373,9 @@ def _counter_scores(outputs: PackedBatch, circuit: Circuit) -> np.ndarray:
     return bits.reshape(-1, k, m).astype(np.int64) @ weights
 
 
-def circuit_scores(
-    circuit: Circuit,
-    samples,
-    threads: int = 1,
-    word_bits: int = 64,
-) -> np.ndarray:
+def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch."""
-    batch = samples if isinstance(samples, PackedBatch) else pack(samples, word_bits)
+    batch = samples if isinstance(samples, PackedBatch) else pack(samples)
     outputs = execute_packed(circuit, batch, threads=threads)
     if circuit.counter_bits is not None:
         return _counter_scores(outputs, circuit)
@@ -480,13 +463,11 @@ def benchmark(
     batch: PackedBatch,
     repetitions: int = 5,
     threads_list: tuple[int, ...] = (1,),
-    cpu_ghz: float | None = None,
 ) -> dict:
     """Median-of-repetitions inference throughput (execution plus readout)."""
     report = {
         "samples": batch.sample_count,
         "lanes": batch.lanes,
-        "word_bits": batch.word_bits,
         "gates": circuit.num_gates,
         "cpu": _cpu_model(),
         "per_thread": {},
@@ -500,13 +481,9 @@ def benchmark(
             times.append(time.perf_counter() - t0)
         med = float(np.median(times))
         samples_per_sec = batch.sample_count / med
-        entry = {
+        report["per_thread"][threads] = {
             "seconds_median": med,
             "samples_per_sec": samples_per_sec,
             "gate_ops_per_sec": samples_per_sec * circuit.num_gates,
         }
-        if cpu_ghz:
-            word_ops = circuit.num_gates * batch.lanes
-            entry["word_ops_per_cycle"] = word_ops / (med * cpu_ghz * 1e9)
-        report["per_thread"][threads] = entry
     return report

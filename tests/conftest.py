@@ -24,6 +24,12 @@ from gatenet.model import (
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
+# Sample counts that leave the last 64-bit lane in every state: a single
+# partial lane (1, 5 and 63 samples, plus tails that end on a byte, half-word
+# and word boundary at 8, 16 and 32), one exact lane (64), and several lanes
+# with a partial last one (65 and 2 * 64 + 3).
+SAMPLE_COUNTS = (1, 5, 8, 16, 32, 63, 64, 65, 2 * 64 + 3)
+
 
 def oracle_net_forward(net: LogicNet, x: np.ndarray) -> np.ndarray:
     """Per-sample, per-gate explicit relaxed evaluation. Returns (batch, k) scores."""

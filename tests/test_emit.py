@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import oracle_circuit_counts, random_layered_circuit
+from conftest import SAMPLE_COUNTS, oracle_circuit_counts, random_layered_circuit
 from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
@@ -33,6 +33,7 @@ class TestEmitText:
         text = emit_source(xor_circuit())
         assert "w[2] = w[0] ^ w[1];" in text
         assert text.count("w[2] =") == 1
+        assert "#define GN_WORD_BITS 64" in text and "const uint64_t *in" in text
 
     def test_byte_identical_across_runs(self, rng):
         c = random_layered_circuit(rng, 8, [12, 8], k=2)
@@ -53,24 +54,15 @@ class TestEmitText:
         assert "w[2] = 0;" in text
         assert "w[3] = ~(uint64_t)0;" in text
 
-    def test_word_width_parameter(self):
-        text = emit_source(xor_circuit(), word_bits=16)
-        assert "uint16_t" in text and "#define GN_WORD_BITS 16" in text
-        with pytest.raises(ValueError, match="word_bits"):
-            emit_source(xor_circuit(), word_bits=12)
-
 
 @needs_cc
 class TestCompiled:
-    @pytest.mark.parametrize("word_bits", [8, 64])
-    def test_matches_interpreter(self, rng, word_bits):
+    @pytest.mark.parametrize("n", [*SAMPLE_COUNTS, 500])
+    def test_matches_interpreter(self, rng, n):
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
-        handle = compile_and_load(c, word_bits=word_bits)
-        for n in (1, 63, 64, 65, 500):
-            x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                handle.scores(x), circuit_scores(c, x, word_bits=word_bits)
-            )
+        handle = compile_and_load(c)
+        x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+        np.testing.assert_array_equal(handle.scores(x), circuit_scores(c, x))
 
     def test_matches_oracle_exhaustively(self, rng):
         c = random_layered_circuit(rng, 10, [8, 4], k=2)
@@ -111,10 +103,6 @@ class TestCompiled:
         handle = compile_and_load(c)
         with pytest.raises(ValueError, match="features"):
             handle.scores(np.zeros((4, 5), dtype=np.uint8))
-        from gatenet.packed import pack
-
-        with pytest.raises(ValueError, match="packed at"):
-            handle.scores(pack(np.zeros((4, 6), dtype=np.uint8), word_bits=8))
 
     def test_source_written_to_keep_dir(self, rng, tmp_path):
         c = random_layered_circuit(rng, 6, [8, 4], k=2)

@@ -233,13 +233,27 @@ class TestOpHistogram:
         # masked gates can never appear
         assert stats.per_layer[:, 3].sum() == 0 and stats.per_layer[:, 8:].sum() == 0
 
-    def test_live_and_depth(self):
+    def test_live_and_depth(self, rng):
         c = circ(2, (2, 1), [[0, 1], [0, 1], [2, 3]], [6, 1, 7], [4])
         stats = op_histogram(c)
         assert stats.live_gates == 3 and stats.depth == 2
         dead_mid = circ(2, (2, 1), [[0, 1], [0, 1], [2, 2]], [6, 1, 7], [4])
         stats = op_histogram(dead_mid)
         assert stats.live_gates == 2 and stats.depth == 2
+        # the counter band reads its own gates, so depth outgrows the band count
+        adder = build_adder_aggregation(random_layered_circuit(rng, 8, [24, 24], k=2))
+        w_in = adder.input_width
+        level = np.zeros(adder.num_wires, dtype=np.int64)
+        for g, (s1, s2) in enumerate(adder.sources):
+            level[w_in + g] = 1 + max(level[s1], level[s2])
+        needed = np.zeros(adder.num_wires, dtype=bool)
+        needed[adder.output_wires] = True
+        for g in range(adder.num_gates - 1, -1, -1):
+            needed[adder.sources[g]] |= needed[w_in + g]
+        np.testing.assert_array_equal(adder.levels(), level[w_in:])
+        stats = op_histogram(adder)
+        assert stats.live_gates == needed[w_in:].sum()
+        assert stats.depth == level[w_in:][needed[w_in:]].max() > len(adder.layer_sizes)
 
     def test_depth_drops_after_prune(self):
         c = circ(2, (1, 1, 1), [[0, 1], [2, 0], [3, 0]], [12, 12, 12], [4])
