@@ -105,14 +105,9 @@ def prune(circuit: Circuit) -> Circuit:
             out_terminal[j] = alias[ow]
             out_parity[j] = parity[ow]
 
-    # Backward reachability over the kept gates.
-    needed = np.zeros(nw, dtype=bool)
-    needed[out_terminal[out_const < 0]] = True
-    for i in range(n - 1, -1, -1):
-        if keep[i] and needed[w_in + i]:
-            needed[res_src[i, 0]] = True
-            needed[res_src[i, 1]] = True
-    live = keep & needed[w_in:]
+    # Backward reachability over the kept gates. A resolved source is an
+    # ancestor of the original one, so the original levels still order them.
+    live = keep & _live_gates(circuit.levels(), res_src, w_in, out_terminal[out_const < 0])
     live_idx = np.flatnonzero(live)
 
     remap = np.full(nw, -1, dtype=np.int64)
@@ -178,6 +173,20 @@ def prune(circuit: Circuit) -> Circuit:
         max_probs=max_probs,
         counter_bits=counter_bits,
     )
+
+
+def _live_gates(level: np.ndarray, sources: np.ndarray, input_width: int, roots) -> np.ndarray:
+    """Per gate, whether the ``roots`` wires reach back to it through ``sources``.
+
+    Sources must lie at lower ``level``s than their gate; the levels are swept
+    deepest first, a whole level at once.
+    """
+    needed = np.zeros(input_width + len(level), dtype=bool)
+    needed[roots] = True
+    order = np.argsort(level, kind="stable")
+    for wave in reversed(np.split(order, np.flatnonzero(np.diff(level[order])) + 1)):
+        needed[sources[wave[needed[input_width + wave]]].ravel()] = True
+    return needed[input_width:]
 
 
 @dataclass(frozen=True)
@@ -281,20 +290,13 @@ def op_histogram(model: Circuit | LogicNet) -> CircuitStats:
     else:
         per_layer = np.zeros((0, NUM_GATES), dtype=np.int64)
 
-    w_in = circuit.input_width
-    src = circuit.sources.astype(np.int64)
-    needed = np.zeros(circuit.num_wires, dtype=bool)
-    needed[circuit.output_wires.astype(np.int64)] = True
-    for i in range(circuit.num_gates - 1, -1, -1):
-        if needed[w_in + i]:
-            needed[src[i, 0]] = True
-            needed[src[i, 1]] = True
-    live_mask = needed[w_in:]
+    level = circuit.levels()
+    live_mask = _live_gates(level, circuit.sources, circuit.input_width, circuit.output_wires)
     return CircuitStats(
         layer_sizes=circuit.layer_sizes,
         per_layer=per_layer,
         live_gates=int(np.count_nonzero(live_mask)),
-        depth=int(circuit.levels()[live_mask].max(initial=0)),
+        depth=int(level[live_mask].max(initial=0)),
         constant_gates=int(np.isin(circuit.opcodes, (0, 15)).sum()),
     )
 

@@ -35,6 +35,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,18 +77,21 @@ def _pad_mask(sample_count: int, lanes: int) -> np.ndarray:
 
 
 def pack(samples: np.ndarray) -> PackedBatch:
-    """Bit-transpose a (samples, features) 0/1 matrix into 64-bit words."""
+    """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words."""
     _require_little_endian()
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("need a non-empty 2-d sample matrix")
-    bits = np.ascontiguousarray(samples.T, dtype=np.uint8)
-    if bits.max(initial=0) > 1:
-        raise ValueError("samples must be Boolean (0/1)")
+    # integers only need a range check; anything else must equal 0 or 1 exactly
+    exact = samples.dtype.kind in "bui" and (
+        samples.min(initial=0) >= 0 and samples.max(initial=0) <= 1
+    )
+    if not exact and not np.all((samples == 0) | (samples == 1)):
+        raise ValueError("samples must be Boolean (each value exactly 0 or 1)")
     n, f = samples.shape
     lanes = -(-n // 64)
     padded = np.zeros((f, lanes * 64), dtype=np.uint8)
-    padded[:, :n] = bits
+    padded[:, :n] = samples.T
     words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
     return PackedBatch(words=words, sample_count=n)
 
@@ -250,8 +254,8 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     return plan
 
 
-def _execute_serial(circuit: Circuit, words: np.ndarray) -> np.ndarray:
-    """Output-wire rows for one block of word lanes."""
+def _execute_serial(circuit: Circuit, words: np.ndarray, out=None) -> np.ndarray:
+    """Output-wire rows for one block of word lanes, written to ``out`` if given."""
     plan = _plan_for(circuit)
     lanes = words.shape[1]
     if plan.layers is not None:
@@ -261,18 +265,18 @@ def _execute_serial(circuit: Circuit, words: np.ndarray) -> np.ndarray:
             _run_groups(groups, prev, dst[:width])
             prev, dst, spare = dst[:width], spare, dst
         del dst, spare  # only the final plane stays alive for the gather
-        return np.take(prev, plan.outputs, axis=0)
+        return np.take(prev, plan.outputs, axis=0, out=out, mode="clip")
     wires = np.empty((plan.num_wires, lanes), dtype=words.dtype)
     wires[: plan.input_width] = words
     _run_groups(plan.waves, None, wires)
-    return np.take(wires, plan.outputs, axis=0)
+    return np.take(wires, plan.outputs, axis=0, out=out, mode="clip")
 
 
 def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> PackedBatch:
     """Evaluate the circuit; returns the output wires as a PackedBatch.
 
     Results are identical for any thread count (threads split whole word
-    lanes, which are independent).
+    lanes, which are independent, and write their lanes of one output).
     """
     if batch.feature_count != circuit.input_width:
         raise ValueError(
@@ -280,15 +284,14 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
         )
     lanes = batch.lanes
     if threads > 1 and lanes > 1:
-        chunks = np.array_split(np.arange(lanes), min(threads, lanes))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _execute_serial(circuit, np.ascontiguousarray(batch.words[:, c])),
-                    chunks,
-                )
-            )
-        out = np.concatenate(parts, axis=1)
+        out = np.empty((len(circuit.output_wires), lanes), dtype=np.uint64)
+        edges = np.linspace(0, lanes, min(threads, lanes) + 1).astype(int)
+
+        def run(lo: int, hi: int) -> None:
+            _execute_serial(circuit, batch.words[:, lo:hi], out[:, lo:hi])
+
+        with ThreadPoolExecutor(max_workers=len(edges) - 1) as pool:
+            list(pool.map(run, edges[:-1], edges[1:]))
     else:
         out = _execute_serial(circuit, batch.words)
     out &= _pad_mask(batch.sample_count, lanes)
@@ -309,33 +312,30 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     if n % k:
         raise ValueError(f"output width {n} not divisible by k={k}")
     group = n // k
-    counts = np.zeros((k, outputs.sample_count), dtype=np.int64)
     if group == 0:
-        return counts.T
+        return np.zeros((outputs.sample_count, k), dtype=np.int64)
     width = group.bit_length()  # ceil(log2(group + 1)) count planes
+    planes = np.empty((width, k, outputs.lanes), dtype=np.uint64)
     # lane blocks bound the tree's scratch (about 3x the block) at ~12 MB
     step = max(1, (1 << 22) // (outputs.words.itemsize * n))
-    done = 0
     for lo in range(0, outputs.lanes, step):
         block = outputs.words[:, lo : lo + step]
-        planes = _carry_save_count(block.reshape(k, group, block.shape[1]), width)
-        bits = np.unpackbits(
-            np.ascontiguousarray(planes).view(np.uint8), axis=-1, bitorder="little"
-        )
-        take = min(bits.shape[-1], outputs.sample_count - done)
-        for t in range(width):
-            counts[:, done : done + take] += bits[t, :, :take].astype(np.int64) << t
-        done += take
-    return counts.T
+        planes[..., lo : lo + step] = _carry_save_count(block.reshape(k, group, -1), width)
+    return _decode_counts(planes, outputs.sample_count)
 
 
-def _carry_save_count(planes: np.ndarray, width: int) -> np.ndarray:
+def _carry_save_count(
+    planes: np.ndarray, width: int, xor=np.bitwise_xor, and_=np.bitwise_and, zero=0
+) -> np.ndarray:
     """Bit-sliced per-class sums of (k, G, lanes) 0/1 planes: (width, k, lanes).
 
     Each tree level adds the first half of the numbers to the second half
     with a ripple-carry adder, all pairs and classes at once; an odd number
-    left over is carried up zero-extended. Sums never exceed G < 2**width, so
-    carries out of the top count plane are never formed.
+    left over is carried up, extended by ``zero`` planes. Sums never exceed
+    G < 2**width, so carries out of the top count plane are never formed.
+    A full adder's two carry terms are never both set, so XOR joins them.
+    ``xor`` and ``and_`` are called like ufuncs with ``out=``: the defaults
+    add words, and ``build_adder_aggregation`` passes ones that append gates.
     """
     k, _, lanes = planes.shape
     nums = planes[None]  # (bits, k, numbers, lanes), LSB plane first
@@ -347,30 +347,30 @@ def _carry_save_count(planes: np.ndarray, width: int) -> np.ndarray:
         nxt = np.empty((grown, k, half + count % 2, lanes), dtype=planes.dtype)
         if count % 2:
             nxt[:bits, :, half] = nums[:, :, count - 1]
-            nxt[bits:, :, half] = 0
+            nxt[bits:, :, half] = zero
         sums = nxt[:, :, :half]
         carry = sums[bits] if grown > bits else np.empty_like(sums[0])
         half_sum = np.empty_like(carry)
-        np.bitwise_and(a[0], b[0], out=carry)
-        np.bitwise_xor(a[0], b[0], out=sums[0])
+        and_(a[0], b[0], out=carry)
+        xor(a[0], b[0], out=sums[0])
         for t in range(1, bits):
-            np.bitwise_xor(a[t], b[t], out=half_sum)
-            np.bitwise_xor(half_sum, carry, out=sums[t])
+            xor(a[t], b[t], out=half_sum)
+            xor(half_sum, carry, out=sums[t])
             if t + 1 < grown:
-                np.bitwise_and(carry, half_sum, out=carry)
-                np.bitwise_and(a[t], b[t], out=half_sum)
-                np.bitwise_or(carry, half_sum, out=carry)
+                and_(carry, half_sum, out=carry)
+                and_(a[t], b[t], out=half_sum)
+                xor(carry, half_sum, out=carry)
         nums = nxt
     return nums[:, :, 0]
 
 
-def _counter_scores(outputs: PackedBatch, circuit: Circuit) -> np.ndarray:
-    """Binary-decode per-class counter bits: (samples, k) int64."""
-    k = circuit.readout.k
-    m = len(circuit.counter_bits[0])
-    bits = unpack(outputs)  # (samples, k*m), LSB-first per class
-    weights = (1 << np.arange(m, dtype=np.int64))
-    return bits.reshape(-1, k, m).astype(np.int64) @ weights
+def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
+    """Counts held in (bits, k, lanes) LSB-first count planes: (samples, k) int64."""
+    bits = np.unpackbits(np.ascontiguousarray(planes).view(np.uint8), axis=-1, bitorder="little")
+    counts = np.zeros(bits.shape[1:2] + (sample_count,), dtype=np.int64)
+    for t, plane in enumerate(bits):
+        counts += plane[:, :sample_count].astype(np.int64) << t
+    return counts.T
 
 
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
@@ -378,70 +378,59 @@ def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     batch = samples if isinstance(samples, PackedBatch) else pack(samples)
     outputs = execute_packed(circuit, batch, threads=threads)
     if circuit.counter_bits is not None:
-        return _counter_scores(outputs, circuit)
+        # class-major, LSB-first counter wires are the count planes, transposed
+        words = outputs.words.reshape(circuit.readout.k, -1, outputs.lanes)
+        return _decode_counts(words.transpose(1, 0, 2), outputs.sample_count)
     return popcount_scores(outputs, circuit.readout)
 
 
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
-    """Append XOR/AND counter chains so class counts come out as binary wires.
+    """Append XOR/AND counters so class counts come out as binary wires.
 
-    Each class group of G output bits feeds a ripple counter of
-    ceil(log2(G+1)) bits, built one increment at a time: adding bit b to
-    counter (c_t) is c_t' = c_t XOR carry_t, carry_{t+1} = c_t AND carry_t
-    with carry_0 = b. A new top bit appears only once the running maximum
-    reaches the counter's capacity. The result's output wires are the
-    concatenated per-class counter bits (LSB first) and its semantics equal
-    popcount readout exactly.
+    The counters are the readout's carry-save tree run over wire ids: each
+    word operation appends gates instead of computing words, and the zero
+    planes that extend an odd leftover number fold away (x ^ 0 = x,
+    x & 0 = 0), so no constant gate is made. A group of G output bits costs
+    under 7 gates per bit and ceil(log2(G+1)) counter wires (LSB first, class
+    after class, in ``counter_bits``); its depth is at most ceil(log2(G+1))**2,
+    for ceil(log2 G) levels of ripple-carry adders at most twice as deep as
+    they are wide. The counts equal popcount readout exactly.
     """
     if circuit.counter_bits is not None:
         return circuit
     gsz = circuit.group_size
     if gsz == 0:
         raise ValueError("circuit has no output wires to aggregate")
-    new_src: list[tuple[int, int]] = []
-    new_ops: list[int] = []
-    next_wire = circuit.num_wires
+    zero = -1  # the constant-zero plane; never a wire id
+    new_src: list[np.ndarray] = []
+    new_ops: list[np.ndarray] = []
 
-    def add_gate(op: int, s1: int, s2: int) -> int:
-        nonlocal next_wire
-        new_src.append((s1, s2))
-        new_ops.append(op)
-        wire = next_wire
-        next_wire += 1
-        return wire
+    def gate(opcode: int, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        real = (a != zero) & (b != zero)
+        pairs = np.stack([a[real], b[real]], axis=1)  # read before ``out`` may overwrite a
+        # with a zero operand, AND gives zero and XOR gives the other operand
+        out[...] = zero if opcode == 1 else np.maximum(a, b)
+        out[real] = circuit.num_wires + sum(map(len, new_ops)) + np.arange(len(pairs))
+        new_src.append(pairs)
+        new_ops.append(np.full(len(pairs), opcode, dtype=np.uint8))
 
-    xor, and_ = 6, 1
-    counters = []
-    for c in range(circuit.readout.k):
-        group = circuit.output_wires[c * gsz : (c + 1) * gsz]
-        counter = [int(group[0])]
-        for i in range(2, gsz + 1):
-            carry = int(group[i - 1])
-            grown = i >= (1 << len(counter))
-            nxt = []
-            for t, cw in enumerate(counter):
-                nxt.append(add_gate(xor, cw, carry))
-                if t < len(counter) - 1 or grown:
-                    carry = add_gate(and_, cw, carry)
-            if grown:
-                nxt.append(carry)
-            counter = nxt
-        counters.append(np.array(counter, dtype=np.uint32))
+    groups = circuit.output_wires.astype(np.int64).reshape(circuit.readout.k, gsz, 1)
+    planes = _carry_save_count(groups, gsz.bit_length(), partial(gate, 6), partial(gate, 1), zero)
+    counters = tuple(planes[:, :, 0].T.astype(np.uint32))
+    added = sum(map(len, new_ops))
     max_probs = circuit.max_probs
     if max_probs is not None:
-        max_probs = np.concatenate([max_probs, np.ones(len(new_ops))])
+        max_probs = np.concatenate([max_probs, np.ones(added)])
     return Circuit(
         input_width=circuit.input_width,
-        layer_sizes=circuit.layer_sizes + (len(new_ops),),
-        sources=np.concatenate(
-            [circuit.sources, np.array(new_src, dtype=np.uint32).reshape(-1, 2)]
-        ),
-        opcodes=np.concatenate([circuit.opcodes, np.array(new_ops, dtype=np.uint8)]),
+        layer_sizes=circuit.layer_sizes + (added,),
+        sources=np.concatenate([circuit.sources, *new_src]),
+        opcodes=np.concatenate([circuit.opcodes, *new_ops]),
         output_wires=np.concatenate(counters),
         readout=circuit.readout,
         seed=circuit.seed,
         max_probs=max_probs,
-        counter_bits=tuple(counters),
+        counter_bits=counters,
     )
 
 

@@ -83,6 +83,17 @@ class TestPack:
         with pytest.raises(ValueError):
             pack(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize("bad", [256, 0.5, 1.9, -1, np.nan])
+    def test_rejects_values_other_than_exact_0_or_1(self, bad):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            pack(np.array([[0, bad]]))
+
+    def test_accepts_exact_0_1_of_any_dtype(self):
+        x = np.random.default_rng(11).integers(0, 2, size=(70, 5), dtype=np.uint8)
+        want = pack(x).words
+        for dtype in (bool, np.int64, np.float64):
+            np.testing.assert_array_equal(pack(x.astype(dtype)).words, want)
+
     def test_rejects_empty_or_wrong_rank(self):
         with pytest.raises(ValueError):
             pack(np.zeros((0, 4), dtype=np.uint8))
@@ -259,6 +270,21 @@ class TestAdderAggregation:
         g = 512 // 8
         bound = int(2 * 512 * (np.log2(g) + 1))
         assert agg.num_gates - circ.num_gates <= bound
+
+    @pytest.mark.parametrize("group", [8, 64, 800])
+    def test_counter_size_and_depth(self, group):
+        # the carry-save tree: fewer than 7 gates per counted bit, and
+        # ceil(log2 G) adder levels, each at most twice as deep as it is wide
+        k = 2
+        circ = passthrough_circuit(group * k, k)
+        agg = build_adder_aggregation(circ)
+        added = agg.opcodes[circ.num_gates :]
+        assert len(added) <= 8 * group * k
+        depth = agg.levels()[circ.num_gates :].max() - 1  # the band it reads is level 1
+        assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
+        assert set(np.unique(added)) <= {1, 6}
+        x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
+        np.testing.assert_array_equal(circuit_scores(agg, x), circuit_scores(circ, x))
 
 
 class TestBenchmark:
