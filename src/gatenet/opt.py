@@ -1,16 +1,17 @@
 """Circuit optimization and analysis: pruning, equivalence checking, histograms.
 
-Pruning walks the netlist once in topological order, tracking for every wire
-whether it is (a) a known constant, (b) an alias of an earlier wire up to
-negation, or (c) the output of a gate that genuinely depends on two wires and
-must be kept. Constant sources are folded into the opcode by restricting the
-truth table, negated sources by permuting it, and a gate whose two sources
-collapse onto the same wire is restricted to its diagonal. Gates that
-degenerate to constants or single-input functions stop existing and merely
-redirect their consumers; negation parity composes through chains, so a NOT
-feeding a NOT costs nothing. Whatever survives is renumbered after a backward
-reachability sweep, and outputs that resolved to a constant or a negation get
-one shared const/NOT gate each, materialized as a final band.
+Pruning walks the netlist one dependency level at a time, all gates of a
+level at once, tracking for every wire whether it is (a) a known constant,
+(b) an alias of an earlier wire up to negation, or (c) the output of a gate
+that genuinely depends on two wires and must be kept. Constant sources are
+folded into the opcode by restricting the truth table, negated sources by
+permuting it, and a gate whose two sources collapse onto the same wire is
+restricted to its diagonal. Gates that degenerate to constants or
+single-input functions stop existing and merely redirect their consumers;
+negation parity composes through chains, so a NOT feeding a NOT costs
+nothing. Whatever survives is renumbered after a backward reachability
+sweep, and outputs that resolved to a constant or a negation get one shared
+const/NOT gate each, materialized as a final band.
 """
 
 from __future__ import annotations
@@ -58,56 +59,41 @@ def prune(circuit: Circuit) -> Circuit:
     keep = np.zeros(n, dtype=bool)
     res_src = np.zeros((n, 2), dtype=np.int64)
     res_op = np.zeros(n, dtype=np.uint8)
+    fix_a, fix_b = np.stack(FIX_A), np.stack(FIX_B)
+    unary = np.isin(np.arange(NUM_GATES), list(UNARY_GATES))
 
-    for i in range(n):
-        w = w_in + i
-        g = int(ops[i])
-        s1, s2 = int(src[i, 0]), int(src[i, 1])
-        if const[s1] >= 0:
-            g = int(FIX_A[const[s1]][g])
-        else:
-            if parity[s1]:
-                g = int(NEGATE_A[g])
-            s1 = int(alias[s1])
-        if const[s2] >= 0:
-            g = int(FIX_B[const[s2]][g])
-        else:
-            if parity[s2]:
-                g = int(NEGATE_B[g])
-            s2 = int(alias[s2])
-        if g not in UNARY_GATES and s1 == s2:
-            g = int(TIE_SAME[g])
-        if g == 0 or g == 15:
-            const[w] = 1 if g == 15 else 0
-        elif g == 3:  # a
-            alias[w], parity[w] = s1, 0
-        elif g == 12:  # not-a
-            alias[w], parity[w] = s1, 1
-        elif g == 5:  # b
-            alias[w], parity[w] = s2, 0
-        elif g == 10:  # not-b
-            alias[w], parity[w] = s2, 1
-        else:
-            keep[i] = True
-            res_src[i] = (s1, s2)
-            res_op[i] = g
+    # A gate reads only wires of lower levels, so one level resolves at once.
+    level = circuit.levels()
+    order = np.argsort(level, kind="stable")
+    for wave in np.split(order, np.flatnonzero(np.diff(level[order])) + 1) if n else []:
+        g = ops[wave]
+        resolved = []
+        for s, fix, negate in ((src[wave, 0], fix_a, NEGATE_A), (src[wave, 1], fix_b, NEGATE_B)):
+            c = const[s]
+            g = np.where(c >= 0, fix[np.maximum(c, 0), g], np.where(parity[s] == 1, negate[g], g))
+            resolved.append(np.where(c >= 0, s, alias[s]))
+        s1, s2 = resolved
+        g = np.where(~unary[g] & (s1 == s2), TIE_SAME[g], g)
+        w = w_in + wave
+        const[w] = np.select([g == 0, g == 15], [0, 1], -1)
+        passes = np.isin(g, (3, 5, 10, 12))  # a, b, not-b, not-a
+        alias[w[passes]] = np.where(np.isin(g, (3, 12)), s1, s2)[passes]
+        parity[w[passes]] = np.isin(g, (10, 12))[passes]
+        kept = ~unary[g]
+        keep[wave[kept]] = True
+        res_src[wave[kept]] = np.stack([s1, s2], axis=1)[kept]
+        res_op[wave[kept]] = g[kept]
 
     # Resolve every output through the descriptors.
     out_wires = circuit.output_wires.astype(np.int64)
-    n_out = len(out_wires)
-    out_const = np.full(n_out, -1, dtype=np.int8)
-    out_terminal = np.zeros(n_out, dtype=np.int64)
-    out_parity = np.zeros(n_out, dtype=np.uint8)
-    for j, ow in enumerate(out_wires):
-        if const[ow] >= 0:
-            out_const[j] = const[ow]
-        else:
-            out_terminal[j] = alias[ow]
-            out_parity[j] = parity[ow]
+    out_const = const[out_wires]
+    is_const = out_const >= 0
+    out_terminal = np.where(is_const, 0, alias[out_wires])
+    out_parity = np.where(is_const, 0, parity[out_wires])
 
     # Backward reachability over the kept gates. A resolved source is an
     # ancestor of the original one, so the original levels still order them.
-    live = keep & _live_gates(circuit.levels(), res_src, w_in, out_terminal[out_const < 0])
+    live = keep & _live_gates(level, res_src, w_in, out_terminal[~is_const])
     live_idx = np.flatnonzero(live)
 
     remap = np.full(nw, -1, dtype=np.int64)
@@ -121,37 +107,21 @@ def prune(circuit: Circuit) -> Circuit:
     sizes = [int(c) for c in live_per_band if c]
 
     # Materialize one shared gate per constant value / negated terminal wire
-    # that some output still needs.
-    extra_src: list[tuple[int, int]] = []
-    extra_ops: list[int] = []
-    made: dict[tuple, int] = {}
-    next_wire = w_in + live_idx.size
+    # that some output still needs, in order of the first output needing it.
+    new_out = remap[out_terminal]
+    made = is_const | (out_parity == 1)
+    key = np.where(is_const, -1 - out_const, new_out)[made]  # -1, -2: constant 0, 1
+    uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[by_first] = np.arange(len(uniq))
+    new_out[made] = w_in + live_idx.size + rank[inverse]
+    extra = uniq[by_first]
+    extra_ops = np.select([extra == -1, extra == -2], [0, 15], 12).astype(np.uint8)
+    extra_src = np.repeat(np.maximum(extra, 0)[:, None], 2, axis=1)
 
-    def materialize(key: tuple, opcode: int, source: int) -> int:
-        nonlocal next_wire
-        if key not in made:
-            extra_src.append((source, source))
-            extra_ops.append(opcode)
-            made[key] = next_wire
-            next_wire += 1
-        return made[key]
-
-    new_out = np.empty(n_out, dtype=np.int64)
-    for j in range(n_out):
-        if out_const[j] >= 0:
-            new_out[j] = materialize(("const", int(out_const[j])), 15 if out_const[j] else 0, 0)
-        elif out_parity[j]:
-            term = int(remap[out_terminal[j]])
-            new_out[j] = materialize(("not", term), 12, term)
-        else:
-            new_out[j] = remap[out_terminal[j]]
-
-    sources_parts = [kept_sources]
-    opcode_parts = [kept_opcodes]
-    if extra_ops:
+    if len(extra_ops):
         sizes.append(len(extra_ops))
-        sources_parts.append(np.array(extra_src, dtype=np.int64))
-        opcode_parts.append(np.array(extra_ops, dtype=np.uint8))
 
     max_probs = None
     if circuit.max_probs is not None:
@@ -165,8 +135,8 @@ def prune(circuit: Circuit) -> Circuit:
     return Circuit(
         input_width=w_in,
         layer_sizes=tuple(sizes),
-        sources=np.concatenate(sources_parts, axis=0),
-        opcodes=np.concatenate(opcode_parts),
+        sources=np.concatenate([kept_sources, extra_src]),
+        opcodes=np.concatenate([kept_opcodes, extra_ops]),
         output_wires=new_out,
         readout=circuit.readout,
         seed=circuit.seed,

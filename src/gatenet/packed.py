@@ -14,15 +14,19 @@ samples at once. All 16 gates lower to {AND, OR, XOR, NOT} word primitives:
     6   xor             a ^ b            14  nand            ~(a & b)
     7   or              a | b            15  true            ~0
 
-Strictly layered circuits run with two ping-pong activation planes; general
-netlists (pruned or with adder counters appended) are levelized once and run
-wave by wave into a full wire plane. Either schedule renumbers the gates of
-each band or wave so that every opcode group fills one contiguous slice of
-rows; a group is then gathered with ``np.take`` and combined by numpy's
-bitwise ufuncs with ``out=`` straight into its slice, with no scatter and no
-temporaries beyond one scratch block. Padding bits in the last lane never
-influence real samples (bitwise ops are per-bit independent); returned
-batches have their padding re-zeroed to keep the layout canonical.
+Every circuit runs on one schedule. Its gates are levelized into dependency
+waves, and each wave writes one contiguous block of rows of a wire plane. A
+block is recycled once no later wave reads it (linear-scan allocation), so a
+strictly layered circuit needs its input rows plus two bands. Inside a wave
+the gates are renumbered so that every opcode group fills one contiguous
+slice of rows: the group's two operands are gathered with ``np.take`` into
+scratch blocks and combined by numpy's bitwise ufuncs with ``out=`` straight
+into its slice. A batch runs in blocks of word lanes, as many as keep one
+block's plane within ``BUDGET`` bytes; the plane, scratch and gathered outputs
+of a block are carved from one buffer, and extra threads share out the
+blocks. Padding bits in the last lane never influence real samples (bitwise
+ops are per-bit independent); returned batches have their padding re-zeroed
+to keep the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
@@ -67,27 +71,21 @@ class PackedBatch:
         return self.words.shape[0]
 
 
-def _pad_mask(sample_count: int, lanes: int) -> np.ndarray:
-    """One word per lane with 1s at valid sample bits."""
-    mask = np.full(lanes, np.iinfo(np.uint64).max, dtype=np.uint64)
-    tail = sample_count % 64
-    if tail:
-        mask[-1] = (1 << tail) - 1
-    return mask
-
-
 def pack(samples: np.ndarray) -> PackedBatch:
     """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words."""
     _require_little_endian()
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("need a non-empty 2-d sample matrix")
-    # integers only need a range check; anything else must equal 0 or 1 exactly
-    exact = samples.dtype.kind in "bui" and (
-        samples.min(initial=0) >= 0 and samples.max(initial=0) <= 1
-    )
-    if not exact and not np.all((samples == 0) | (samples == 1)):
+    if samples.dtype.kind in "ui":
+        # one pass: viewed as unsigned, negative integers lie above 1 too
+        exact = samples.view(f"u{samples.itemsize}").max() <= 1
+    else:
+        exact = samples.dtype.kind == "b" or np.all((samples == 0) | (samples == 1))
+    if not exact:
         raise ValueError("samples must be Boolean (each value exactly 0 or 1)")
+    if samples.itemsize > 1:
+        samples = samples.astype(np.uint8)  # the transpose below then moves bytes
     n, f = samples.shape
     lanes = -(-n // 64)
     padded = np.zeros((f, lanes * 64), dtype=np.uint8)
@@ -104,81 +102,70 @@ def unpack(batch: PackedBatch) -> np.ndarray:
     return np.ascontiguousarray(bits.T)
 
 
-class _ExecPlan:
-    """Pre-grouped execution schedule for one circuit (cached on the instance).
+# Bytes of wire plane per lane block. Smaller blocks pay numpy's per-call
+# overhead more often, larger ones fall out of cache: on the 48000-gate
+# criterion-8 circuit 4-16 MB ran alike and 32 MB was slower.
+BUDGET = 8 << 20
 
-    Gates are renumbered so that every opcode group of a band (layered
-    schedule) or of a wave (levelized schedule) fills one contiguous slice
-    of rows. Each group is then written in place by ``_run_groups`` without
-    a scatter. ``outputs`` maps the circuit's output wires to rows of the
-    final plane under that renumbering.
+
+class _ExecPlan:
+    """Execution schedule for one circuit (cached on the instance).
+
+    Gates are split into waves by ``Circuit.levels()``. Each wave takes one
+    contiguous block of plane rows, first fit from a free list, and
+    ``_opcode_groups`` numbers its opcode groups inside that block. The
+    inputs are the first block. A block returns to the free list after the
+    deepest level that reads any of its wires; blocks holding an output wire
+    are never freed. ``rows`` is the plane's height, ``outputs`` the output
+    wires' rows and ``scratch`` the rows of the largest group.
     """
 
     def __init__(self, circuit: Circuit):
-        self.num_wires = circuit.num_wires
-        self.input_width = circuit.input_width
-        self.layers = self.waves = None
-        layered = self._try_layered(circuit, circuit.layer_slices())
-        if layered is None:
-            self.waves, self.outputs = self._levelize(circuit)
-        else:
-            self.layers, self.outputs = layered
-            self.max_width = max((width for width, _ in self.layers), default=0)
-
-    @staticmethod
-    def _try_layered(circuit: Circuit, bands) -> tuple | None:
-        """Per-layer schedule when every band reads only the band before it."""
-        base = 0  # wire id where the previous band starts
-        width_in = circuit.input_width
-        layers = []
-        prev_width = width_in
-        prev_row = None  # plane row of each gate of the previous band
-        for li, sl in enumerate(bands):
-            src = circuit.sources[sl].astype(np.int64)
-            if src.size and (src.min() < base or src.max() >= base + prev_width):
-                return None
-            local = src - base
-            if prev_row is not None:
-                local = prev_row[local]
-            groups, prev_row = _opcode_groups(circuit.opcodes[sl], local, 0)
-            layers.append((sl.stop - sl.start, groups))
-            base = width_in if li == 0 else base + prev_width
-            prev_width = sl.stop - sl.start
-        # outputs must live in the final band for the two-plane fast path
-        last_base = base
-        out = circuit.output_wires.astype(np.int64)
-        if out.min(initial=last_base) < last_base:
-            return None
-        out -= last_base
-        return layers, (out if prev_row is None else prev_row[out])
-
-    @staticmethod
-    def _levelize(circuit: Circuit) -> tuple[list, np.ndarray]:
-        """Group gates into dependency waves, then by opcode inside each wave.
-
-        Returns the groups, whose rows index the renumbered wire plane
-        (inputs first, then wave by wave), and the output wires' rows.
-        """
-        w_in = circuit.input_width
+        self.input_width = w_in = circuit.input_width
+        level = circuit.levels()
+        src = circuit.sources.astype(np.int64)
+        last = np.zeros(circuit.num_wires, dtype=np.int64)  # deepest level reading a wire
+        np.maximum.at(last, src.ravel(), np.repeat(level, 2))
+        last[circuit.output_wires] = np.iinfo(np.int64).max
         row = np.arange(circuit.num_wires, dtype=np.int64)  # wire id -> plane row
-        src = circuit.sources
-        lvl_gate = circuit.levels()
-        waves = []
-        order = np.argsort(lvl_gate, kind="stable")
-        start = 0
-        for wave in np.split(order, np.flatnonzero(np.diff(lvl_gate[order])) + 1):
-            # sources lie in earlier waves, whose rows are already final
-            local = row[src[wave].astype(np.int64)]
-            groups, wave_row = _opcode_groups(circuit.opcodes[wave], local, w_in + start)
-            row[w_in + wave] = wave_row
-            waves.extend(groups)
-            start += len(wave)
-        return waves, row[circuit.output_wires.astype(np.int64)]
+        free = []  # sorted (start, stop) runs of free rows
+        self.rows, self.groups = w_in, []
+        freed_after = {int(last[:w_in].max()): [(0, w_in)]}  # level -> blocks
+        order = np.argsort(level, kind="stable")
+        waves = np.split(order, np.flatnonzero(np.diff(level[order])) + 1) if len(order) else []
+        for lvl, wave in enumerate(waves, start=1):  # levels have no gaps
+            free = _merge_runs(free + freed_after.pop(lvl - 1, []))
+            start = self._first_fit(free, len(wave))
+            groups, row[w_in + wave] = _opcode_groups(circuit.opcodes[wave], row[src[wave]], start)
+            self.groups.extend(groups)
+            dies = max(lvl, int(last[w_in + wave].max()))
+            freed_after.setdefault(dies, []).append((start, start + len(wave)))
+        self.outputs = row[circuit.output_wires]
+        self.scratch = max((g[1] - g[0] for g in self.groups), default=0)
+
+    def _first_fit(self, free: list, count: int) -> int:
+        """First row of ``count`` rows taken from ``free``, growing the plane if none fit."""
+        for i, (lo, hi) in enumerate(free):
+            if hi - lo >= count:
+                free[i : i + 1] = [(lo + count, hi)] if hi - lo > count else []
+                return lo
+        lo = free.pop()[0] if free and free[-1][1] == self.rows else self.rows
+        self.rows = lo + count
+        return lo
 
 
-# Word recipe per opcode: (source copied into the destination first, invert
-# it, ufunc that folds in the other source, invert the result); 0 and 15
-# fill a constant instead.
+def _merge_runs(runs: list) -> list:
+    """Sorted (start, stop) runs with touching runs joined."""
+    merged = []
+    for lo, hi in sorted(runs):
+        if merged and merged[-1][1] == lo:
+            lo = merged.pop()[0]
+        merged.append((lo, hi))
+    return merged
+
+
+# Word recipe per opcode: (source gathered first, invert it, ufunc that folds
+# in the other source, invert the result); 0 and 15 fill a constant instead.
 _OP_STEPS = {
     1: (0, False, np.bitwise_and, False),
     2: (1, True, np.bitwise_and, False),
@@ -222,26 +209,29 @@ def _opcode_groups(ops: np.ndarray, sources: np.ndarray, first_row: int):
     return groups, row
 
 
-def _run_groups(groups, src: np.ndarray | None, dst: np.ndarray) -> None:
-    """Write each opcode group into its rows of ``dst``, reading rows of ``src``.
+def _run_groups(groups, plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Write each opcode group into its rows of ``plane``.
 
-    With ``src`` None a group reads the rows of ``dst`` below its own (the
-    levelized wire plane); the read and written rows then never overlap.
+    Sources may lie above or below the rows being written, so a group first
+    gathers its operands into the scratch blocks ``a`` and ``b``, which share
+    no memory with ``plane``: ``np.take`` then writes them in place instead
+    of through a hidden copy.
     """
-    rows_max = max((g[1] - g[0] for g in groups), default=0)
-    tmp = np.empty((rows_max, dst.shape[1]), dtype=dst.dtype)
     for lo, hi, fill, first, pre_not, combine, second, post_not in groups:
-        out = dst[lo:hi]
+        out = plane[lo:hi]
         if fill is not None:
             out.fill(np.iinfo(out.dtype).max if fill else 0)
             continue
-        rows = dst[:lo] if src is None else src
-        np.take(rows, first, axis=0, out=out, mode="clip")
+        x = np.take(plane, first, axis=0, out=a[: hi - lo], mode="clip")
+        if combine is None:
+            if pre_not:
+                np.invert(x, out=out)
+            else:
+                np.copyto(out, x)
+            continue
         if pre_not:
-            np.invert(out, out=out)
-        if combine is not None:
-            other = np.take(rows, second, axis=0, out=tmp[: hi - lo], mode="clip")
-            combine(out, other, out=out)
+            np.invert(x, out=x)
+        combine(x, np.take(plane, second, axis=0, out=b[: hi - lo], mode="clip"), out=out)
         if post_not:
             np.invert(out, out=out)
 
@@ -254,47 +244,49 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     return plan
 
 
-def _execute_serial(circuit: Circuit, words: np.ndarray, out=None) -> np.ndarray:
-    """Output-wire rows for one block of word lanes, written to ``out`` if given."""
-    plan = _plan_for(circuit)
-    lanes = words.shape[1]
-    if plan.layers is not None:
-        dst, spare = (np.empty((plan.max_width, lanes), dtype=words.dtype) for _ in "ab")
-        prev = words
-        for width, groups in plan.layers:
-            _run_groups(groups, prev, dst[:width])
-            prev, dst, spare = dst[:width], spare, dst
-        del dst, spare  # only the final plane stays alive for the gather
-        return np.take(prev, plan.outputs, axis=0, out=out, mode="clip")
-    wires = np.empty((plan.num_wires, lanes), dtype=words.dtype)
-    wires[: plan.input_width] = words
-    _run_groups(plan.waves, None, wires)
-    return np.take(wires, plan.outputs, axis=0, out=out, mode="clip")
+def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, starts, step: int) -> None:
+    """Execute the lane blocks ``lo .. lo + step`` for each ``lo`` in ``starts`` into ``out``.
+
+    Every block's plane, scratch and gathered outputs are carved from one
+    buffer, so each ``out=`` below is C-contiguous.
+    """
+    heights = np.array([plan.rows, plan.scratch, plan.scratch, len(plan.outputs)])
+    buf = np.empty(heights.sum() * min(step, words.shape[1]), dtype=np.uint64)
+    for lo in starts:
+        hi = min(lo + step, words.shape[1])
+        parts = np.split(buf[: heights.sum() * (hi - lo)], np.cumsum(heights)[:-1] * (hi - lo))
+        plane, a, b, gathered = (part.reshape(-1, hi - lo) for part in parts)
+        plane[: plan.input_width] = words[:, lo:hi]
+        _run_groups(plan.groups, plane, a, b)
+        out[:, lo:hi] = np.take(plane, plan.outputs, axis=0, out=gathered, mode="clip")
 
 
 def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> PackedBatch:
     """Evaluate the circuit; returns the output wires as a PackedBatch.
 
-    Results are identical for any thread count (threads split whole word
-    lanes, which are independent, and write their lanes of one output).
+    Results are identical for any thread count: threads take turns over the
+    same lane blocks, which are independent, and write their lanes of one
+    output.
     """
     if batch.feature_count != circuit.input_width:
         raise ValueError(
             f"batch has {batch.feature_count} features, circuit wants {circuit.input_width}"
         )
+    plan = _plan_for(circuit)
     lanes = batch.lanes
-    if threads > 1 and lanes > 1:
-        out = np.empty((len(circuit.output_wires), lanes), dtype=np.uint64)
-        edges = np.linspace(0, lanes, min(threads, lanes) + 1).astype(int)
-
-        def run(lo: int, hi: int) -> None:
-            _execute_serial(circuit, batch.words[:, lo:hi], out[:, lo:hi])
-
-        with ThreadPoolExecutor(max_workers=len(edges) - 1) as pool:
-            list(pool.map(run, edges[:-1], edges[1:]))
+    step = max(1, BUDGET // (8 * plan.rows))
+    starts = range(0, lanes, step)
+    out = np.empty((len(plan.outputs), lanes), dtype=np.uint64)
+    workers = max(1, min(threads, len(starts)))
+    run = partial(_run_blocks, plan, batch.words, out, step=step)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, (starts[t::workers] for t in range(workers))))
     else:
-        out = _execute_serial(circuit, batch.words)
-    out &= _pad_mask(batch.sample_count, lanes)
+        run(starts)
+    tail = batch.sample_count % 64
+    if tail:  # only the last lane holds padding bits
+        out[:, -1] &= np.uint64((1 << tail) - 1)
     return PackedBatch(words=out, sample_count=batch.sample_count)
 
 

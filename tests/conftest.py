@@ -95,6 +95,36 @@ def random_layered_circuit(
     return discretize(net)
 
 
+def random_netlist(
+    rng: np.random.Generator, input_width: int, num_gates: int, k: int, group: int
+) -> Circuit:
+    """A random general netlist: not layered, with every opcode.
+
+    Each source is read from any earlier wire or, half the time, from the 16
+    wires just before its gate, so rows both live long and die early. With
+    three or more outputs, one input wire is an output twice and the first
+    gate once; the rest are drawn from all wires.
+    """
+    own = input_width + np.arange(num_gates)
+    anywhere = rng.random((num_gates, 2)) * own[:, None]
+    recent = own[:, None] - 1 - rng.integers(0, 16, (num_gates, 2))
+    sources = np.where(rng.random((num_gates, 2)) < 0.5, anywhere, np.maximum(recent, 0))
+    opcodes = rng.permutation(np.resize(np.arange(16, dtype=np.uint8), num_gates))
+    outputs = rng.integers(0, input_width + num_gates, k * group)
+    if len(outputs) >= 3 and num_gates:
+        wire = rng.integers(0, input_width)
+        outputs[:3] = wire, input_width, wire
+        outputs = rng.permutation(outputs)
+    return Circuit(
+        input_width=input_width,
+        layer_sizes=(num_gates,) if num_gates else (),
+        sources=sources.astype(np.int64),
+        opcodes=opcodes,
+        output_wires=outputs,
+        readout=ReadoutConfig(k=k),
+    )
+
+
 def random_small_net(rng: np.random.Generator, dtype=np.float64, mask: int = 0xFFFF) -> LogicNet:
     """A tiny random network for gradient checks; float64 by default."""
     depth = int(rng.integers(1, 4))

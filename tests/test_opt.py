@@ -9,9 +9,17 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import oracle_circuit_counts, oracle_circuit_outputs, random_layered_circuit
+from conftest import (
+    oracle_circuit_counts,
+    oracle_circuit_outputs,
+    random_layered_circuit,
+    random_netlist,
+)
+from gatenet import gates
 from gatenet.model import Circuit, ReadoutConfig, build_topology, discretize, init_params, LogicNet
+from gatenet.modelfile import save_model
 from gatenet.opt import (
+    _live_gates,
     CircuitStats,
     EquivalenceReport,
     check_equivalence,
@@ -43,7 +51,87 @@ def assert_same_behavior(c1: Circuit, c2: Circuit) -> None:
     np.testing.assert_array_equal(oracle_circuit_outputs(c1, x), oracle_circuit_outputs(c2, x))
 
 
+def loop_prune(circuit: Circuit) -> Circuit:
+    """``prune`` one gate and one output at a time: the reference for the vectorized one."""
+    w_in, n = circuit.input_width, circuit.num_gates
+    const = np.full(circuit.num_wires, -1)
+    alias = np.arange(circuit.num_wires)
+    parity = np.zeros(circuit.num_wires, dtype=int)
+    keep = np.zeros(n, dtype=bool)
+    res_src, res_op = np.zeros((n, 2), dtype=np.int64), np.zeros(n, dtype=np.uint8)
+    for i in range(n):
+        g, (s1, s2) = int(circuit.opcodes[i]), (int(s) for s in circuit.sources[i])
+        if const[s1] >= 0:
+            g = int(gates.FIX_A[const[s1]][g])
+        else:
+            g, s1 = int(gates.NEGATE_A[g]) if parity[s1] else g, int(alias[s1])
+        if const[s2] >= 0:
+            g = int(gates.FIX_B[const[s2]][g])
+        else:
+            g, s2 = int(gates.NEGATE_B[g]) if parity[s2] else g, int(alias[s2])
+        if g not in gates.UNARY_GATES and s1 == s2:
+            g = int(gates.TIE_SAME[g])
+        w = w_in + i
+        if g in (0, 15):
+            const[w] = g == 15
+        elif g in (3, 5, 10, 12):
+            alias[w], parity[w] = (s1 if g in (3, 12) else s2), g in (10, 12)
+        else:
+            keep[i], res_src[i], res_op[i] = True, (s1, s2), g
+    outs = circuit.output_wires.astype(np.int64)
+    roots = [alias[w] for w in outs if const[w] < 0]
+    live_idx = np.flatnonzero(keep & _live_gates(circuit.levels(), res_src, w_in, roots))
+    remap = np.full(circuit.num_wires, -1)
+    remap[:w_in] = np.arange(w_in)
+    remap[w_in + live_idx] = w_in + np.arange(len(live_idx))
+    band = np.repeat(np.arange(len(circuit.layer_sizes)), circuit.layer_sizes)[live_idx]
+    sizes = [int(c) for c in np.bincount(band, minlength=len(circuit.layer_sizes)) if c]
+    made, extra_src, extra_ops, new_out = {}, [], [], []
+    for w in outs:
+        if const[w] < 0 and not parity[w]:
+            new_out.append(remap[alias[w]])
+            continue
+        key = ("const", const[w]) if const[w] >= 0 else ("not", remap[alias[w]])
+        if key not in made:
+            made[key] = w_in + len(live_idx) + len(extra_ops)
+            extra_src.append((0, 0) if key[0] == "const" else (key[1], key[1]))
+            extra_ops.append((0, 15)[key[1]] if key[0] == "const" else 12)
+        new_out.append(made[key])
+    counter_bits = None
+    if circuit.counter_bits is not None:
+        splits = np.cumsum([len(cb) for cb in circuit.counter_bits])[:-1]
+        counter_bits = tuple(np.split(np.array(new_out, dtype=np.uint32), splits))
+    max_probs = None
+    if circuit.max_probs is not None:
+        max_probs = np.concatenate([circuit.max_probs[live_idx], np.ones(len(extra_ops))])
+    return Circuit(
+        input_width=w_in,
+        layer_sizes=tuple(sizes + [len(extra_ops)] * bool(extra_ops)),
+        sources=np.concatenate([remap[res_src[live_idx]], np.reshape(extra_src, (-1, 2))]),
+        opcodes=np.concatenate([res_op[live_idx], np.array(extra_ops, dtype=np.uint8)]),
+        output_wires=np.array(new_out),
+        readout=circuit.readout,
+        seed=circuit.seed,
+        max_probs=max_probs,
+        counter_bits=counter_bits,
+    )
+
+
 class TestPrune:
+    def test_matches_per_gate_loop(self, rng, tmp_path):
+        for _ in range(40):
+            width = int(rng.integers(2, 40))
+            k = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
+            layered = random_layered_circuit(rng, int(rng.integers(2, 30)), [width] * 3, k)
+            general = random_netlist(rng, int(rng.integers(1, 12)), int(rng.integers(0, 150)),
+                                     int(rng.integers(1, 4)), int(rng.integers(1, 7)))
+            for circ in (layered, build_adder_aggregation(layered), general):
+                got, want = prune(circ), loop_prune(circ)
+                assert got.structurally_equal(want)
+                save_model(got, tmp_path / "got.gnet")
+                save_model(want, tmp_path / "want.gnet")
+                assert (tmp_path / "got.gnet").read_bytes() == (tmp_path / "want.gnet").read_bytes()
+
     def test_constant_annihilates_and(self):
         # false(x0,x1) feeding and(., x2): the whole output is constant false.
         c = circ(3, (1, 1), [[0, 1], [3, 2]], [0, 1], [4])

@@ -1,5 +1,7 @@
 """Bit-packed circuit execution against the truth-table interpreter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,15 @@ from conftest import (
     oracle_circuit_counts,
     oracle_circuit_outputs,
     random_layered_circuit,
+    random_netlist,
 )
 from gatenet import gates
 from gatenet.model import Circuit, ReadoutConfig
+from gatenet.opt import prune
 from gatenet.packed import (
+    BUDGET,
     PackedBatch,
+    _plan_for,
     benchmark,
     build_adder_aggregation,
     circuit_scores,
@@ -155,6 +161,64 @@ class TestExecutePacked:
         a = execute_packed(circ, batch, threads=1)
         b = execute_packed(circ, batch, threads=4)
         np.testing.assert_array_equal(a.words, b.words)
+
+
+class TestGeneralNetlists:
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_oracle(self, rng, n, threads):
+        for _ in range(6):
+            k, group = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            width, gate_count = int(rng.integers(1, 20)), int(rng.integers(0, 200))
+            circ = random_netlist(rng, width, gate_count, k, group)
+            x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
+            got = unpack(execute_packed(circ, pack(x), threads=threads))
+            np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
+            counts = circuit_scores(circ, x, threads=threads)
+            np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
+
+    def test_several_lane_blocks_with_a_partial_last_one(self, rng):
+        circ = random_netlist(rng, 8, 3000, 4, 500)
+        step = BUDGET // (8 * _plan_for(circ).rows)  # lanes per block
+        lanes = 3 * step + step // 3
+        x = (rng.uniform(size=(64 * lanes - 5, 8)) < 0.5).astype(np.uint8)
+        batch = pack(x)
+        got = execute_packed(circ, batch)
+        assert lanes % step and lanes // step >= 3
+        for lo in range(0, batch.sample_count, 64 * 64):  # the oracle, 64 lanes at a time
+            want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
+            np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
+        np.testing.assert_array_equal(execute_packed(circ, batch, threads=3).words, got.words)
+
+
+class TestPlaneRows:
+    def test_layered_plane_holds_inputs_and_two_bands(self, rng):
+        for _ in range(10):
+            widths = [int(w) for w in rng.integers(2, 60, int(rng.integers(1, 7)))]
+            circ = random_layered_circuit(rng, int(rng.integers(2, 40)), widths, 1)
+            assert _plan_for(circ).rows <= circ.input_width + 2 * max(widths)
+
+    def test_criterion_8_circuit_plane_rows(self):
+        circ = random_layered_circuit(np.random.default_rng(48), 784, [8000] * 6, 10)
+        assert _plan_for(circ).rows == 784 + 2 * 8000
+
+
+class TestMnistPreset:
+    def test_pruned_scores_equal_unpruned_within_peak(self):
+        rng = np.random.default_rng(64000)
+        dense = random_layered_circuit(rng, 784, [64000] * 6, 10)
+        pruned = prune(dense)
+        x = rng.integers(0, 2, size=(16384, 784), dtype=np.uint8)
+        # the returned output words plus 64 MB for everything else
+        bound = len(pruned.output_wires) * (16384 // 64) * 8 + (64 << 20)
+        tracemalloc.start()
+        try:
+            scores = circuit_scores(pruned, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.0f} MB > bound {bound / 2**20:.0f} MB"
+        np.testing.assert_array_equal(scores, circuit_scores(dense, x))
 
 
 class TestPopcount:
