@@ -21,7 +21,7 @@ from .emit import emit_source
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import benchmark, circuit_scores, pack
+from .packed import benchmark, build_adder_aggregation, circuit_scores, pack
 from .presets import get_preset, preset_names
 from .training import NumericsError, TrainConfig, evaluate, train
 
@@ -398,11 +398,11 @@ def cmd_prune(args) -> int:
 
 def cmd_compile(args) -> int:
     circuit = _load_circuit(args.in_path)
-    source = emit_source(circuit)
+    counted = build_adder_aggregation(circuit)
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
-        fh.write(source)
-    print(f"gates: {circuit.num_gates} -> {circuit.num_gates}")
+        fh.write(emit_source(counted))
+    print(f"gates: {circuit.num_gates} -> {counted.num_gates} with counters")
     _print_max_probs(circuit)
     print(f"source: {out_path}")
     return EXIT_OK

@@ -1,12 +1,12 @@
 """Standalone C emission for Boolean circuits, plus a compile-and-load helper.
 
-The emitted translation unit is plain C99 with no dependencies beyond
-<stdint.h>/<stddef.h>. It evaluates the circuit word-parallel, one bitwise
-statement per gate over 64-bit unsigned words, then folds the output wires
-into per-sample class scores (popcount over each output group, or binary
-decode of counter wires when the circuit carries an adder aggregation).
-Emission is a pure function of the circuit, so the text is byte-identical
-across runs; there are no timestamps or environment-dependent parts.
+The emitted translation unit is plain C99 over the standard library: one
+fixed kernel plus ``static const`` tables holding the execution plan that
+``execute_packed`` runs, for the circuit with its adder aggregation. The
+kernel runs the plan over blocks of 64-bit lanes in a heap plane and decodes
+each class's counter rows into scores. Only the tables depend on the
+circuit, and emission is a pure function of it: the text is byte-identical
+across runs, with no timestamps or environment-dependent parts.
 """
 
 from __future__ import annotations
@@ -22,39 +22,84 @@ import numpy as np
 from numpy import ctypeslib as npct
 
 from .model import Circuit
-from .packed import PackedBatch, pack
+from .packed import PackedBatch, _block_lanes, _plan_for, build_adder_aggregation, pack
 
-# C expression per opcode, over the gate's two source words {a} and {b}.
-# {one} is the all-ones word; ~ binds tighter than the binary operators, so
-# only the outer negations need parentheses.
-_C_EXPRS = (
-    "0",
-    "{a} & {b}",
-    "{a} & ~{b}",
-    "{a}",
-    "~{a} & {b}",
-    "{b}",
-    "{a} ^ {b}",
-    "{a} | {b}",
-    "~({a} | {b})",
-    "~({a} ^ {b})",
-    "~{b}",
-    "{a} | ~{b}",
-    "~{a}",
-    "~{a} | {b}",
-    "~({a} & {b})",
-    "{one}",
-)
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+
+_KERNEL = """
+/* One gate group: each of its `size` gates writes its plane row from the
+ * rows of its two sources, one word per lane of the block. */
+#define GN_GATES(expr)                                                   \\
+    for (size_t j = 0; j < size; ++j, ++t) {                             \\
+        uint64_t *restrict o = out + j * n;                              \\
+        const uint64_t *restrict a = plane + (size_t)gn_src_a[t] * n;    \\
+        const uint64_t *restrict b = plane + (size_t)gn_src_b[t] * n;    \\
+        for (size_t l = 0; l < n; ++l) o[l] = (expr);                    \\
+    }                                                                    \\
+    break;
+
+/* in:     one plane of `lanes` uint64_t words per input wire, wire-major;
+ *         bit b of lane L is sample 64*L+b (little-endian packing).
+ * scores: samples x classes int64, sample-major, raw integer counts.
+ * Returns 0, or 1 if the plane cannot be allocated. */
+int SYMBOL(const uint64_t *in, size_t lanes, int64_t *scores, size_t samples) {
+    const size_t inputs = gn_dims[0], rows = gn_dims[1], groups = gn_dims[3];
+    const size_t classes = gn_dims[4], bits = gn_dims[5];
+    const size_t block = gn_dims[2] < lanes ? gn_dims[2] : lanes;
+    uint64_t *plane = malloc(rows * block * sizeof *plane);
+    if (plane == NULL) return 1;
+    for (size_t lo = 0; lo < lanes; lo += block) {
+        const size_t n = lanes - lo < block ? lanes - lo : block;
+        for (size_t i = 0; i < inputs; ++i)
+            memcpy(plane + i * n, in + i * lanes + lo, n * sizeof *plane);
+        for (size_t g = 0, t = 0; g < groups; ++g) {
+            uint64_t *out = plane + (size_t)gn_group_row[g] * n;
+            const size_t size = gn_group_size[g];
+            switch (gn_group_op[g]) {
+            case 0: GN_GATES(0)
+            case 1: GN_GATES(a[l] & b[l])
+            case 2: GN_GATES(a[l] & ~b[l])
+            case 3: GN_GATES(a[l])
+            case 4: GN_GATES(~a[l] & b[l])
+            case 5: GN_GATES(b[l])
+            case 6: GN_GATES(a[l] ^ b[l])
+            case 7: GN_GATES(a[l] | b[l])
+            case 8: GN_GATES(~(a[l] | b[l]))
+            case 9: GN_GATES(~(a[l] ^ b[l]))
+            case 10: GN_GATES(~b[l])
+            case 11: GN_GATES(a[l] | ~b[l])
+            case 12: GN_GATES(~a[l])
+            case 13: GN_GATES(~a[l] | b[l])
+            case 14: GN_GATES(~(a[l] & b[l]))
+            case 15: GN_GATES(~(uint64_t)0)
+            }
+        }
+        /* each class's counter rows are its count in binary, LSB first */
+        for (size_t l = 0; l < n; ++l) {
+            const size_t base = (lo + l) * 64;
+            const size_t valid = samples - base < 64 ? samples - base : 64;
+            for (size_t c = 0; c < classes; ++c) {
+                const uint32_t *counter = gn_outputs + c * bits;
+                for (size_t s = 0; s < valid; ++s) {
+                    int64_t count = 0;
+                    for (size_t k = 0; k < bits; ++k)
+                        count |= (int64_t)(plane[(size_t)counter[k] * n + l] >> s & 1u) << k;
+                    scores[(base + s) * classes + c] = count;
+                }
+            }
+        }
+    }
+    free(plane);
+    return 0;
+}
+"""
 
 
-def _const_table(name: str, values, ctype: str = "uint32_t") -> list[str]:
-    """A static const array, 12 entries per line."""
-    lines = [f"static const {ctype} {name}[{len(values)}] = {{"]
-    vals = [str(int(v)) + "u" for v in values]
-    for i in range(0, len(vals), 12):
-        lines.append("    " + ", ".join(vals[i : i + 12]) + ",")
-    lines.append("};")
-    return lines
+def _const_table(name: str, values, ctype: str = "uint32_t") -> str:
+    """A static const array, 16 entries per line."""
+    vals = [str(v) for v in np.asarray(values).tolist()] or ["0"]  # C has no empty arrays
+    lines = (", ".join(vals[i : i + 16]) for i in range(0, len(vals), 16))
+    return f"static const {ctype} {name}[{len(vals)}] = {{\n    " + ",\n    ".join(lines) + "\n};\n"
 
 
 def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
@@ -62,99 +107,45 @@ def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
 
     The function signature is::
 
-        void <symbol>(const uint64_t *in, size_t lanes,
-                      int64_t *scores, size_t samples);
+        int <symbol>(const uint64_t *in, size_t lanes,
+                     int64_t *scores, size_t samples);
 
     ``in`` holds one plane of ``lanes`` 64-bit words per input wire,
     wire-major (word of wire i in lane L sits at ``in[i*lanes + L]``); bit b
     of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
-    receives samples x k signed counts, sample-major: popcounts of each
-    output group, or decoded counter values for adder-aggregated circuits.
-    Downstream scaling (count/tau + beta) is left to the caller.
+    receives samples x k signed counts, sample-major, decoded from the
+    counter wires of ``build_adder_aggregation(circuit)``. Downstream scaling
+    (count/tau + beta) is left to the caller. The function returns 0, or 1
+    when it cannot allocate its plane of ``BUDGET`` bytes per lane block.
     """
-    wt = "uint64_t"
-    w_in = circuit.input_width
-    k = circuit.readout.k
-    n_out = len(circuit.output_wires)
-    one = f"~({wt})0"
-
-    head = [
-        "/* Word-parallel evaluator for a fixed Boolean circuit.",
-        f" * {w_in} input wires, {circuit.num_gates} gates, {n_out} output wires,",
-    ]
-    if circuit.counter_bits is not None:
-        head.append(f" * adder readout: {k} classes decoded from counter wires.")
-    else:
-        head.append(f" * popcount readout: {k} classes, {n_out // k} output wires each.")
-    head += [
-        " *",
-        f" * in:     one plane of `lanes` {wt} words per input wire, wire-major;",
-        " *         bit b of lane L is sample W*L+b (little-endian packing).",
-        " * scores: samples x classes int64, sample-major, raw integer counts.",
-        " */",
-        "#include <stddef.h>",
-        "#include <stdint.h>",
-        "",
-        f"#define GN_INPUTS {w_in}",
-        f"#define GN_WIRES {circuit.num_wires}",
-        f"#define GN_CLASSES {k}",
-        "#define GN_WORD_BITS 64",
-        "",
-    ]
-
-    body = [
-        f"void {symbol}(const {wt} *in, size_t lanes, int64_t *scores, size_t samples) {{",
-        f"    {wt} w[GN_WIRES];",
-        "    for (size_t lane = 0; lane < lanes; ++lane) {",
-        "        size_t base = lane * GN_WORD_BITS;",
-        "        size_t valid = samples - base;",
-        "        if (valid > GN_WORD_BITS) valid = GN_WORD_BITS;",
-        "        for (size_t i = 0; i < GN_INPUTS; ++i) w[i] = in[i * lanes + lane];",
-    ]
-    src = circuit.sources
-    ops = circuit.opcodes
-    for g in range(circuit.num_gates):
-        expr = _C_EXPRS[int(ops[g])].format(
-            a=f"w[{int(src[g, 0])}]", b=f"w[{int(src[g, 1])}]", one=one
-        )
-        body.append(f"        w[{w_in + g}] = {expr};")
-    body += [
-        "        for (size_t s = 0; s < valid; ++s)",
-        "            for (size_t c = 0; c < GN_CLASSES; ++c)",
-        "                scores[(base + s) * GN_CLASSES + c] = 0;",
-    ]
-
-    tables: list[str] = []
-    if circuit.counter_bits is not None:
-        flat = np.concatenate(circuit.counter_bits)
-        offsets = np.concatenate([[0], np.cumsum([len(cb) for cb in circuit.counter_bits])])
-        tables += _const_table("gn_counter_wires", flat)
-        tables += _const_table("gn_counter_offsets", offsets)
-        body += [
-            "        for (size_t c = 0; c < GN_CLASSES; ++c) {",
-            "            size_t lo = gn_counter_offsets[c], hi = gn_counter_offsets[c + 1];",
-            "            for (size_t t = lo; t < hi; ++t) {",
-            f"                {wt} v = w[gn_counter_wires[t]];",
-            "                for (size_t s = 0; s < valid; ++s)",
-            "                    scores[(base + s) * GN_CLASSES + c] +=",
-            "                        (int64_t)((v >> s) & 1u) << (t - lo);",
-            "            }",
-            "        }",
+    circuit = build_adder_aggregation(circuit)
+    plan = _plan_for(circuit)
+    dims = (
+        circuit.input_width,
+        plan.rows,
+        _block_lanes(plan.rows),
+        len(plan.group_op),
+        circuit.readout.k,
+        len(plan.outputs) // circuit.readout.k,
+    )
+    return "".join(
+        [
+            "/* Word-parallel evaluator for a fixed Boolean circuit: one fixed kernel\n"
+            " * running the circuit's execution plan, held in the tables below.\n"
+            " * gn_dims: input rows, plane rows, lanes per block, opcode groups,\n"
+            " * classes, counter bits per class. */\n",
+            "#include <stddef.h>\n#include <stdint.h>\n",
+            "#include <stdlib.h>\n#include <string.h>\n\n",
+            _const_table("gn_dims", dims),
+            _const_table("gn_group_op", plan.group_op, "uint8_t"),
+            _const_table("gn_group_row", plan.group_row),
+            _const_table("gn_group_size", plan.group_size),
+            _const_table("gn_src_a", plan.src_a),
+            _const_table("gn_src_b", plan.src_b),
+            _const_table("gn_outputs", plan.outputs),
+            _KERNEL.replace("SYMBOL", symbol),
         ]
-    else:
-        tables += _const_table("gn_output_wires", circuit.output_wires)
-        group = n_out // k
-        body += [
-            f"        for (size_t c = 0; c < GN_CLASSES; ++c) {{",
-            f"            for (size_t j = 0; j < {group}; ++j) {{",
-            f"                {wt} v = w[gn_output_wires[c * {group} + j]];",
-            "                for (size_t s = 0; s < valid; ++s)",
-            "                    scores[(base + s) * GN_CLASSES + c] += (int64_t)((v >> s) & 1u);",
-            "            }",
-            "        }",
-        ]
-    body += ["    }", "}", ""]
-    return "\n".join(head + tables + [""] + body)
+    )
 
 
 @dataclass
@@ -163,6 +154,7 @@ class CompiledCircuit:
 
     input_width: int
     classes: int
+    plane_rows: int
     library_path: str
     _fn: object = field(repr=False)
     _keepalive: object = field(repr=False)
@@ -174,27 +166,29 @@ class CompiledCircuit:
             raise ValueError(
                 f"batch has {batch.feature_count} features, circuit wants {self.input_width}"
             )
-        out = np.zeros((batch.sample_count, self.classes), dtype=np.int64)
+        out = np.empty((batch.sample_count, self.classes), dtype=np.int64)
         words = np.ascontiguousarray(batch.words)
-        self._fn(words, batch.lanes, out, batch.sample_count)
+        if self._fn(words, batch.lanes, out, batch.sample_count):
+            lanes = min(_block_lanes(self.plane_rows), batch.lanes)
+            raise MemoryError(
+                f"cannot allocate the {self.plane_rows} x {lanes}-word plane "
+                f"({self.plane_rows * lanes * 8} bytes)"
+            )
         return out
 
 
 def compile_and_load(
-    circuit: Circuit,
-    symbol: str = "circuit_eval",
-    cc: str | None = None,
-    optimize: str = "-O1",
-    keep_dir: str | None = None,
+    circuit: Circuit, symbol: str = "circuit_eval", keep_dir: str | None = None
 ) -> CompiledCircuit:
-    """Emit, compile with the system C compiler, and bind the evaluator.
+    """Emit, compile with the system C compiler ($CC, else cc or gcc), and bind.
 
     The shared object lives in a temporary directory owned by the returned
     handle (or in ``keep_dir`` when given, for inspection).
     """
-    compiler = cc or os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc)")
+    circuit = build_adder_aggregation(circuit)
     source = emit_source(circuit, symbol=symbol)
     tmp = None
     if keep_dir is None:
@@ -207,13 +201,13 @@ def compile_and_load(
     so_path = os.path.join(out_dir, f"{symbol}.so")
     with open(c_path, "w") as fh:
         fh.write(source)
-    cmd = [compiler, optimize, "-shared", "-fPIC", "-o", so_path, c_path]
+    cmd = [compiler, *_CFLAGS, "-o", so_path, c_path]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{compiler} failed ({proc.returncode}):\n{proc.stderr}")
     lib = ctypes.CDLL(so_path)
     fn = getattr(lib, symbol)
-    fn.restype = None
+    fn.restype = ctypes.c_int
     fn.argtypes = [
         npct.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS"),
         ctypes.c_size_t,
@@ -223,6 +217,7 @@ def compile_and_load(
     return CompiledCircuit(
         input_width=circuit.input_width,
         classes=circuit.readout.k,
+        plane_rows=_plan_for(circuit).rows,
         library_path=so_path,
         _fn=fn,
         _keepalive=(lib, tmp),

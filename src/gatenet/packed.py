@@ -108,16 +108,25 @@ def unpack(batch: PackedBatch) -> np.ndarray:
 BUDGET = 8 << 20
 
 
-class _ExecPlan:
-    """Execution schedule for one circuit (cached on the instance).
+def _block_lanes(rows: int) -> int:
+    """Lanes per block for a plane of ``rows`` 64-bit words per lane."""
+    return max(1, BUDGET // (8 * rows))
 
-    Gates are split into waves by ``Circuit.levels()``. Each wave takes one
-    contiguous block of plane rows, first fit from a free list, and
-    ``_opcode_groups`` numbers its opcode groups inside that block. The
-    inputs are the first block. A block returns to the free list after the
-    deepest level that reads any of its wires; blocks holding an output wire
-    are never freed. ``rows`` is the plane's height, ``outputs`` the output
-    wires' rows and ``scratch`` the rows of the largest group.
+
+class _ExecPlan:
+    """Execution schedule for one circuit (cached on the instance), as flat tables.
+
+    Gates run in order of ``Circuit.levels()``, then of opcode, then of id.
+    Each level's wave takes one contiguous block of plane rows, first fit
+    from a free list, in that order, so every opcode group of a wave fills
+    consecutive rows. The inputs are the first block. A block returns to the
+    free list after the deepest level that reads any of its wires; blocks
+    holding an output wire are never freed. ``rows`` is the plane's height.
+    Group ``g`` writes the ``group_size[g]`` rows from ``group_row[g]`` with
+    opcode ``group_op[g]``; ``src_a`` and ``src_b`` hold every gate's source
+    rows in run order, so each group reads a contiguous slice of them.
+    ``outputs`` are the output wires' rows and ``scratch`` the rows of the
+    largest group.
     """
 
     def __init__(self, circuit: Circuit):
@@ -127,21 +136,28 @@ class _ExecPlan:
         last = np.zeros(circuit.num_wires, dtype=np.int64)  # deepest level reading a wire
         np.maximum.at(last, src.ravel(), np.repeat(level, 2))
         last[circuit.output_wires] = np.iinfo(np.int64).max
-        row = np.arange(circuit.num_wires, dtype=np.int64)  # wire id -> plane row
+        order = np.lexsort((circuit.opcodes, level))
+        first = np.flatnonzero(np.diff(level[order], prepend=0))  # each wave's first gate
+        sizes = np.diff(first, append=len(order))
+        dies = np.maximum.reduceat(last[w_in + order], first) if len(order) else first
         free = []  # sorted (start, stop) runs of free rows
-        self.rows, self.groups = w_in, []
+        self.rows, starts = w_in, []
         freed_after = {int(last[:w_in].max()): [(0, w_in)]}  # level -> blocks
-        order = np.argsort(level, kind="stable")
-        waves = np.split(order, np.flatnonzero(np.diff(level[order])) + 1) if len(order) else []
-        for lvl, wave in enumerate(waves, start=1):  # levels have no gaps
-            free = _merge_runs(free + freed_after.pop(lvl - 1, []))
-            start = self._first_fit(free, len(wave))
-            groups, row[w_in + wave] = _opcode_groups(circuit.opcodes[wave], row[src[wave]], start)
-            self.groups.extend(groups)
-            dies = max(lvl, int(last[w_in + wave].max()))
-            freed_after.setdefault(dies, []).append((start, start + len(wave)))
+        for lvl, (size, die) in enumerate(zip(sizes.tolist(), dies.tolist()), start=1):
+            free = _merge_runs(free + freed_after.pop(lvl - 1, []))  # levels have no gaps
+            starts.append(self._first_fit(free, size))
+            freed_after.setdefault(max(lvl, die), []).append((starts[-1], starts[-1] + size))
+        row = np.arange(circuit.num_wires, dtype=np.int64)  # wire id -> plane row
+        # a gate's row is its wave's first row plus its place in the wave
+        offset = np.array(starts, dtype=np.int64) - first
+        row[w_in + order] = np.repeat(offset, sizes) + np.arange(len(order))
+        ops = circuit.opcodes[order]
+        group = np.flatnonzero(np.diff(level[order] * 16 + ops, prepend=-1))
+        self.group_op, self.group_row = ops[group], row[w_in + order[group]]
+        self.group_size = np.diff(group, append=len(order))
+        self.src_a, self.src_b = row[src[order].T]
         self.outputs = row[circuit.output_wires]
-        self.scratch = max((g[1] - g[0] for g in self.groups), default=0)
+        self.scratch = int(self.group_size.max(initial=0))
 
     def _first_fit(self, free: list, count: int) -> int:
         """First row of ``count`` rows taken from ``free``, growing the plane if none fit."""
@@ -184,45 +200,25 @@ _OP_STEPS = {
 }
 
 
-def _opcode_groups(ops: np.ndarray, sources: np.ndarray, first_row: int):
-    """Sort gates by opcode; return their row groups and each gate's new row.
-
-    ``sources`` are the gates' (gates, 2) source rows. The gates take rows
-    ``first_row, first_row + 1, ...`` in sorted order, and each group is
-    ``(lo, hi, fill, first, pre_not, combine, second, post_not)`` over the
-    rows ``lo .. hi``.
-    """
-    order = np.argsort(ops, kind="stable")
-    row = np.empty(len(order), dtype=np.int64)
-    row[order] = first_row + np.arange(len(order))
-    ops, sources = ops[order], sources[order]
-    groups = []
-    for op, start, count in zip(*np.unique(ops, return_index=True, return_counts=True)):
-        lo, hi = first_row + int(start), first_row + int(start + count)
-        if op in (0, 15):
-            groups.append((lo, hi, op == 15, None, False, None, None, False))
-            continue
-        first, pre_not, combine, post_not = _OP_STEPS[int(op)]
-        pick = sources[start : start + count]
-        a, b = np.ascontiguousarray(pick[:, first]), np.ascontiguousarray(pick[:, 1 - first])
-        groups.append((lo, hi, None, a, pre_not, combine, b, post_not))
-    return groups, row
-
-
-def _run_groups(groups, plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Write each opcode group into its rows of ``plane``.
+def _run_groups(plan: _ExecPlan, plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Write each opcode group of ``plan`` into its rows of ``plane``.
 
     Sources may lie above or below the rows being written, so a group first
     gathers its operands into the scratch blocks ``a`` and ``b``, which share
     no memory with ``plane``: ``np.take`` then writes them in place instead
     of through a hidden copy.
     """
-    for lo, hi, fill, first, pre_not, combine, second, post_not in groups:
-        out = plane[lo:hi]
-        if fill is not None:
-            out.fill(np.iinfo(out.dtype).max if fill else 0)
+    rows = (plan.src_a, plan.src_b)
+    groups = zip(plan.group_op.tolist(), plan.group_row.tolist(), plan.group_size.tolist())
+    stop = 0
+    for op, lo, size in groups:
+        start, stop = stop, stop + size
+        out = plane[lo : lo + size]
+        if op in (0, 15):
+            out.fill(np.iinfo(out.dtype).max if op else 0)
             continue
-        x = np.take(plane, first, axis=0, out=a[: hi - lo], mode="clip")
+        first, pre_not, combine, post_not = _OP_STEPS[op]
+        x = np.take(plane, rows[first][start:stop], axis=0, out=a[:size], mode="clip")
         if combine is None:
             if pre_not:
                 np.invert(x, out=out)
@@ -231,7 +227,8 @@ def _run_groups(groups, plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> None
             continue
         if pre_not:
             np.invert(x, out=x)
-        combine(x, np.take(plane, second, axis=0, out=b[: hi - lo], mode="clip"), out=out)
+        y = np.take(plane, rows[1 - first][start:stop], axis=0, out=b[:size], mode="clip")
+        combine(x, y, out=out)
         if post_not:
             np.invert(out, out=out)
 
@@ -257,7 +254,7 @@ def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, starts, ste
         parts = np.split(buf[: heights.sum() * (hi - lo)], np.cumsum(heights)[:-1] * (hi - lo))
         plane, a, b, gathered = (part.reshape(-1, hi - lo) for part in parts)
         plane[: plan.input_width] = words[:, lo:hi]
-        _run_groups(plan.groups, plane, a, b)
+        _run_groups(plan, plane, a, b)
         out[:, lo:hi] = np.take(plane, plan.outputs, axis=0, out=gathered, mode="clip")
 
 
@@ -274,7 +271,7 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
         )
     plan = _plan_for(circuit)
     lanes = batch.lanes
-    step = max(1, BUDGET // (8 * plan.rows))
+    step = _block_lanes(plan.rows)
     starts = range(0, lanes, step)
     out = np.empty((len(plan.outputs), lanes), dtype=np.uint64)
     workers = max(1, min(threads, len(starts)))

@@ -19,6 +19,7 @@ from gatenet.cli import (
 )
 from gatenet.model import Circuit, LogicNet, ReadoutConfig
 from gatenet.modelfile import load_model, save_model
+from gatenet.packed import build_adder_aggregation
 from gatenet.presets import PRESETS, get_preset
 
 
@@ -252,8 +253,13 @@ class TestTransforms:
         source_file = workdir / "m1.c"
         assert main(["compile", "--in", str(pruned_file), "--out", str(source_file)]) == EXIT_OK
         text = source_file.read_text()
-        assert "void circuit_eval" in text
-        assert "mean max-probability: 0." in capsys.readouterr().out
+        assert "int circuit_eval" in text
+        out = capsys.readouterr().out
+        gates = out.splitlines()[0].removeprefix("gates: ").removesuffix(" with counters")
+        counted = build_adder_aggregation(load_model(str(pruned_file)))
+        assert gates == f"{after} -> {counted.num_gates}"
+        assert int(gates.split(" -> ")[1]) > int(after)
+        assert "mean max-probability: 0." in out
 
     def test_kind_mismatch_exit_codes(self, ckpt, circuit_file):
         assert main(["prune", "--in", str(ckpt)]) == EXIT_USAGE

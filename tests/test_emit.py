@@ -1,5 +1,7 @@
 """Emitted C against the packed interpreter and the truth-table oracle."""
 
+import dataclasses
+import re
 import shutil
 
 import numpy as np
@@ -28,12 +30,31 @@ def xor_circuit() -> Circuit:
     )
 
 
+def const_circuit() -> Circuit:
+    return Circuit(
+        input_width=2,
+        layer_sizes=(2,),
+        sources=np.array([[0, 1], [0, 1]], dtype=np.uint32),
+        opcodes=np.array([0, 15], dtype=np.uint8),
+        output_wires=np.array([2, 3], dtype=np.uint32),
+        readout=ReadoutConfig(k=2),
+    )
+
+
+TABLE = re.compile(r"static const \w+ (\w+)\[\d+\] = \{([^}]*)\};\n")
+
+
+def tables(text: str) -> dict[str, list[int]]:
+    return {name: [int(v) for v in values.split(",")] for name, values in TABLE.findall(text)}
+
+
 class TestEmitText:
-    def test_single_xor_statement(self):
-        text = emit_source(xor_circuit())
-        assert "w[2] = w[0] ^ w[1];" in text
-        assert text.count("w[2] =") == 1
-        assert "#define GN_WORD_BITS 64" in text and "const uint64_t *in" in text
+    def test_kernel_does_not_depend_on_circuit(self, rng):
+        circuits = (xor_circuit(), random_layered_circuit(rng, 8, [12, 10, 8], k=2))
+        kernel, other = (TABLE.sub("", emit_source(c)) for c in circuits)
+        assert kernel == other
+        assert "static const" not in kernel
+        assert "int circuit_eval(const uint64_t *in, size_t lanes" in kernel
 
     def test_byte_identical_across_runs(self, rng):
         c = random_layered_circuit(rng, 8, [12, 8], k=2)
@@ -41,18 +62,15 @@ class TestEmitText:
         circuit_scores(c, rng.integers(0, 2, size=(5, 8), dtype=np.uint8))
         assert emit_source(c) == first
 
-    def test_const_gate_expressions(self):
-        c = Circuit(
-            input_width=2,
-            layer_sizes=(2,),
-            sources=np.array([[0, 1], [0, 1]], dtype=np.uint32),
-            opcodes=np.array([0, 15], dtype=np.uint8),
-            output_wires=np.array([2, 3], dtype=np.uint32),
-            readout=ReadoutConfig(k=2),
-        )
-        text = emit_source(c)
-        assert "w[2] = 0;" in text
-        assert "w[3] = ~(uint64_t)0;" in text
+    @needs_cc
+    def test_opcode_table_and_scores(self):
+        x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        for circuit, opcodes, expected in (
+            (xor_circuit(), [6], [[0], [1], [1], [0]]),
+            (const_circuit(), [0, 15], [[0, 1]] * 4),
+        ):
+            assert tables(emit_source(circuit))["gn_group_op"] == opcodes
+            np.testing.assert_array_equal(compile_and_load(circuit).scores(x), expected)
 
 
 @needs_cc
@@ -109,3 +127,18 @@ class TestCompiled:
         handle = compile_and_load(c, keep_dir=str(tmp_path))
         assert (tmp_path / "circuit_eval.c").exists()
         assert handle.library_path.endswith(".so")
+
+    def test_failed_allocation_raises_memory_error(self, rng):
+        c = random_layered_circuit(rng, 6, [8, 4], k=2)
+        handle = dataclasses.replace(compile_and_load(c), _fn=lambda *args: 1)
+        x = rng.integers(0, 2, size=(200, 6), dtype=np.uint8)
+        rows = handle.plane_rows
+        with pytest.raises(MemoryError, match=rf"{rows} x 4-word plane \({rows * 32} bytes\)"):
+            handle.scores(x)
+
+    def test_mnist_preset(self):
+        rng = np.random.default_rng(64000)
+        pruned = prune(random_layered_circuit(rng, 784, [64000] * 6, 10))
+        handle = compile_and_load(pruned)
+        x = rng.integers(0, 2, size=(1000, 784), dtype=np.uint8)
+        np.testing.assert_array_equal(handle.scores(x), circuit_scores(pruned, x))
