@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print SHA-256 hashes of everything a circuit deterministically produces.
+"""Print SHA-256 hashes of everything training and circuits deterministically produce.
 
     python3 scripts/identity_hashes.py > hashes.txt
 
@@ -10,9 +10,11 @@ rows, plus the ``emit_source`` text and the saved ``.gnet`` bytes of every
 circuit. The circuits are 8 seeded random layered circuits, each with its
 pruned, adder-aggregated and pruned-then-aggregated forms, and the 48000-gate
 784 -> 6x8000, k=10 circuit of acceptance criterion 8 with its pruned form.
-The package is imported from ``src/`` beside this directory, so running the
-script in two checkouts and diffing the outputs shows whether a change
-altered any result.
+Training is covered by two short seeded ``train`` runs on small random data:
+the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
+history rows with their losses and eval accuracies. The package is imported
+from ``src/`` beside this directory, so running the script in two checkouts
+and diffing the outputs shows whether a change altered any result.
 """
 
 import hashlib
@@ -24,14 +26,23 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np
 
+from gatenet.datasets import BinaryDataset
 from gatenet.emit import emit_source
 from gatenet.model import LogicNet, ReadoutConfig, build_topology, discretize, init_params
 from gatenet.modelfile import save_model
 from gatenet.opt import prune
 from gatenet.packed import build_adder_aggregation, circuit_scores, execute_packed, pack, unpack
+from gatenet.training import TrainConfig, train
 
 SAMPLE_COUNTS = (1, 63, 64, 65, 16384)
 THREADS = (1, 3)
+# Two short runs: two classes near the defaults, and three classes with tau,
+# beta, learning rate and gate mask of their own; both end epochs on a partial batch.
+TRAIN_RUNS = (
+    dict(layers=2, width=16, max_epochs=4, batch_size=32, seed=1),
+    dict(layers=4, width=24, classes=3, tau=2.5, beta=0.25, learning_rate=0.05,
+         max_epochs=3, batch_size=100, seed=2, allowed_gates=0x7FF6),
+)
 
 
 def layered(rng: np.random.Generator, input_width: int, widths: list[int], k: int):
@@ -58,6 +69,17 @@ def circuits():
     yield "criterion8.pruned", prune(big)
 
 
+def planted_sets(classes: int, seed: int):
+    """Seeded (train, eval) sets of 12-bit rows labelled by a planted rule."""
+    rng = np.random.default_rng([9, seed])
+    out = []
+    for n in (250, 120):
+        x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+        y = (x[:, 0] + 2 * (x[:, 1] & x[:, 2]) + (x[:, 3] ^ x[:, 4])) % classes
+        out.append(BinaryDataset(x, y, 12, classes))
+    return out
+
+
 def digest(data) -> str:
     if isinstance(data, np.ndarray):
         data = f"{data.dtype.str}{data.shape}".encode() + np.ascontiguousarray(data).tobytes()
@@ -66,14 +88,24 @@ def digest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def model_bytes(model, path: str) -> bytes:
+    save_model(model, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "circuit.gnet")
+        path = os.path.join(tmp, "model.gnet")
+        for i, settings in enumerate(TRAIN_RUNS):
+            train_ds, eval_ds = planted_sets(settings.get("classes", 2), settings["seed"])
+            result = train(TrainConfig(**settings), train_ds, eval_ds=eval_ds)
+            print(f"train{i}.final.gnet {digest(model_bytes(result.final, path))}")
+            print(f"train{i}.best.gnet {digest(model_bytes(result.best, path))}")
+            print(f"train{i}.history {digest(repr(result.history))}")
         for label, circuit in circuits():
             print(f"{label}.emit_source {digest(emit_source(circuit))}")
-            save_model(circuit, path)
-            with open(path, "rb") as fh:
-                print(f"{label}.gnet {digest(fh.read())}")
+            print(f"{label}.gnet {digest(model_bytes(circuit, path))}")
             rng = np.random.default_rng(circuit.num_gates)
             for n in SAMPLE_COUNTS:
                 x = rng.integers(0, 2, size=(n, circuit.input_width), dtype=np.uint8)

@@ -63,8 +63,6 @@ _DEFAULTS = {
     "deterministic": False,
     "gate_mask": 0xFFFF,
     "eval_every": 1,
-    "loss": "cross_entropy",
-    "dtype": "float32",
 }
 
 _INT_KEYS = {"layers", "width", "classes", "batch_size", "epochs", "seed", "threads", "eval_every"}
@@ -313,8 +311,6 @@ def cmd_train(args) -> int:
         max_epochs=settings["epochs"],
         seed=seed,
         eval_every=settings["eval_every"],
-        loss=settings["loss"],
-        dtype=settings["dtype"],
         allowed_gates=settings["gate_mask"],
     )
     out_path = args.out or f"{settings['dataset']}_s{seed}.gnet"

@@ -57,25 +57,6 @@ class BinaryDataset:
         return len(self.labels)
 
 
-def binarize_thresholds(values, thresholds) -> np.ndarray:
-    """Thermometer-encode values in [0, 1]: bit t is (value > thresholds[t]).
-
-    Thresholds must be strictly increasing and lie in (0, 1); the code is
-    then monotone non-increasing in t (a prefix of ones).
-    """
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.ndim != 1 or len(thr) == 0:
-        raise ValueError("need a non-empty 1-d threshold list")
-    if np.any(np.diff(thr) <= 0):
-        raise ValueError("thresholds must be strictly increasing")
-    if thr[0] <= 0 or thr[-1] >= 1:
-        raise ValueError("thresholds must lie strictly inside (0, 1)")
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.size and (vals.min() < 0 or vals.max() > 1):
-        raise ValueError("values must lie in [0, 1]")
-    return (vals[..., None] > thr).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # MONK: six categorical attributes with cardinalities (3, 3, 2, 3, 4, 2),
 # one-hot encoded into 17 bits; the full input space has 432 assignments.

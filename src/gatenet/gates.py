@@ -137,11 +137,9 @@ FIX_B: tuple[np.ndarray, np.ndarray] = (
     _table_transform(lambda a, b: (a, 0)),
     _table_transform(lambda a, b: (a, 1)),
 )
-#: TIE_SAME[g] computes g(a, a); TIE_OPPOSITE[g] computes g(a, NOT a).
-#: Both land in {0 (false), 3 (a), 12 (not-a), 15 (true)}.
+#: TIE_SAME[g] computes g(a, a); it lands in {0 (false), 3 (a), 12 (not-a),
+#: 15 (true)}.
 TIE_SAME: np.ndarray = _table_transform(lambda a, b: (a, a))
-TIE_OPPOSITE: np.ndarray = _table_transform(lambda a, b: (a, 1 - a))
 
-#: Gates that ignore both inputs / depend on one input only.
-CONST_GATES = frozenset({0, 15})
+#: Gates that depend on at most one input.
 UNARY_GATES = frozenset({0, 3, 5, 10, 12, 15})

@@ -33,25 +33,17 @@ def mask_to_bools(mask: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Group-sum readout: k contiguous output groups, scores = sum/tau + beta.
-
-    With ``transform="logit"`` the score is instead logit(sum / group_size),
-    mapping the mean activation of each group through the inverse sigmoid
-    (tau and beta are ignored in that mode).
-    """
+    """Group-sum readout: k contiguous output groups, scores = sum/tau + beta."""
 
     k: int
     tau: float = 1.0
     beta: float = 0.0
-    transform: str = "none"
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("readout needs k >= 1 groups")
         if not self.tau > 0:
             raise ValueError("readout tau must be positive")
-        if self.transform not in ("none", "logit"):
-            raise ValueError("readout transform must be 'none' or 'logit'")
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,13 @@ VERSION = 1
 KIND_CHECKPOINT = 0
 KIND_CIRCUIT = 1
 
-_TRANSFORM_CODES = {"none": 0, "logit": 1}
-_TRANSFORM_NAMES = {v: k for k, v in _TRANSFORM_CODES.items()}
-
 
 class ModelFileError(Exception):
     """The file is not a valid model file (bad magic/version/corruption)."""
 
 
 def _pack_readout(readout: ReadoutConfig) -> bytes:
-    return struct.pack(
-        "<IddB", readout.k, readout.tau, readout.beta, _TRANSFORM_CODES[readout.transform]
-    )
+    return struct.pack("<IddB", readout.k, readout.tau, readout.beta, 0)
 
 
 def pack_opcodes(opcodes: np.ndarray) -> bytes:
@@ -54,7 +49,11 @@ def unpack_opcodes(blob: bytes, count: int) -> np.ndarray:
 
 
 def save_model(model: LogicNet | Circuit, path: str) -> None:
-    """Write a checkpoint or circuit; load_model reproduces it exactly."""
+    """Write a checkpoint or circuit for load_model to read back.
+
+    A circuit comes back exactly. A checkpoint's logits are stored as f32, so
+    a float32 net comes back exactly and a float64 net rounded to float32.
+    """
     parts = [MAGIC]
     if isinstance(model, LogicNet):
         topo = model.topology
@@ -122,9 +121,11 @@ class _Reader:
 
 def _read_readout(r: _Reader) -> ReadoutConfig:
     k, tau, beta, code = r.unpack("<IddB")
-    if code not in _TRANSFORM_NAMES:
-        raise ModelFileError(f"{r.path}: unknown readout transform code {code}")
-    return ReadoutConfig(k=int(k), tau=tau, beta=beta, transform=_TRANSFORM_NAMES[code])
+    if code != 0:
+        raise ModelFileError(
+            f"{r.path}: readout transform byte is {code}; only 0 (sum/tau + beta) exists"
+        )
+    return ReadoutConfig(k=int(k), tau=tau, beta=beta)
 
 
 def load_model(path: str) -> LogicNet | Circuit:

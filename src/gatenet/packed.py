@@ -117,11 +117,12 @@ class _ExecPlan:
     """Execution schedule for one circuit (cached on the instance), as flat tables.
 
     Gates run in order of ``Circuit.levels()``, then of opcode, then of id.
-    Each level's wave takes one contiguous block of plane rows, first fit
-    from a free list, in that order, so every opcode group of a wave fills
-    consecutive rows. The inputs are the first block. A block returns to the
-    free list after the deepest level that reads any of its wires; blocks
-    holding an output wire are never freed. ``rows`` is the plane's height.
+    Each level's wave takes one contiguous block of plane rows, so every
+    opcode group of a wave fills consecutive rows. The blocks come first fit
+    from one stack of rows, or from two where that needs fewer rows (see
+    ``_place``). The inputs are the first block. A block returns to the free
+    list after the deepest level that reads any of its wires; blocks holding
+    an output wire are never freed. ``rows`` is the plane's height.
     Group ``g`` writes the ``group_size[g]`` rows from ``group_row[g]`` with
     opcode ``group_op[g]``; ``src_a`` and ``src_b`` hold every gate's source
     rows in run order, so each group reads a contiguous slice of them.
@@ -140,13 +141,9 @@ class _ExecPlan:
         first = np.flatnonzero(np.diff(level[order], prepend=0))  # each wave's first gate
         sizes = np.diff(first, append=len(order))
         dies = np.maximum.reduceat(last[w_in + order], first) if len(order) else first
-        free = []  # sorted (start, stop) runs of free rows
-        self.rows, starts = w_in, []
-        freed_after = {int(last[:w_in].max()): [(0, w_in)]}  # level -> blocks
-        for lvl, (size, die) in enumerate(zip(sizes.tolist(), dies.tolist()), start=1):
-            free = _merge_runs(free + freed_after.pop(lvl - 1, []))  # levels have no gaps
-            starts.append(self._first_fit(free, size))
-            freed_after.setdefault(max(lvl, die), []).append((starts[-1], starts[-1] + size))
+        waves = (w_in, int(last[:w_in].max()), sizes.tolist(), dies.tolist())
+        one, two = _place(*waves, False), _place(*waves, True)
+        self.rows, starts = two if two[0] < one[0] else one
         row = np.arange(circuit.num_wires, dtype=np.int64)  # wire id -> plane row
         # a gate's row is its wave's first row plus its place in the wave
         offset = np.array(starts, dtype=np.int64) - first
@@ -159,15 +156,33 @@ class _ExecPlan:
         self.outputs = row[circuit.output_wires]
         self.scratch = int(self.group_size.max(initial=0))
 
-    def _first_fit(self, free: list, count: int) -> int:
-        """First row of ``count`` rows taken from ``free``, growing the plane if none fit."""
-        for i, (lo, hi) in enumerate(free):
-            if hi - lo >= count:
-                free[i : i + 1] = [(lo + count, hi)] if hi - lo > count else []
-                return lo
-        lo = free.pop()[0] if free and free[-1][1] == self.rows else self.rows
-        self.rows = lo + count
-        return lo
+
+def _place(w_in: int, inputs_die: int, sizes: list, dies: list, two_stacks: bool):
+    """(plane rows, first row of each wave) for waves placed first fit.
+
+    The rows form one stack, or with ``two_stacks`` two: the inputs and the
+    waves of odd level fill the lower one, the waves of even level one on
+    top. Wave ``l`` lives through level ``dies[l]``, the inputs through
+    ``inputs_die``. Two stacks keep a strictly layered circuit within its
+    inputs plus two widest bands, which one stack can exceed when bands grow.
+    """
+    free, top = [[], []], [w_in, 0]  # per stack: sorted (start, stop) free runs, height
+    placed, freed_after = [], {inputs_die: [(0, 0, w_in)]}  # level -> (stack, start, stop)
+    for lvl, (size, die) in enumerate(zip(sizes, dies), start=1):
+        for s, lo, hi in freed_after.pop(lvl - 1, []):
+            free[s].append((lo, hi))
+        s = int(two_stacks and lvl % 2 == 0)
+        runs = free[s] = _merge_runs(free[s])  # levels have no gaps
+        fit = next((i for i, (lo, hi) in enumerate(runs) if hi - lo >= size), None)
+        if fit is None:  # grow the stack, from its top free run if that ends at the top
+            lo = runs.pop()[0] if runs and runs[-1][1] == top[s] else top[s]
+            top[s] = lo + size
+        else:
+            lo, hi = runs[fit]
+            runs[fit : fit + 1] = [(lo + size, hi)] if hi - lo > size else []
+        placed.append((s, lo))
+        freed_after.setdefault(max(lvl, die), []).append((s, lo, lo + size))
+    return sum(top), [lo + s * top[0] for s, lo in placed]
 
 
 def _merge_runs(runs: list) -> list:

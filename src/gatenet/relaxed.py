@@ -12,9 +12,12 @@ pass reuses the same algebra:
     dw = p * (dp - <dp, p>)                              (softmax Jacobian)
     da1 = d * (q1 + q3*a2),  da2 = d * (q2 + q3*a1)      (into the inputs)
 
-Gradients flowing to a previous layer scatter-add through a sparse matrix
-built once from the wiring. Activations are stored feature-major (width,
-batch) so gathers are row slices.
+The readout scores each of the k contiguous groups of output neurons as
+sum/tau + beta, so every output neuron's gradient is its group's score
+gradient divided by tau. Gradients flowing to a previous layer scatter-add
+through a sparse matrix built once from the wiring. Activations are stored
+feature-major (width, batch) so gathers are row slices. The passes run in the
+net's dtype: training builds float32 nets, the gradient checks float64 ones.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import scipy.sparse as sp
 from . import gates
 from .model import LogicNet, ReadoutConfig, gate_probs
 
-_LOGIT_CLIP = 1e-7  # keeps logit() finite on saturated group means
-
 
 @dataclass
 class ForwardCache:
@@ -37,42 +38,20 @@ class ForwardCache:
     acts: list[np.ndarray]  # (width, batch) per layer; acts[0] is the input
     probs: list[np.ndarray]  # (width, 16) gate distributions per gate layer
     mix: list[np.ndarray]  # (width, 4) collapsed bilinear coefficients
-    group_raw: np.ndarray  # (batch, k) group sums before tau/beta/transform
     scores: np.ndarray  # (batch, k)
 
 
 def group_sum(outputs: np.ndarray, readout: ReadoutConfig) -> np.ndarray:
     """Class scores from output activations (features on the last axis).
 
-    scores_i = (sum over group i)/tau + beta, groups being k contiguous
-    blocks; with the logit transform, scores_i = logit(mean over group i).
+    scores_i = (sum over group i)/tau + beta, groups being k contiguous blocks.
     """
     outputs = np.asarray(outputs)
     n = outputs.shape[-1]
     if n % readout.k:
         raise ValueError(f"output width {n} not divisible by k={readout.k}")
     sums = outputs.reshape(outputs.shape[:-1] + (readout.k, n // readout.k)).sum(axis=-1)
-    return _transform_sums(sums, readout, n)
-
-
-def _transform_sums(sums: np.ndarray, readout: ReadoutConfig, n: int) -> np.ndarray:
-    if readout.transform == "logit":
-        mean = np.clip(sums / (n // readout.k), _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
-        return np.log(mean / (1.0 - mean))
     return sums / readout.tau + readout.beta
-
-
-def _group_sum_backward(
-    dscores: np.ndarray, readout: ReadoutConfig, n: int, group_raw: np.ndarray
-) -> np.ndarray:
-    """d(loss)/d(outputs) as (batch, n) from d(loss)/d(scores) as (batch, k)."""
-    size = n // readout.k
-    if readout.transform == "logit":
-        mean = np.clip(group_raw / size, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
-        dsum = dscores / (mean * (1.0 - mean)) / size
-    else:
-        dsum = dscores / readout.tau
-    return np.repeat(dsum, size, axis=-1)
 
 
 def neuron_forward(logits: np.ndarray, a1, a2, allowed: np.ndarray | None = None):
@@ -107,10 +86,10 @@ def forward_relaxed(net: LogicNet, x: np.ndarray) -> ForwardCache:
         acts.append(out)
         probs.append(p)
         mix.append(q)
-    n = net.topology.output_width
-    sums = acts[-1].reshape(net.readout.k, n // net.readout.k, -1).sum(axis=1).T
-    scores = _transform_sums(sums, net.readout, n)
-    return ForwardCache(acts=acts, probs=probs, mix=mix, group_raw=sums, scores=scores)
+    k = net.readout.k
+    sums = acts[-1].reshape(k, net.topology.output_width // k, -1).sum(axis=1).T
+    scores = sums / net.readout.tau + net.readout.beta
+    return ForwardCache(acts=acts, probs=probs, mix=mix, scores=scores)
 
 
 def _scatter_mats(net: LogicNet) -> list[sp.csr_matrix]:
@@ -146,10 +125,8 @@ def backward(net: LogicNet, cache: ForwardCache, dscores: np.ndarray) -> list[np
     dscores = np.asarray(dscores, dtype=net.dtype)
     if dscores.shape != cache.scores.shape:
         raise ValueError(f"dscores shape {dscores.shape} != scores shape {cache.scores.shape}")
-    n = net.topology.output_width
-    d = np.ascontiguousarray(
-        _group_sum_backward(dscores, net.readout, n, cache.group_raw).T
-    )  # (n, batch)
+    group = net.topology.output_width // net.readout.k
+    d = np.repeat(dscores.T / net.readout.tau, group, axis=0)  # (output width, batch)
     scatters = _scatter_mats(net)
     coeffs_t = gates.COEFFS.T.astype(net.dtype)
     grads: list[np.ndarray] = [None] * len(net.logits)  # type: ignore[list-item]

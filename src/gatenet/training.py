@@ -1,8 +1,10 @@
-"""Losses, the Adam optimizer, the training loop, and evaluation.
+"""The loss, the Adam optimizer, the training loop, and evaluation.
 
-Training owns a LogicNet's logits exclusively: forward, analytic backward,
-Adam step, repeated over seeded mini-batch epochs. Everything is
-deterministic given (seed, config, data) in single-threaded use.
+Training has one objective: each class group's summed outputs divided by
+tau, plus beta, scored by softmax cross-entropy, in float32. It owns a
+LogicNet's logits exclusively: forward, analytic backward, Adam step,
+repeated over seeded mini-batch epochs. Everything is deterministic given
+(seed, config, data) in single-threaded use.
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ def cross_entropy_loss(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return loss, (grad[0] if squeeze else grad)
 
 
-def mse_loss(prediction: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all entries and its gradient 2*(pred-target)/size."""
-    prediction = np.asarray(prediction, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if prediction.shape != target.shape:
-        raise ValueError(f"shape mismatch: {prediction.shape} vs {target.shape}")
-    diff = prediction - target
-    loss = float((diff**2).mean())
-    return loss, 2.0 * diff / diff.size
-
-
 @dataclass
 class TrainConfig:
     """Architecture plus optimizer settings for one training run."""
@@ -80,7 +71,6 @@ class TrainConfig:
     classes: int | None = None  # default: the dataset's class count
     tau: float = 1.0
     beta: float = 0.0
-    transform: str = "none"
     learning_rate: float = 0.01
     batch_size: int = 100
     max_epochs: int = 200
@@ -88,10 +78,8 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    loss: str = "cross_entropy"
     eval_every: int = 1
     allowed_gates: int = ALL_GATES_MASK
-    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.layers < 1 or self.width < 2:
@@ -108,15 +96,7 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.loss not in ("cross_entropy", "mse"):
-            raise ValueError("loss must be 'cross_entropy' or 'mse'")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be 'float32' or 'float64'")
         mask_to_bools(self.allowed_gates)
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 @dataclass
@@ -178,12 +158,6 @@ class TrainResult:
     seconds: float
 
 
-def _one_hot(labels: np.ndarray, k: int, dtype) -> np.ndarray:
-    out = np.zeros((len(labels), k), dtype=dtype)
-    out[np.arange(len(labels)), labels] = 1
-    return out
-
-
 def train(
     config: TrainConfig,
     train_ds,
@@ -205,14 +179,13 @@ def train(
         raise ValueError(f"layer width {config.width} not divisible by {k} classes")
     widths = [int(train_ds.width)] + [config.width] * config.layers
     topo = build_topology(config.seed, widths)
-    dtype = config.np_dtype
     net = LogicNet(
         topo,
-        init_params(topo, config.seed, dtype),
-        ReadoutConfig(k=k, tau=config.tau, beta=config.beta, transform=config.transform),
+        init_params(topo, config.seed),
+        ReadoutConfig(k=k, tau=config.tau, beta=config.beta),
         allowed_gates=config.allowed_gates,
     )
-    x_all = np.ascontiguousarray(train_ds.features, dtype=dtype)
+    x_all = np.ascontiguousarray(train_ds.features, dtype=np.float32)
     y_all = np.asarray(train_ds.labels, dtype=np.int64)
     state = AdamState.zeros_like(net.logits)
     shuffle_rng = np.random.default_rng([2, config.seed])
@@ -232,13 +205,10 @@ def train(
         for lo in range(0, n_samples, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             cache = forward_relaxed(net, x_all[idx])
-            if config.loss == "cross_entropy":
-                loss, dscores = cross_entropy_loss(cache.scores, y_all[idx])
-            else:
-                loss, dscores = mse_loss(cache.scores, _one_hot(y_all[idx], k, dtype))
+            loss, dscores = cross_entropy_loss(cache.scores, y_all[idx])
             if not np.isfinite(loss):
                 raise NumericsError(f"non-finite loss {loss!r} at epoch {epoch} step {step}")
-            grads = backward(net, cache, dscores.astype(dtype))
+            grads = backward(net, cache, dscores)
             adam_step(state, net.logits, grads, config)
             step += 1
             record({"epoch": epoch, "step": step, "split": "train", "loss": loss})

@@ -53,11 +53,7 @@ def oracle_net_forward(net: LogicNet, x: np.ndarray) -> np.ndarray:
             a = nxt
         n = len(a)
         sums = a.reshape(k, n // k).sum(axis=1)
-        if net.readout.transform == "logit":
-            mean = np.clip(sums / (n // k), 1e-7, 1 - 1e-7)
-            out.append(np.log(mean / (1 - mean)))
-        else:
-            out.append(sums / net.readout.tau + net.readout.beta)
+        out.append(sums / net.readout.tau + net.readout.beta)
     return np.array(out)
 
 
@@ -86,12 +82,11 @@ def random_layered_circuit(
     input_width: int,
     widths: list[int],
     k: int,
-    transform: str = "none",
 ) -> Circuit:
     """A random strictly layered circuit (uniform wiring, ~uniform opcodes)."""
     seed = int(rng.integers(2**31))
     topo = build_topology(seed, [input_width, *widths])
-    net = LogicNet(topo, init_params(topo, seed), ReadoutConfig(k=k, transform=transform))
+    net = LogicNet(topo, init_params(topo, seed), ReadoutConfig(k=k))
     return discretize(net)
 
 

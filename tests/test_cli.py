@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, artifacts, config precedence."""
 
 import csv
+import os
 import subprocess
 import sys
 
@@ -21,6 +22,13 @@ from gatenet.model import Circuit, LogicNet, ReadoutConfig
 from gatenet.modelfile import load_model, save_model
 from gatenet.packed import build_adder_aggregation
 from gatenet.presets import PRESETS, get_preset
+
+# `python -m gatenet` subprocesses import the package from this checkout's src/.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MODULE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +230,17 @@ class TestTrain:
         ])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("line", ["loss = mse", "dtype = float64"], ids=["loss", "dtype"])
+    def test_removed_objective_keys_rejected(self, line, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([
+            "train", "--dataset", "monk1", "--layers", "2", "--width", "6", "--epochs", "1",
+            "--config", str(cfg), "--data-dir", data_dir, "--out", str(tmp_path / "m.gnet"),
+        ])
+        assert rc == EXIT_USAGE
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, monkeypatch, data_dir, workdir):
         from gatenet import cli
         from gatenet.training import NumericsError
@@ -354,7 +373,8 @@ class TestBenchInspect:
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "gatenet", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "gatenet", "--help"],
+            capture_output=True, text=True, env=MODULE_ENV,
         )
         assert proc.returncode == 0
         assert "train" in proc.stdout and "inspect" in proc.stdout
@@ -362,13 +382,13 @@ class TestEntryPoints:
     def test_unknown_flag_exits_one(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gatenet", "train", "--bogus"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=MODULE_ENV,
         )
         assert proc.returncode == EXIT_USAGE
         assert "error" in proc.stderr
 
     def test_no_subcommand_exits_one(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "gatenet"], capture_output=True, text=True
+            [sys.executable, "-m", "gatenet"], capture_output=True, text=True, env=MODULE_ENV
         )
         assert proc.returncode == EXIT_USAGE

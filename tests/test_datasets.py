@@ -11,7 +11,6 @@ from gatenet.datasets import (
     BinaryDataset,
     DataError,
     MONK_WIDTH,
-    binarize_thresholds,
     ensure_monk_files,
     generate_monk_files,
     load_adult,
@@ -52,34 +51,6 @@ class TestBinaryDataset:
             BinaryDataset(np.array([[0, 1]]), np.array([0, 1]), 2, 2)
         ds = BinaryDataset(np.array([[0, 1], [1, 0]]), np.array([0, 1]), 2, 2)
         assert len(ds) == 2 and not ds.features.flags.writeable
-
-
-class TestBinarizeThresholds:
-    def test_stated_example(self):
-        np.testing.assert_array_equal(
-            binarize_thresholds(0.6, (0.25, 0.5, 0.75)), [1, 1, 0]
-        )
-
-    def test_endpoints(self):
-        np.testing.assert_array_equal(binarize_thresholds(0.0, (0.25, 0.5)), [0, 0])
-        np.testing.assert_array_equal(binarize_thresholds(1.0, (0.25, 0.5)), [1, 1])
-
-    def test_monotone_prefix_codes(self):
-        rng = np.random.default_rng(5)
-        values = rng.random(100_000)
-        thresholds = np.linspace(1 / 32, 31 / 32, 31)
-        bits = binarize_thresholds(values, thresholds)
-        assert bits.shape == (100_000, 31)
-        # no 0 followed by a 1 anywhere
-        assert not np.any((bits[:, :-1] == 0) & (bits[:, 1:] == 1))
-
-    def test_rejections(self):
-        with pytest.raises(ValueError, match="increasing"):
-            binarize_thresholds(0.5, (0.5, 0.25))
-        with pytest.raises(ValueError, match="inside"):
-            binarize_thresholds(0.5, (0.0, 0.5))
-        with pytest.raises(ValueError, match="values"):
-            binarize_thresholds(1.5, (0.25, 0.5))
 
 
 class TestMonk:

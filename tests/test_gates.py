@@ -145,9 +145,7 @@ def test_tie_transforms_exhaustive():
     for g in range(16):
         for a, b in CORNERS:
             assert gates.eval_hard(gates.TIE_SAME[g], a, b) == gates.eval_hard(g, a, a)
-            assert gates.eval_hard(gates.TIE_OPPOSITE[g], a, b) == gates.eval_hard(g, a, 1 - a)
         assert int(gates.TIE_SAME[g]) in {0, 3, 12, 15}
-        assert int(gates.TIE_OPPOSITE[g]) in {0, 3, 12, 15}
 
 
 def test_names_cover_all_gates():

@@ -152,6 +152,22 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match="kind"):
             load_model(path)
 
+    def test_readout_transform_byte_other_than_zero_rejected(self, rng, tmp_path):
+        c, path = self.make_file(rng, tmp_path)
+        data = bytearray(open(path, "rb").read())
+        g = c.num_gates
+        readout_offset = (
+            4 + 2 + 1 + 8 + 4 + 4 + 4 * len(c.layer_sizes) + 8 * g + (g + 1) // 2
+            + 4 + 4 * len(c.output_wires)
+        )
+        transform_offset = readout_offset + 4 + 8 + 8  # after k, tau and beta
+        assert data[transform_offset] == 0
+        data[transform_offset] = 1
+        data[-8:] = hashlib.sha256(bytes(data[:-8])).digest()[:8]
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ModelFileError, match="readout transform byte is 1"):
+            load_model(path)
+
     def test_opcode_flip_with_fixed_checksum_changes_semantics(self, rng, tmp_path):
         c, path = self.make_file(rng, tmp_path)
         data = bytearray(open(path, "rb").read())

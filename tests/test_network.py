@@ -149,13 +149,6 @@ class TestGroupSum:
         with pytest.raises(ValueError):
             group_sum(np.zeros(7), ReadoutConfig(k=2))
 
-    def test_logit_transform(self):
-        out = group_sum(np.array([1.0, 1.0, 0.5, 0.0, 0.0, 0.0]), ReadoutConfig(k=2, transform="logit"))
-        # group means 2.5/3 and 0: logit of the clipped means
-        m0 = 2.5 / 3
-        assert out[0] == pytest.approx(np.log(m0 / (1 - m0)))
-        assert out[1] == pytest.approx(np.log(1e-7 / (1 - 1e-7)))
-
 
 class TestForwardRelaxed:
     def test_matches_scalar_oracle(self, rng):
@@ -165,14 +158,6 @@ class TestForwardRelaxed:
             got = forward_relaxed(net, x).scores
             want = oracle_net_forward(net, x)
             np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_matches_scalar_oracle_with_logit_readout(self, rng):
-        topo = build_topology(11, [6, 8, 8])
-        net = LogicNet(topo, init_params(topo, 2, np.float64), ReadoutConfig(k=4, transform="logit"))
-        x = rng.uniform(0, 1, size=(5, 6))
-        np.testing.assert_allclose(
-            forward_relaxed(net, x).scores, oracle_net_forward(net, x), atol=1e-10
-        )
 
     def test_activations_stay_in_unit_interval(self, rng):
         for _ in range(5):
@@ -206,15 +191,10 @@ class TestBackward:
         for g in grads:
             assert not g.any()
 
-    @pytest.mark.parametrize("transform", ["none", "logit"])
-    def test_matches_finite_differences(self, rng, transform):
+    def test_matches_finite_differences(self, rng):
         # linear functional of the scores so dL/dscores is a constant matrix
         for _ in range(6):
             net = random_small_net(rng)
-            if transform == "logit":
-                net = LogicNet(
-                    net.topology, net.logits, ReadoutConfig(k=net.readout.k, transform="logit")
-                )
             x = rng.uniform(0.05, 0.95, size=(3, net.input_width))
             c = rng.standard_normal((3, net.readout.k))
 

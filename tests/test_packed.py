@@ -198,6 +198,17 @@ class TestPlaneRows:
             circ = random_layered_circuit(rng, int(rng.integers(2, 40)), widths, 1)
             assert _plan_for(circ).rows <= circ.input_width + 2 * max(widths)
 
+    def test_growing_bands_take_the_two_stack_placement(self, rng):
+        # one stack needs 3 + 35 + 26 + 44 = 108 rows: the 44 find only 38 free rows;
+        # two stacks put the 44 over the freed inputs and first band, the 26 above
+        circ = random_layered_circuit(rng, 3, [35, 26, 44, 6], 2)
+        assert _plan_for(circ).rows == 44 + 26
+        x = (rng.uniform(size=(131, 3)) < 0.5).astype(np.uint8)
+        np.testing.assert_array_equal(
+            unpack(execute_packed(circ, pack(x))), oracle_circuit_outputs(circ, x)
+        )
+        np.testing.assert_array_equal(circuit_scores(circ, x), oracle_circuit_counts(circ, x))
+
     def test_criterion_8_circuit_plane_rows(self):
         circ = random_layered_circuit(np.random.default_rng(48), 784, [8000] * 6, 10)
         assert _plan_for(circ).rows == 784 + 2 * 8000

@@ -14,7 +14,6 @@ from gatenet.training import (
     adam_step,
     cross_entropy_loss,
     evaluate,
-    mse_loss,
     train,
 )
 
@@ -61,34 +60,6 @@ class TestCrossEntropy:
             cross_entropy_loss(np.zeros(3), -1)
 
 
-class TestMse:
-    def test_zero_at_match(self):
-        loss, grad = mse_loss(np.array([0.4, 0.6]), np.array([0.4, 0.6]))
-        assert loss == 0 and not grad.any()
-
-    def test_stated_example(self):
-        loss, grad = mse_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        assert loss == pytest.approx(0.5)
-        np.testing.assert_allclose(grad, [1.0, 0.0])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        pred = rng.standard_normal(9)
-        target = rng.standard_normal(9)
-        _, grad = mse_loss(pred, target)
-        h = 1e-6
-        for i in range(9):
-            up, down = pred.copy(), pred.copy()
-            up[i] += h
-            down[i] -= h
-            fd = (mse_loss(up, target)[0] - mse_loss(down, target)[0]) / (2 * h)
-            assert grad[i] == pytest.approx(fd, abs=1e-8)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse_loss(np.zeros(3), np.zeros(4))
-
-
 class TestAdam:
     def test_first_step_magnitude(self):
         params = [np.zeros((2, 16))]
@@ -130,10 +101,8 @@ class TestTrainConfigValidation:
             {"max_epochs": 0},
             {"eval_every": 0},
             {"tau": 0.0},
-            {"loss": "hinge"},
             {"width": 1},
             {"allowed_gates": 0},
-            {"dtype": "float16"},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
