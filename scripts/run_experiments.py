@@ -2,12 +2,15 @@
 """Train presets across seeds and tabulate relaxed vs discretized accuracy.
 
 Each run writes a metrics CSV next to the summary; presets whose dataset
-files are absent are skipped with a note. With no arguments this reproduces
+files are absent are skipped with a note. The summary is written twice, as
+summary.csv and as summary.json (a list of one object per run: preset, seed,
+relaxed_acc, discretized_acc, seconds). With no arguments this reproduces
 the three MONK experiments (the only datasets that need no external files).
 """
 
 import argparse
 import csv
+import json
 import os
 import sys
 import time
@@ -87,7 +90,13 @@ def main(argv=None) -> int:
         writer.writerow(["preset", "seed", "relaxed_acc", "discretized_acc", "seconds"])
         for name, seed, relaxed, disc, seconds in rows:
             writer.writerow([name, seed, f"{relaxed:.6f}", f"{disc:.6f}", f"{seconds:.2f}"])
-    print(f"\nwrote {summary} ({len(rows)} runs)")
+    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
+        json.dump([
+            {"preset": name, "seed": seed, "relaxed_acc": relaxed, "discretized_acc": disc,
+             "seconds": seconds}
+            for name, seed, relaxed, disc, seconds in rows
+        ], fh, indent=1)
+    print(f"\nwrote {summary} and summary.json ({len(rows)} runs)")
     return 0
 
 

@@ -126,14 +126,29 @@ def init_params(topology: NetworkTopology, seed: int, dtype=np.float32) -> list[
     ]
 
 
-def gate_probs(logits: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis with max-subtraction; disallowed gates get mass 0."""
-    z = np.asarray(logits, dtype=np.float64)
+def gate_probs(
+    logits: np.ndarray, allowed: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax over the 16 gates of the last axis; disallowed gates get mass 0.
+
+    Computes in the logits' dtype (integers in float64), written into ``out``
+    when given. The row maximum it subtracts is taken as pairwise maxima of
+    even and odd columns, which is exact and, as each step runs as one flat
+    strided loop, much faster than ``max(axis=-1)`` over 16 columns.
+    """
+    z = np.asarray(logits)
+    if out is None:
+        out = np.empty(z.shape, np.result_type(z.dtype, np.float32))
+    np.copyto(out, z)
     if allowed is not None:
-        z = np.where(allowed, z, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+        out[..., ~allowed] = -np.inf
+    top = out
+    while top.shape[-1] > 1:
+        top = np.maximum(top[..., 0::2], top[..., 1::2])
+    out -= top
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 @dataclass
@@ -279,7 +294,7 @@ def discretize(net: LogicNet) -> Circuit:
     for li, mat in enumerate(net.logits):
         z = np.where(net.gate_mask, mat.astype(np.float64), -np.inf)
         opcodes.append(np.argmax(z, axis=1).astype(np.uint8))
-        max_probs.append(gate_probs(mat, net.gate_mask).max(axis=1))
+        max_probs.append(gate_probs(mat.astype(np.float64), net.gate_mask).max(axis=1))
         sources.append(net.topology.connections[li].astype(np.uint32) + np.uint32(prev_base))
         prev_base = widths[0] if li == 0 else prev_base + widths[li]
     n_out = widths[-1]

@@ -3,21 +3,41 @@
 Every relaxed gate is bilinear, f_i(a, b) = c0 + c1*a + c2*b + c3*a*b, so a
 neuron's softmax mixture over all 16 gates collapses to a single bilinear
 form whose coefficients are q = p @ C (C the 16x4 coefficient table, p the
-neuron's gate distribution). The batch pass is then four fused
-multiply-adds per neuron instead of sixteen gate evaluations; the backward
-pass reuses the same algebra:
+neuron's gate distribution). The forward pass gathers each neuron's operand
+rows a1 and a2 and evaluates
 
-    dq = [sum(d), sum(d*a1), sum(d*a2), sum(d*a1*a2)]   (per neuron, over batch)
-    dp = dq @ C.T                                        (chain into the mixture)
-    dw = p * (dp - <dp, p>)                              (softmax Jacobian)
-    da1 = d * (q1 + q3*a2),  da2 = d * (q2 + q3*a1)      (into the inputs)
+    out = (a2*q3 + q1)*a1 + (a2*q2 + q0)
+
+in place: four multiply-adds per neuron instead of sixteen gate evaluations.
+The backward pass gathers a2 and a1 again, straight into the two halves of
+one (2*width, batch) buffer, and multiplies them there by the output
+gradient d, giving t2 = d*a2 and t1 = d*a1. Everything else comes from d, t2
+and t1:
+
+    dq = [sum(d), sum(t1), sum(t2), sum(t2*a1)]       (per neuron, over batch)
+    dp = dq @ C.T                                      (chain into the mixture)
+    dw = p * (dp - <dp, p>)                            (softmax Jacobian)
+    da1 = q3*t2 + q1*d,  da2 = q3*t1 + q2*d            (into the inputs)
+
+The sums over the batch are einsums, which run in numpy's own loops and give
+the same bits however many BLAS threads there are. da1 and da2 are never
+formed: two sparse matrices built from the wiring, whose values are the q3
+and the q1 | q2 of each wire's consumers, scatter-add t2 | t1 and d into the
+previous layer's gradient rows.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score
-gradient divided by tau. Gradients flowing to a previous layer scatter-add
-through a sparse matrix built once from the wiring. Activations are stored
-feature-major (width, batch) so gathers are row slices. The passes run in the
-net's dtype: training builds float32 nets, the gradient checks float64 ones.
+gradient divided by tau. Activations are stored feature-major (width, batch)
+so gathers are row slices. Everything runs in the net's dtype, the gate
+softmax included: training builds float32 nets, the gradient checks float64
+ones.
+
+A :class:`ForwardCache` owns every array of a step: the activations, the
+gate distributions, the operand and gradient buffers and the returned
+gradients. ``forward_relaxed(net, x, out=cache)`` overwrites a cache made by
+the same net for the same batch shape and dtype instead of allocating a new
+one, so a training loop that passes its last cache back allocates no
+(width, batch) array per step, only a few (width, 8) or smaller temporaries.
 """
 
 from __future__ import annotations
@@ -25,20 +45,130 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import gates
 from .model import LogicNet, ReadoutConfig, gate_probs
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardCache:
-    """Everything the backward pass needs from one forward call."""
+    """One forward call's results for ``backward``, plus the buffers both passes reuse.
 
+    ``forward_relaxed(net, x, out=cache)`` and ``backward(net, cache, ...)``
+    overwrite every array here, the gradients ``backward`` returned included.
+    """
+
+    net: LogicNet
     acts: list[np.ndarray]  # (width, batch) per layer; acts[0] is the input
     probs: list[np.ndarray]  # (width, 16) gate distributions per gate layer
     mix: list[np.ndarray]  # (width, 4) collapsed bilinear coefficients
     scores: np.ndarray  # (batch, k)
+    work: "_Work"
+
+    @classmethod
+    def empty(cls, net: LogicNet, batch: int) -> "ForwardCache":
+        widths, dtype = net.topology.layer_widths, net.dtype
+        return cls(
+            net=net,
+            acts=[np.empty((w, batch), dtype) for w in widths],
+            probs=[np.empty((w, gates.NUM_GATES), dtype) for w in widths[1:]],
+            mix=[np.empty((w, 4), dtype) for w in widths[1:]],
+            scores=np.empty((batch, net.readout.k), dtype),
+            work=_Work(net, batch),
+        )
+
+    @staticmethod
+    def nbytes(net: LogicNet, batch: int) -> int:
+        """Bytes that ``empty(net, batch)`` allocates, before any ``backward``."""
+        widths, item = net.topology.layer_widths, net.dtype.itemsize
+        gates_total, most = sum(widths[1:]), max(widths[1:])
+        per_row = item * (sum(widths) + 2 * most + net.readout.k * 2)
+        per_net = gates_total * (item * (gates.NUM_GATES + 4) + 2 * np.dtype(np.intp).itemsize)
+        return per_net + batch * per_row
+
+    def fits(self, net: LogicNet, batch: int) -> bool:
+        """Whether a forward pass of ``net`` on ``batch`` rows can reuse this cache."""
+        return self.net is net and self.acts[0].shape == (net.input_width, batch) and (
+            self.acts[0].dtype == net.dtype
+        )
+
+
+class _Work:
+    """Scratch shared by all layers of one cache, sized by its widest gate layer.
+
+    The backward-only buffers are allocated by the first ``backward`` call, so
+    a cache used only for inference never holds them.
+    """
+
+    def __init__(self, net: LogicNet, batch: int):
+        widths, dtype = net.topology.layer_widths, net.dtype
+        most = max(widths[1:])
+        self.sources = [np.ascontiguousarray(c.T, dtype=np.intp) for c in net.topology.connections]
+        self.coeffs = gates.COEFFS.astype(dtype)
+        self.a1 = np.empty((most, batch), dtype)  # forward operands
+        self.a2 = np.empty((most, batch), dtype)
+        self.sums = np.empty((net.readout.k, batch), dtype)
+        self.halves = None  # (2 * most, batch): t2 | t1
+
+    def backward_buffers(self, net: LogicNet) -> None:
+        if self.halves is not None:
+            return
+        widths, dtype = net.topology.layer_widths, net.dtype
+        most, batch = self.a1.shape
+        self.halves = np.empty((2 * most, batch), dtype)
+        # output gradients, alternating by layer; the backward never reads a1
+        self.d = [np.empty((most, batch), dtype), self.a1]
+        self.dq = np.empty((most, 4), dtype)
+        self.dp = np.empty((most, gates.NUM_GATES), dtype)
+        self.rowsum = np.empty((most, 1), dtype)
+        self.coeffs_t = np.ascontiguousarray(self.coeffs.T)
+        self.grads = [np.empty((w, gates.NUM_GATES), dtype) for w in widths[1:]]
+        self.scatter = [None] + [
+            _Scatter(conn, prev, dtype)
+            for conn, prev in zip(net.topology.connections[1:], widths[1:])
+        ]
+
+
+class _Scatter:
+    """Routes one layer's input gradients back to the rows of the previous layer.
+
+    da1 = q3*t2 + q1*d goes to each neuron's first source row and
+    da2 = q3*t1 + q2*d to its second. Two CSR matrices of shape (prev, 2*width)
+    and (prev, width) share one sparsity pattern: entry e < width is neuron e's
+    first source, entry width+e its second, and each row lists its entries in
+    ascending order. Their values are the q3 and the q1 | q2 of those entries,
+    gathered from the layer's (width, 4) coefficients on every call, so one
+    scatter-add of t2 | t1 and one of d give the previous layer's gradient
+    without forming da1 and da2. The scatter-adds are scipy's CSR kernel,
+    called with this cache's output buffer, since ``csr_matrix @`` would
+    allocate a new one each call.
+    """
+
+    def __init__(self, conn: np.ndarray, prev: int, dtype):
+        width = conn.shape[0]
+        rows = np.concatenate([conn[:, 0], conn[:, 1]])
+        order = np.argsort(rows, kind="stable")
+        neuron, second = order % width, order >= width
+        self.indptr = np.zeros(prev + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=prev), out=self.indptr[1:])
+        self.halves_cols = order.astype(np.int32)
+        self.d_cols = neuron.astype(np.int32)
+        self.q3_at = 4 * neuron + 3  # flat indices into the (width, 4) coefficients
+        self.q12_at = 4 * neuron + 1 + second
+        self.halves_vals = np.empty(2 * width, dtype)
+        self.d_vals = np.empty(2 * width, dtype)
+
+    def __call__(self, q, halves, d, out) -> None:
+        """out = S_halves @ halves + S_d @ d, for this layer's coefficients q."""
+        prev, batch = out.shape
+        np.take(q.ravel(), self.q3_at, out=self.halves_vals)
+        np.take(q.ravel(), self.q12_at, out=self.d_vals)
+        out.fill(0)
+        _sparsetools.csr_matvecs(prev, halves.shape[0], batch, self.indptr, self.halves_cols,
+                                 self.halves_vals, halves.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(prev, d.shape[0], batch, self.indptr, self.d_cols,
+                                 self.d_vals, d.ravel(), out.ravel())
 
 
 def group_sum(outputs: np.ndarray, readout: ReadoutConfig) -> np.ndarray:
@@ -61,93 +191,82 @@ def neuron_forward(logits: np.ndarray, a1, a2, allowed: np.ndarray | None = None
     return q[..., 0] + q[..., 1] * a1 + q[..., 2] * a2 + q[..., 3] * (a1 * a2)
 
 
-def forward_relaxed(net: LogicNet, x: np.ndarray) -> ForwardCache:
+def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = None) -> ForwardCache:
     """Run the network on a sample-major batch x of shape (batch, input_width).
 
-    Returns the cache holding all layer activations and (batch, k) scores.
+    Returns the cache holding all layer activations and (batch, k) scores. When
+    ``out`` is a cache from an earlier call on this net with the same batch
+    shape and dtype, it is overwritten and returned; otherwise a new cache is
+    allocated.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != net.input_width:
         raise ValueError(f"input batch must be (batch, {net.input_width}), got {x.shape}")
-    dtype = net.dtype
-    coeffs = gates.COEFFS.astype(dtype)
-    acts = [np.ascontiguousarray(x.T, dtype=dtype)]
-    probs, mix = [], []
+    batch = x.shape[0]
+    cache = out if out is not None and out.fits(net, batch) else ForwardCache.empty(net, batch)
+    work = cache.work
+    np.copyto(cache.acts[0], x.T, casting="unsafe")
     for li, mat in enumerate(net.logits):
-        conn = net.topology.connections[li]
-        prev = acts[-1]
-        a1, a2 = prev[conn[:, 0]], prev[conn[:, 1]]
-        p = gate_probs(mat, net.gate_mask).astype(dtype)
-        q = p @ coeffs
-        out = q[:, 3:4] * (a1 * a2)
-        out += q[:, 1:2] * a1
-        out += q[:, 2:3] * a2
-        out += q[:, 0:1]
-        acts.append(out)
-        probs.append(p)
-        mix.append(q)
+        prev, act = cache.acts[li], cache.acts[li + 1]
+        width = act.shape[0]
+        a1, a2 = work.a1[:width], work.a2[:width]
+        np.take(prev, work.sources[li][0], axis=0, out=a1, mode="clip")
+        np.take(prev, work.sources[li][1], axis=0, out=a2, mode="clip")
+        p = gate_probs(mat, net.gate_mask, out=cache.probs[li])
+        q = np.matmul(p, work.coeffs, out=cache.mix[li])
+        np.multiply(a2, q[:, 3:4], out=act)
+        act += q[:, 1:2]
+        act *= a1
+        np.multiply(a2, q[:, 2:3], out=a1)
+        a1 += q[:, 0:1]
+        act += a1
     k = net.readout.k
-    sums = acts[-1].reshape(k, net.topology.output_width // k, -1).sum(axis=1).T
-    scores = sums / net.readout.tau + net.readout.beta
-    return ForwardCache(acts=acts, probs=probs, mix=mix, scores=scores)
-
-
-def _scatter_mats(net: LogicNet) -> list[sp.csr_matrix]:
-    """Per layer, the (prev_width, 2*width) matrix routing input-gradient rows.
-
-    Column j (resp. width+j) carries neuron j's gradient into its first
-    (resp. second) source row. Built once per net and cached on the instance.
-    """
-    cache = getattr(net, "_scatter_mats", None)
-    if cache is not None:
-        return cache
-    mats = []
-    widths = net.topology.layer_widths
-    for li, conn in enumerate(net.topology.connections):
-        w = conn.shape[0]
-        rows = np.concatenate([conn[:, 0], conn[:, 1]])
-        cols = np.arange(2 * w)
-        data = np.ones(2 * w, dtype=net.dtype)
-        mats.append(sp.csr_matrix((data, (rows, cols)), shape=(widths[li], 2 * w)))
-    net._scatter_mats = mats
-    return mats
+    np.sum(cache.acts[-1].reshape(k, -1, batch), axis=1, out=work.sums)
+    np.divide(work.sums.T, net.readout.tau, out=cache.scores)
+    cache.scores += net.readout.beta
+    return cache
 
 
 def backward(net: LogicNet, cache: ForwardCache, dscores: np.ndarray) -> list[np.ndarray]:
     """Gradient of the loss w.r.t. every logit, given d(loss)/d(scores).
 
-    dscores is sample-major (batch, k), matching ForwardCache.scores.
+    dscores is sample-major (batch, k), matching ForwardCache.scores. The
+    returned arrays belong to the cache: the next ``backward`` on it
+    overwrites them.
     """
-    if len(cache.acts) != net.topology.num_gate_layers + 1 or len(cache.probs) != len(
-        net.logits
-    ):
+    if cache.net is not net:
         raise ValueError("cache does not match this network (stale or from another net)")
     dscores = np.asarray(dscores, dtype=net.dtype)
     if dscores.shape != cache.scores.shape:
         raise ValueError(f"dscores shape {dscores.shape} != scores shape {cache.scores.shape}")
-    group = net.topology.output_width // net.readout.k
-    d = np.repeat(dscores.T / net.readout.tau, group, axis=0)  # (output width, batch)
-    scatters = _scatter_mats(net)
-    coeffs_t = gates.COEFFS.T.astype(net.dtype)
-    grads: list[np.ndarray] = [None] * len(net.logits)  # type: ignore[list-item]
+    work = cache.work
+    work.backward_buffers(net)
+    widths = net.topology.layer_widths
+    batch, k = dscores.shape
+    d = work.d[0][: widths[-1]]
+    np.divide(dscores.T[:, None, :], net.readout.tau, out=d.reshape(k, -1, batch))
     for li in range(len(net.logits) - 1, -1, -1):
-        conn = net.topology.connections[li]
+        width = widths[li + 1]
         prev = cache.acts[li]
-        a1, a2 = prev[conn[:, 0]], prev[conn[:, 1]]
         p, q = cache.probs[li], cache.mix[li]
-        dq = np.stack(
-            [
-                d.sum(axis=1),
-                (d * a1).sum(axis=1),
-                (d * a2).sum(axis=1),
-                (d * (a1 * a2)).sum(axis=1),
-            ],
-            axis=1,
-        )
-        dp = dq @ coeffs_t
-        grads[li] = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        halves = work.halves[: 2 * width]
+        t2, t1 = halves[:width], halves[width:]
+        np.take(prev, work.sources[li][1], axis=0, out=t2, mode="clip")
+        t2 *= d
+        np.take(prev, work.sources[li][0], axis=0, out=t1, mode="clip")
+        dq = work.dq[:width]
+        np.einsum("ij,ij->i", t2, t1, out=dq[:, 3])
+        t1 *= d
+        np.einsum("ij->i", d, out=dq[:, 0])
+        np.einsum("ij->i", t1, out=dq[:, 1])
+        np.einsum("ij->i", t2, out=dq[:, 2])
+        dp = np.matmul(dq, work.coeffs_t, out=work.dp[:width])
+        grad = work.grads[li]
+        np.multiply(dp, p, out=grad)
+        dp -= np.sum(grad, axis=1, keepdims=True, out=work.rowsum[:width])
+        np.multiply(p, dp, out=grad)
         if li > 0:
-            da1 = d * (q[:, 1:2] + q[:, 3:4] * a2)
-            da2 = d * (q[:, 2:3] + q[:, 3:4] * a1)
-            d = scatters[li] @ np.vstack([da1, da2])
-    return grads
+            d_prev = work.d[(len(net.logits) - li) % 2][: widths[li]]
+            work.scatter[li](q, halves, d, d_prev)
+            d = d_prev
+    return list(work.grads)

@@ -24,7 +24,12 @@ from .model import (
     init_params,
     mask_to_bools,
 )
-from .relaxed import backward, forward_relaxed
+from .relaxed import ForwardCache, backward, forward_relaxed
+
+
+# Relaxed evaluation keeps each batch's ForwardCache within this many bytes;
+# the batch size follows from the net's widths and dtype.
+RELAXED_EVAL_BYTES = 64 << 20
 
 
 class NumericsError(RuntimeError):
@@ -101,11 +106,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one pair of arrays per logit matrix."""
+    """Bias-corrected Adam moments, one pair of arrays per logit matrix.
+
+    ``scratch`` holds one (2, rows, 16) work array per logit matrix, so that a
+    step allocates no temporaries.
+    """
 
     t: int
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[np.ndarray]
 
     @classmethod
     def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
@@ -113,6 +123,7 @@ class AdamState:
             t=0,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=[np.empty((2,) + p.shape, p.dtype) for p in params],
         )
 
 
@@ -123,22 +134,29 @@ def adam_step(
     if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
         raise ValueError("parameter/gradient shape mismatch")
     for li, g in enumerate(grads):
-        bad = ~np.isfinite(g)
-        if bad.any():
-            raise NumericsError(
-                f"non-finite gradient: layer {li}, {int(bad.sum())} of {g.size} entries"
-            )
+        if not np.isfinite(g).all():
+            bad = int((~np.isfinite(g)).sum())
+            raise NumericsError(f"non-finite gradient: layer {li}, {bad} of {g.size} entries")
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     lr = config.learning_rate
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon), one rounding step at a time
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=step)
         v *= b2
-        v += (1 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_epsilon)
+        np.multiply(g, g, out=step)
+        step *= 1 - b2
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.adam_epsilon
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= denom
+        p -= step
 
 
 @dataclass
@@ -193,6 +211,7 @@ def train(
     best: LogicNet | None = None
     best_acc: float | None = None
     step = 0
+    caches: dict = {}  # one ForwardCache per batch length, reused every step
     t0 = time.perf_counter()
 
     def record(row: dict) -> None:
@@ -204,7 +223,9 @@ def train(
         perm = shuffle_rng.permutation(n_samples)
         for lo in range(0, n_samples, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            cache = forward_relaxed(net, x_all[idx])
+            cache = caches[len(idx)] = forward_relaxed(
+                net, x_all[idx], out=caches.get(len(idx))
+            )
             loss, dscores = cross_entropy_loss(cache.scores, y_all[idx])
             if not np.isfinite(loss):
                 raise NumericsError(f"non-finite loss {loss!r} at epoch {epoch} step {step}")
@@ -227,11 +248,12 @@ def train(
     )
 
 
-def evaluate(model: LogicNet | Circuit, dataset, batch_size: int = 4096) -> EvalResult:
+def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:
     """Argmax classification accuracy plus a (true, predicted) confusion matrix.
 
-    A LogicNet is scored in relaxed mode; a Circuit runs packed Boolean
-    inference with popcount (or adder) readout.
+    A LogicNet is scored in relaxed mode, in batches whose ForwardCache fits
+    in ``RELAXED_EVAL_BYTES`` where one row allows; a Circuit runs packed
+    Boolean inference with popcount (or adder) readout.
     """
     if int(dataset.width) != model.input_width:
         raise ValueError(
@@ -244,11 +266,16 @@ def evaluate(model: LogicNet | Circuit, dataset, batch_size: int = 4096) -> Eval
 
         preds = circuit_scores(model, dataset.features).argmax(axis=1)
     else:
+        per_net, per_row = ForwardCache.nbytes(model, 0), ForwardCache.nbytes(model, 1)
+        rows = max(1, (RELAXED_EVAL_BYTES - per_net) // (per_row - per_net))
         preds = np.empty(len(y), dtype=np.int64)
-        x = dataset.features
-        for lo in range(0, len(y), batch_size):
-            xb = np.asarray(x[lo : lo + batch_size], dtype=model.dtype)
-            preds[lo : lo + len(xb)] = forward_relaxed(model, xb).scores.argmax(axis=1)
+        cache = None
+        for lo in range(0, len(y), rows):
+            xb = dataset.features[lo : lo + rows]
+            if len(xb) < rows:
+                cache = None  # free the full-size batch before the short last one
+            cache = forward_relaxed(model, xb, out=cache)
+            preds[lo : lo + len(xb)] = cache.scores.argmax(axis=1)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)
     accuracy = float((preds == y).mean()) if len(y) else 0.0

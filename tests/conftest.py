@@ -7,6 +7,8 @@ packing, no collapsed coefficients). Tests compare the real implementations
 against these.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -144,6 +146,8 @@ class ToyData:
         self.split = "toy"
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260817)
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's own id, so its draws do not depend on other tests."""
+    digest = hashlib.sha256(request.node.nodeid.encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))

@@ -1,5 +1,7 @@
 """Topology, relaxed forward/backward, readout, and discretization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,62 @@ class TestBackward:
         if other.topology.num_gate_layers != net.topology.num_gate_layers:
             with pytest.raises(ValueError):
                 backward(other, cache, np.zeros_like(cache.scores))
+
+
+class TestCacheReuse:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_cache_gives_fresh_results(self, rng, dtype):
+        for _ in range(4):
+            net = random_small_net(rng, dtype=dtype)
+            x, y = rng.uniform(0, 1, size=(2, 6, net.input_width))
+            c = rng.standard_normal((6, net.readout.k))
+            fresh = forward_relaxed(net, x)
+            want_scores = fresh.scores.copy()
+            want_grads = [g.copy() for g in backward(net, fresh, c)]
+            cache = forward_relaxed(net, y)
+            backward(net, cache, -c)
+            reused = forward_relaxed(net, x, out=cache)
+            assert reused is cache
+            np.testing.assert_array_equal(reused.scores, want_scores)
+            for got, want in zip(backward(net, reused, c), want_grads):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_cache_from_other_net_shape_or_dtype_not_reused(self, rng):
+        net = random_small_net(rng, dtype=np.float32)
+        x = rng.uniform(0, 1, size=(5, net.input_width))
+        cache = forward_relaxed(net, x)
+        kept = [a.copy() for a in cache.acts]
+        twin = net.copy()
+        net64 = LogicNet(net.topology, [m.astype(np.float64) for m in net.logits], net.readout)
+        for other, rows in ((twin, x), (net, x[:4]), (net64, x)):
+            got = forward_relaxed(other, rows, out=cache)
+            assert got is not cache
+            np.testing.assert_array_equal(got.scores, forward_relaxed(other, rows).scores)
+        for a, b in zip(cache.acts, kept):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            backward(twin, cache, np.zeros_like(cache.scores))
+
+    def test_reused_step_allocates_less_than_one_activation(self, rng):
+        # 784 -> 3x2000 at batch 64: a (2000, 64) float32 array is 512 KB
+        topo = build_topology(int(rng.integers(2**31)), [784, 2000, 2000, 2000])
+        net = LogicNet(topo, init_params(topo, int(rng.integers(2**31))), ReadoutConfig(k=10))
+        x = (rng.uniform(size=(64, 784)) < 0.5).astype(np.float32)
+        c = rng.standard_normal((64, 10)).astype(np.float32)
+        bound = 2000 * 64 * np.dtype(np.float32).itemsize
+        cache = forward_relaxed(net, x)
+        backward(net, cache, c)
+        forward_relaxed(net, x, out=cache)
+        backward(net, cache, c)
+        tracemalloc.start()
+        try:
+            forward_relaxed(net, x, out=cache)
+            backward(net, cache, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak} B >= one activation array, {bound} B"
 
 
 class TestGateMask:

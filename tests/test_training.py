@@ -1,13 +1,16 @@
 """Losses, Adam, the training loop, and evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import ToyData, random_small_net
-from gatenet.model import discretize
+from gatenet.model import LogicNet, ReadoutConfig, build_topology, discretize, init_params
 from gatenet.packed import circuit_scores
 from gatenet.relaxed import forward_relaxed
 from gatenet.training import (
+    RELAXED_EVAL_BYTES,
     AdamState,
     NumericsError,
     TrainConfig,
@@ -87,6 +90,27 @@ class TestAdam:
         params = [np.zeros((2, 16))]
         with pytest.raises(ValueError):
             adam_step(AdamState.zeros_like(params), params, [np.zeros((3, 16))], TrainConfig())
+
+    def test_matches_textbook_update_bit_for_bit(self, rng):
+        cfg = TrainConfig(learning_rate=0.03, adam_beta1=0.8, adam_beta2=0.99)
+        params = [rng.standard_normal((5, 16)).astype(np.float32) for _ in range(2)]
+        want = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = AdamState.zeros_like(params)
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        for t in range(1, 5):
+            grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+            adam_step(state, params, grads, cfg)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, mi, vi in zip(want, grads, m, v):
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * (g * g)
+                p -= cfg.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + cfg.adam_epsilon)
+            for got, ref in zip(params, want):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestTrainConfigValidation:
@@ -212,3 +236,26 @@ class TestEvaluate:
         data = ToyData(np.zeros((3, net.input_width + 2), dtype=np.uint8), np.zeros(3), 2)
         with pytest.raises(ValueError):
             evaluate(net, data)
+
+    def test_relaxed_batches_stay_within_budget(self, rng):
+        # 600 rows of 784 -> 4x8000 hold 79 MB of float32 activations at once
+        topo = build_topology(int(rng.integers(2**31)), [784] + [8000] * 4)
+        net = LogicNet(topo, init_params(topo, int(rng.integers(2**31))), ReadoutConfig(k=10))
+        x = (rng.uniform(size=(600, 784)) < 0.5).astype(np.uint8)
+        data = ToyData(x, rng.integers(0, 10, 600), class_count=10)
+        want = np.concatenate(
+            [forward_relaxed(net, x[lo : lo + 100]).scores for lo in range(0, 600, 100)]
+        ).argmax(axis=1)
+        confusion = np.zeros((10, 10), dtype=np.int64)
+        np.add.at(confusion, (data.labels, want), 1)
+        # the budget plus the labels, predictions and 1 MB for the rest
+        bound = RELAXED_EVAL_BYTES + 2 * 600 * 8 + (1 << 20)
+        tracemalloc.start()
+        try:
+            res = evaluate(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+        np.testing.assert_array_equal(res.confusion, confusion)
+        assert res.accuracy == (want == data.labels).mean()
