@@ -7,9 +7,11 @@ Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
 of ``circuit_scores`` and the output bits ``unpack(execute_packed(...))``,
 both at threads 1 and 3 and for n = 1, 63, 64, 65 and 16384 seeded random
 rows, plus the ``emit_source`` text and the saved ``.gnet`` bytes of every
-circuit. The circuits are 8 seeded random layered circuits, each with its
-pruned, adder-aggregated and pruned-then-aggregated forms, and the 48000-gate
-784 -> 6x8000, k=10 circuit of acceptance criterion 8 with its pruned form.
+circuit, and the words ``pack`` makes of seeded uint8, bool and float64 rows
+at those n and 1, 9 and 784 features. The circuits are 8 seeded random
+layered circuits, each with its pruned, adder-aggregated and
+pruned-then-aggregated forms, and the 48000-gate 784 -> 6x8000, k=10 circuit
+of acceptance criterion 8 with its pruned form.
 Training is covered by two short seeded ``train`` runs on small random data:
 the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
 history rows with their losses and eval accuracies. The package is imported
@@ -35,6 +37,8 @@ from gatenet.packed import build_adder_aggregation, circuit_scores, execute_pack
 from gatenet.training import TrainConfig, train
 
 SAMPLE_COUNTS = (1, 63, 64, 65, 16384)
+PACK_FEATURES = (1, 9, 784)
+PACK_DTYPES = (np.uint8, np.bool_, np.float64)
 THREADS = (1, 3)
 # Two short runs: two classes near the defaults, and three classes with tau,
 # beta, learning rate and gate mask of their own; both end epochs on a partial batch.
@@ -115,6 +119,13 @@ def main() -> None:
                     print(f"{label}.n{n}.threads{t}.scores {digest(scores)}")
                     bits = unpack(execute_packed(circuit, batch, threads=t))
                     print(f"{label}.n{n}.threads{t}.outputs {digest(bits)}")
+    for f in PACK_FEATURES:
+        rng = np.random.default_rng([10, f])
+        for n in SAMPLE_COUNTS:
+            x = rng.integers(0, 2, size=(n, f), dtype=np.uint8)
+            for dtype in PACK_DTYPES:
+                words = pack(x.astype(dtype)).words
+                print(f"pack.{np.dtype(dtype).name}.n{n}.f{f}.words {digest(words)}")
 
 
 if __name__ == "__main__":

@@ -427,7 +427,9 @@ def cmd_bench(args) -> int:
     for threads, entry in report["per_thread"].items():
         label = "single thread" if threads == 1 else f"{threads} threads"
         print(f"{label}: {entry['samples_per_sec']:,.0f} samples/s "
-              f"({entry['gate_ops_per_sec']:.3g} gate-ops/s)")
+              f"({entry['gate_ops_per_sec']:.3g} gate-ops/s); "
+              f"pack {entry['pack_ms']:.2f} ms, execute {entry['execute_ms']:.2f} ms, "
+              f"readout {entry['readout_ms']:.2f} ms")
     return EXIT_OK
 
 

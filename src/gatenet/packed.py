@@ -2,7 +2,14 @@
 
 Samples are bit-transposed: feature i of 64 consecutive samples lives in one
 64-bit unsigned word, so a single bitwise operation evaluates one gate for 64
-samples at once. All 16 gates lower to {AND, OR, XOR, NOT} word primitives:
+samples at once. ``pack`` gets there without moving single bytes: it packs 8
+features of a sample per byte, gathers the bytes of 8 samples into a word,
+transposes each word's 8x8 bit matrix (three masked delta swaps) and moves
+the resulting bytes, one per 8 samples of a feature, into rows. A matrix
+laid out sample-major (Fortran order) is packed along its samples instead,
+which gives those bytes at once. ``unpack`` and the count decoding run the
+same transpose backwards. All 16 gates lower to {AND, OR, XOR, NOT} word
+primitives:
 
     id  gate            words            id  gate            words
     0   false           0                8   nor             ~(a | b)
@@ -30,7 +37,9 @@ to keep the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
-binary numbers, and only the few resulting count planes are unpacked.
+binary numbers, and only the few resulting count planes are unpacked. The
+tree runs over leaf chunks of each group's planes that fit in cache, in
+whole lane rows, and then adds the chunks' counts as multi-bit numbers.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ def pack(samples: np.ndarray) -> PackedBatch:
     """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words."""
     _require_little_endian()
     samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[0] == 0:
+    if samples.ndim != 2 or 0 in samples.shape:
         raise ValueError("need a non-empty 2-d sample matrix")
     if samples.dtype.kind in "ui":
         # one pass: viewed as unsigned, negative integers lie above 1 too
@@ -85,21 +94,67 @@ def pack(samples: np.ndarray) -> PackedBatch:
     if not exact:
         raise ValueError("samples must be Boolean (each value exactly 0 or 1)")
     if samples.itemsize > 1:
-        samples = samples.astype(np.uint8)  # the transpose below then moves bytes
+        samples = samples.astype(np.uint8)  # packbits then reads bytes
     n, f = samples.shape
     lanes = -(-n // 64)
-    padded = np.zeros((f, lanes * 64), dtype=np.uint8)
-    padded[:, :n] = samples.T
-    words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-    return PackedBatch(words=words, sample_count=n)
+    if samples.strides[0] < samples.strides[1]:  # sample-major: pack along the samples
+        octets = np.packbits(samples, axis=0, bitorder="little")  # byte: 8 samples of a feature
+        words = np.zeros((f, lanes * 8), dtype=np.uint8)
+        words[:, : octets.shape[0]] = octets.T
+        return PackedBatch(words=words.view(np.uint64), sample_count=n)
+    samples = np.ascontiguousarray(samples)  # packbits is slow along a strided axis
+    octets = np.packbits(samples, axis=1, bitorder="little")  # byte j: features 8j .. 8j+7
+    blocks = np.zeros((octets.shape[1], lanes * 64), dtype=np.uint8)
+    blocks[:, :n] = octets.T  # a word of row j: byte j of 8 samples
+    del octets
+    _transpose_blocks(blocks)  # ... now 8 samples of each of 8 features
+    words = np.empty((blocks.shape[0] * 8, lanes * 8), dtype=np.uint8)
+    words.reshape(-1, 8, lanes * 8)[...] = blocks.reshape(-1, lanes * 8, 8).transpose(0, 2, 1)
+    return PackedBatch(words=words[:f].view(np.uint64), sample_count=n)
 
 
 def unpack(batch: PackedBatch) -> np.ndarray:
     """Inverse of pack: (samples, features) uint8."""
     _require_little_endian()
-    as_bytes = np.ascontiguousarray(batch.words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : batch.sample_count]
-    return np.ascontiguousarray(bits.T)
+    f, lanes = batch.words.shape
+    words = np.zeros((-(-f // 8) * 8, lanes), dtype=np.uint64)
+    words[:f] = batch.words
+    blocks = words.view(np.uint8).reshape(-1, 8, lanes * 8).transpose(0, 2, 1).copy()
+    _transpose_blocks(blocks)  # a word: one byte of features for each of 8 samples
+    octets = blocks.reshape(-1, lanes * 64)[:, : batch.sample_count].T.copy()
+    return np.ascontiguousarray(np.unpackbits(octets, axis=1, bitorder="little")[:, :f])
+
+
+# Delta swaps (shift, mask) that transpose the 8x8 bit matrix of a word.
+_TRANSPOSE_STEPS = (
+    (7, np.uint64(0x00AA00AA00AA00AA)),
+    (14, np.uint64(0x0000CCCC0000CCCC)),
+    (28, np.uint64(0x00000000F0F0F0F0)),
+)
+# Words transposed per pass: 256 KB stays in cache across the passes.
+_TRANSPOSE_WORDS = 1 << 15
+
+
+def _transpose_blocks(blocks: np.ndarray) -> None:
+    """Transpose in place the 8x8 bit matrix of every 64-bit word of ``blocks``.
+
+    ``blocks`` is C-contiguous, and each run of 8 bytes is one word: bit c of
+    byte r swaps with bit r of byte c. The transpose is its own inverse, so
+    ``pack`` and ``unpack`` share it, and ``_decode_counts`` turns 8 count
+    planes into one count byte per sample with it.
+    """
+    flat = blocks.reshape(-1).view(np.uint64)
+    scratch = np.empty(min(flat.size, _TRANSPOSE_WORDS), dtype=np.uint64)
+    for lo in range(0, flat.size, _TRANSPOSE_WORDS):
+        x = flat[lo : lo + _TRANSPOSE_WORDS]
+        t = scratch[: x.size]
+        for shift, mask in _TRANSPOSE_STEPS:  # t = (x ^ x >> s) & m; x ^= t ^ t << s
+            np.right_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            np.left_shift(t, shift, out=t)
+            x ^= t
 
 
 # Bytes of wire plane per lane block. Smaller blocks pay numpy's per-call
@@ -302,14 +357,22 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
     return PackedBatch(words=out, sample_count=batch.sample_count)
 
 
+# Bytes of output planes per readout chunk. The carry-save tree's scratch is
+# about the chunk's size again; at 1-2 MB both stay in cache.
+READOUT_BYTES = 2 << 20
+
+
 def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     """Set-bit counts per contiguous output group: (samples, k) int64.
 
     Counting stays on the packed words: each group's G output planes are
     added pairwise as bit-sliced binary numbers in a carry-save tree, so only
-    the ceil(log2(G+1)) count planes per class are unpacked to samples.
-    Padding bits never reach a real sample's count (every word operation is
-    per-bit independent) and are dropped at the unpack.
+    the ceil(log2(G+1)) count planes per class are unpacked to samples. The
+    tree first counts leaf chunks of each group's planes, whole lane rows of
+    at most ``READOUT_BYTES`` for all groups together, then adds the chunks'
+    counts as multi-bit numbers. Padding bits never reach a real sample's
+    count (every word operation is per-bit independent) and are dropped at
+    the unpack.
     """
     n = outputs.feature_count
     k = readout.k
@@ -318,37 +381,38 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     group = n // k
     if group == 0:
         return np.zeros((outputs.sample_count, k), dtype=np.int64)
-    width = group.bit_length()  # ceil(log2(group + 1)) count planes
-    planes = np.empty((width, k, outputs.lanes), dtype=np.uint64)
-    # lane blocks bound the tree's scratch (about 3x the block) at ~12 MB
-    step = max(1, (1 << 22) // (outputs.words.itemsize * n))
-    for lo in range(0, outputs.lanes, step):
-        block = outputs.words[:, lo : lo + step]
-        planes[..., lo : lo + step] = _carry_save_count(block.reshape(k, group, -1), width)
-    return _decode_counts(planes, outputs.sample_count)
+    lanes = outputs.lanes
+    planes = outputs.words.reshape(k, group, lanes)
+    step = min(group, max(1, READOUT_BYTES // (planes.itemsize * k * lanes)))  # planes per leaf
+    leaves = np.zeros((step.bit_length(), k, -(-group // step), lanes), dtype=np.uint64)
+    for i, lo in enumerate(range(0, group, step)):
+        leaf = planes[None, :, lo : lo + step]
+        bits = leaf.shape[2].bit_length()
+        leaves[:bits, :, i] = _carry_save_count(leaf, bits)
+    return _decode_counts(_carry_save_count(leaves, group.bit_length()), outputs.sample_count)
 
 
 def _carry_save_count(
-    planes: np.ndarray, width: int, xor=np.bitwise_xor, and_=np.bitwise_and, zero=0
+    nums: np.ndarray, width: int, xor=np.bitwise_xor, and_=np.bitwise_and, zero=0
 ) -> np.ndarray:
-    """Bit-sliced per-class sums of (k, G, lanes) 0/1 planes: (width, k, lanes).
+    """Bit-sliced per-class sums of (bits, k, numbers, lanes) numbers: (width, k, lanes).
 
-    Each tree level adds the first half of the numbers to the second half
-    with a ripple-carry adder, all pairs and classes at once; an odd number
-    left over is carried up, extended by ``zero`` planes. Sums never exceed
-    G < 2**width, so carries out of the top count plane are never formed.
-    A full adder's two carry terms are never both set, so XOR joins them.
-    ``xor`` and ``and_`` are called like ufuncs with ``out=``: the defaults
-    add words, and ``build_adder_aggregation`` passes ones that append gates.
+    The numbers are LSB plane first. Each tree level adds the first half of
+    the numbers to the second half with a ripple-carry adder, all pairs and
+    classes at once; an odd number left over is carried up, extended by
+    ``zero`` planes. Sums never exceed 2**width - 1, so carries out of the
+    top count plane are never formed. A full adder's two carry terms are
+    never both set, so XOR joins them. ``xor`` and ``and_`` are called like
+    ufuncs with ``out=``: the defaults add words, and
+    ``build_adder_aggregation`` passes ones that append gates.
     """
-    k, _, lanes = planes.shape
-    nums = planes[None]  # (bits, k, numbers, lanes), LSB plane first
+    _, k, _, lanes = nums.shape
     while nums.shape[2] > 1:
         bits, count = nums.shape[0], nums.shape[2]
         half = count // 2
         a, b = nums[:, :, :half], nums[:, :, half : 2 * half]
         grown = min(bits + 1, width)
-        nxt = np.empty((grown, k, half + count % 2, lanes), dtype=planes.dtype)
+        nxt = np.empty((grown, k, half + count % 2, lanes), dtype=nums.dtype)
         if count % 2:
             nxt[:bits, :, half] = nums[:, :, count - 1]
             nxt[bits:, :, half] = zero
@@ -369,18 +433,30 @@ def _carry_save_count(
 
 
 def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
-    """Counts held in (bits, k, lanes) LSB-first count planes: (samples, k) int64."""
-    bits = np.unpackbits(np.ascontiguousarray(planes).view(np.uint8), axis=-1, bitorder="little")
-    counts = np.zeros(bits.shape[1:2] + (sample_count,), dtype=np.int64)
-    for t, plane in enumerate(bits):
-        counts += plane[:, :sample_count].astype(np.int64) << t
+    """Counts held in (bits, k, lanes) LSB-first count planes: (samples, k) int64.
+
+    Eight planes at a time are bit-transposed, which leaves one byte per
+    sample: count bits 0-7, then 8-15, and so on.
+    """
+    bits, k, lanes = planes.shape
+    octets = np.zeros((-(-bits // 8) * 8, k, lanes), dtype=np.uint64)
+    octets[:bits] = planes
+    blocks = octets.view(np.uint8).reshape(-1, 8, k, lanes * 8).transpose(0, 2, 3, 1).copy()
+    _transpose_blocks(blocks)
+    counts = np.zeros((k, sample_count), dtype=np.int64)
+    for i, byte in enumerate(blocks.reshape(-1, k, lanes * 64)):
+        counts += np.left_shift(byte[:, :sample_count], 8 * i, dtype=np.int64)
     return counts.T
 
 
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch."""
     batch = samples if isinstance(samples, PackedBatch) else pack(samples)
-    outputs = execute_packed(circuit, batch, threads=threads)
+    return _scores(circuit, execute_packed(circuit, batch, threads=threads))
+
+
+def _scores(circuit: Circuit, outputs: PackedBatch) -> np.ndarray:
+    """(samples, k) class scores from the circuit's executed output wires."""
     if circuit.counter_bits is not None:
         # class-major, LSB-first counter wires are the count planes, transposed
         words = outputs.words.reshape(circuit.readout.k, -1, outputs.lanes)
@@ -418,7 +494,7 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
         new_src.append(pairs)
         new_ops.append(np.full(len(pairs), opcode, dtype=np.uint8))
 
-    groups = circuit.output_wires.astype(np.int64).reshape(circuit.readout.k, gsz, 1)
+    groups = circuit.output_wires.astype(np.int64).reshape(1, circuit.readout.k, gsz, 1)
     planes = _carry_save_count(groups, gsz.bit_length(), partial(gate, 6), partial(gate, 1), zero)
     counters = tuple(planes[:, :, 0].T.astype(np.uint32))
     added = sum(map(len, new_ops))
@@ -457,7 +533,13 @@ def benchmark(
     repetitions: int = 5,
     threads_list: tuple[int, ...] = (1,),
 ) -> dict:
-    """Median-of-repetitions inference throughput (execution plus readout)."""
+    """Median-of-repetitions inference throughput and time per stage.
+
+    ``samples_per_sec`` counts execution plus readout of the pre-packed
+    batch. ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the stages'
+    medians; ``pack_ms`` packs the batch's rows, recovered once by ``unpack``.
+    """
+    rows = unpack(batch)
     report = {
         "samples": batch.sample_count,
         "lanes": batch.lanes,
@@ -467,16 +549,24 @@ def benchmark(
     }
     for threads in threads_list:
         circuit_scores(circuit, batch, threads=threads)  # warmup + plan build
-        times = []
+        stages = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            circuit_scores(circuit, batch, threads=threads)
-            times.append(time.perf_counter() - t0)
-        med = float(np.median(times))
+            pack(rows)
+            t1 = time.perf_counter()
+            outputs = execute_packed(circuit, batch, threads=threads)
+            t2 = time.perf_counter()
+            _scores(circuit, outputs)
+            stages.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+        pack_s, execute_s, readout_s = np.median(stages, axis=0)
+        med = float(np.median([e + r for _, e, r in stages]))
         samples_per_sec = batch.sample_count / med
         report["per_thread"][threads] = {
             "seconds_median": med,
             "samples_per_sec": samples_per_sec,
             "gate_ops_per_sec": samples_per_sec * circuit.num_gates,
+            "pack_ms": float(pack_s) * 1e3,
+            "execute_ms": float(execute_s) * 1e3,
+            "readout_ms": float(readout_s) * 1e3,
         }
     return report

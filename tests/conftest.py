@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's fast code paths: the
 network oracle evaluates all 16 gates explicitly per neuron, and the circuit
 oracle applies truth-table lookups gate by gate on 0/1 arrays (no bit
-packing, no collapsed coefficients). Tests compare the real implementations
-against these.
+packing, no collapsed coefficients), and the pack oracle moves one byte per
+sample and feature before ``packbits``. Tests compare the real
+implementations against these.
 """
 
 import hashlib
@@ -57,6 +58,16 @@ def oracle_net_forward(net: LogicNet, x: np.ndarray) -> np.ndarray:
         sums = a.reshape(k, n // k).sum(axis=1)
         out.append(sums / net.readout.tau + net.readout.beta)
     return np.array(out)
+
+
+def oracle_pack(samples: np.ndarray) -> np.ndarray:
+    """(features, lanes) uint64 words of 0/1 samples, by a byte transpose and ``packbits``."""
+    samples = np.asarray(samples).astype(np.uint8)
+    n, f = samples.shape
+    lanes = -(-n // 64)
+    padded = np.zeros((f, lanes * 64), dtype=np.uint8)
+    padded[:, :n] = samples.T
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 def oracle_circuit_outputs(circuit: Circuit, samples: np.ndarray) -> np.ndarray:

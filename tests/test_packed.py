@@ -10,6 +10,7 @@ from conftest import (
     SAMPLE_COUNTS,
     oracle_circuit_counts,
     oracle_circuit_outputs,
+    oracle_pack,
     random_layered_circuit,
     random_netlist,
 )
@@ -18,7 +19,9 @@ from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
 from gatenet.packed import (
     BUDGET,
+    READOUT_BYTES,
     PackedBatch,
+    _decode_counts,
     _plan_for,
     benchmark,
     build_adder_aggregation,
@@ -101,10 +104,30 @@ class TestPack:
             np.testing.assert_array_equal(pack(x.astype(dtype)).words, want)
 
     def test_rejects_empty_or_wrong_rank(self):
-        with pytest.raises(ValueError):
-            pack(np.zeros((0, 4), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            pack(np.zeros(4, dtype=np.uint8))
+        for shape in [(0, 4), (5, 0), (4,)]:
+            with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
+                pack(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("f", [1, 7, 8, 9, 63, 64, 65, 784])
+    def test_matches_oracle_pack(self, n, f):
+        gen = np.random.default_rng([n, f])
+        x = gen.integers(0, 2, size=(n, 2 * f), dtype=np.uint8)
+        want = oracle_pack(x[:, :f])
+        for dtype in (np.uint8, bool, np.int64, np.float64):
+            np.testing.assert_array_equal(pack(x[:, :f].astype(dtype)).words, want)
+        np.testing.assert_array_equal(pack(np.asfortranarray(x[:, :f])).words, want)
+        np.testing.assert_array_equal(pack(x[:, ::2]).words, oracle_pack(x[:, ::2]))
+
+    def test_peak_memory_is_a_few_times_the_words(self):
+        x = np.random.default_rng(3).integers(0, 2, size=(16384, 784), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            words = pack(x).words
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * words.nbytes, f"peak {peak / words.nbytes:.1f}x the words"
 
 
 class TestExecutePacked:
@@ -280,11 +303,37 @@ class TestPopcount:
         np.testing.assert_array_equal(popcount_scores(ones, ReadoutConfig(k=3)), np.full((n, 3), 4))
 
     def test_lane_blocks_match_unpacked_sum(self, rng):
-        # 64 planes of 8200 lanes span more than one lane block of the readout
+        # 64 planes of 8200 lanes span more than one leaf chunk of the readout
         words = rng.integers(0, 2**64, size=(64, 8200), dtype=np.uint64)
         batch = PackedBatch(words, 8200 * 64 - 17)
         want = unpack(batch).reshape(batch.sample_count, 4, 16).sum(axis=2)
         np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=4)), want)
+
+    @pytest.mark.parametrize("group", [16, 48, 69])
+    def test_leaf_chunks_match_per_plane_sum(self, rng, group):
+        # lanes for leaf chunks of 16 planes: one chunk, three whole ones, and
+        # four whole ones plus one of 5, an odd leftover of odd size
+        k = 2
+        lanes = READOUT_BYTES // (8 * k * 16)
+        words = rng.integers(0, 2**64, size=(k * group, lanes), dtype=np.uint64)
+        batch = PackedBatch(words, lanes * 64 - 17)
+        want = np.zeros((k, batch.sample_count), dtype=np.int64)
+        for row, plane in enumerate(words):
+            want[row // group] += np.unpackbits(plane.view(np.uint8), bitorder="little")[
+                : batch.sample_count
+            ]
+        np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=k)), want.T)
+
+    @pytest.mark.parametrize("bits", [1, 8, 9, 16])
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_decode_counts_per_plane(self, rng, bits, n):
+        k, lanes = 3, -(-n // 64)
+        planes = rng.integers(0, 2**64, size=(bits, k, lanes), dtype=np.uint64)
+        want = np.zeros((n, k), dtype=np.int64)
+        for t, plane in enumerate(planes):
+            sample_bits = np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
+            want += sample_bits[:, :n].T.astype(np.int64) << t
+        np.testing.assert_array_equal(_decode_counts(planes, n), want)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -374,4 +423,6 @@ class TestBenchmark:
         assert one["gate_ops_per_sec"] == pytest.approx(
             one["samples_per_sec"] * circ.num_gates
         )
+        for stage in ("pack_ms", "execute_ms", "readout_ms"):
+            assert one[stage] > 0, stage
         assert isinstance(rep["cpu"], str) and rep["cpu"]
