@@ -94,19 +94,6 @@ def eval_relaxed(gate: int, a, b):
     return c0 + c1 * a + c2 * b + c3 * (a * b)
 
 
-def grad_relaxed(gate: int, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives (df/da, df/db) of the relaxed gate, analytically."""
-    if not 0 <= gate < NUM_GATES:
-        raise ValueError("gate id out of range [0, 16)")
-    _, c1, c2, c3 = COEFFS[gate]
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    da = c1 + c3 * b
-    db = c2 + c3 * a
-    return np.broadcast_to(da, np.broadcast_shapes(a.shape, b.shape)).copy(), \
-        np.broadcast_to(db, np.broadcast_shapes(a.shape, b.shape)).copy()
-
-
 def _table_transform(remap) -> np.ndarray:
     """Opcode lookup table for a truth-table column permutation/restriction.
 

@@ -270,16 +270,6 @@ class Circuit:
                 return nxt
             gates[:] = nxt
 
-    def structurally_equal(self, other: "Circuit") -> bool:
-        return (
-            self.input_width == other.input_width
-            and self.layer_sizes == other.layer_sizes
-            and np.array_equal(self.sources, other.sources)
-            and np.array_equal(self.opcodes, other.opcodes)
-            and np.array_equal(self.output_wires, other.output_wires)
-            and self.readout == other.readout
-        )
-
 
 def discretize(net: LogicNet) -> Circuit:
     """Snap every neuron to its most probable gate.

@@ -1,4 +1,4 @@
-"""Circuit optimization and analysis: pruning, equivalence checking, histograms.
+"""Circuit optimization and analysis: pruning and gate histograms.
 
 Pruning walks the netlist one dependency level at a time, all gates of a
 level at once, tracking for every wire whether it is (a) a known constant,
@@ -32,10 +32,6 @@ from .gates import (
     UNARY_GATES,
 )
 from .model import Circuit, LogicNet, discretize
-from .packed import execute_packed, pack, unpack
-
-EXHAUSTIVE_LIMIT = 20
-_CHUNK = 1 << 13
 
 
 def prune(circuit: Circuit) -> Circuit:
@@ -157,75 +153,6 @@ def _live_gates(level: np.ndarray, sources: np.ndarray, input_width: int, roots)
     for wave in reversed(np.split(order, np.flatnonzero(np.diff(level[order])) + 1)):
         needed[sources[wave[needed[input_width + wave]]].ravel()] = True
     return needed[input_width:]
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of an output-bit comparison between two circuits."""
-
-    equivalent: bool
-    mode: str  # "exhaustive" or "sampled"
-    tested: int
-    counterexample: np.ndarray | None = None  # first differing input row
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def check_equivalence(
-    c1: Circuit,
-    c2: Circuit,
-    mode: str = "auto",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> EquivalenceReport:
-    """Compare two circuits' output bits input by input.
-
-    With ``mode="auto"`` the check is exhaustive over all 2^w assignments
-    when the input width w is at most 20, and falls back to ``samples``
-    seeded random vectors otherwise. Stops at the first mismatch and reports
-    that input row.
-    """
-    if c1.input_width != c2.input_width:
-        raise ValueError("circuits have different input widths")
-    if len(c1.output_wires) != len(c2.output_wires):
-        raise ValueError("circuits have different output counts")
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError("mode must be 'auto', 'exhaustive', or 'sampled'")
-    w = c1.input_width
-    if mode == "auto":
-        mode = "exhaustive" if w <= EXHAUSTIVE_LIMIT else "sampled"
-    if mode == "exhaustive":
-        if w > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive check limited to {EXHAUSTIVE_LIMIT} inputs, got {w}")
-        total = 1 << w
-
-        def batches():
-            cols = np.arange(w, dtype=np.uint32)
-            for start in range(0, total, _CHUNK):
-                idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-                yield ((idx[:, None] >> cols) & 1).astype(np.uint8)
-
-    else:
-        total = int(samples)
-        gen = np.random.default_rng(seed)
-
-        def batches():
-            remaining = total
-            while remaining > 0:
-                take = min(_CHUNK, remaining)
-                remaining -= take
-                yield gen.integers(0, 2, size=(take, w), dtype=np.uint8)
-
-    tested = 0
-    for x in batches():
-        o1 = unpack(execute_packed(c1, pack(x)))
-        o2 = unpack(execute_packed(c2, pack(x)))
-        if not np.array_equal(o1, o2):
-            row = int(np.nonzero((o1 != o2).any(axis=1))[0][0])
-            return EquivalenceReport(False, mode, tested + row + 1, x[row].copy())
-        tested += len(x)
-    return EquivalenceReport(True, mode, tested)
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,15 @@ def pack(samples: np.ndarray) -> PackedBatch:
     samples = np.asarray(samples)
     if samples.ndim != 2 or 0 in samples.shape:
         raise ValueError("need a non-empty 2-d sample matrix")
+    exact = True
     if samples.dtype.kind in "ui":
         # one pass: viewed as unsigned, negative integers lie above 1 too
         exact = samples.view(f"u{samples.itemsize}").max() <= 1
-    else:
-        exact = samples.dtype.kind == "b" or np.all((samples == 0) | (samples == 1))
+    elif samples.dtype.kind != "b":
+        # exact 0/1 values equal their truth value (x != 0); 0.5, -1, inf and NaN do not
+        bits = samples != 0
+        exact = np.array_equal(samples, bits)
+        samples = bits.view(np.uint8)
     if not exact:
         raise ValueError("samples must be Boolean (each value exactly 0 or 1)")
     if samples.itemsize > 1:

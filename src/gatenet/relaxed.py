@@ -48,7 +48,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from . import gates
-from .model import LogicNet, ReadoutConfig, gate_probs
+from .model import LogicNet, gate_probs
 
 
 @dataclass(eq=False)
@@ -169,26 +169,6 @@ class _Scatter:
                                  self.halves_vals, halves.ravel(), out.ravel())
         _sparsetools.csr_matvecs(prev, d.shape[0], batch, self.indptr, self.d_cols,
                                  self.d_vals, d.ravel(), out.ravel())
-
-
-def group_sum(outputs: np.ndarray, readout: ReadoutConfig) -> np.ndarray:
-    """Class scores from output activations (features on the last axis).
-
-    scores_i = (sum over group i)/tau + beta, groups being k contiguous blocks.
-    """
-    outputs = np.asarray(outputs)
-    n = outputs.shape[-1]
-    if n % readout.k:
-        raise ValueError(f"output width {n} not divisible by k={readout.k}")
-    sums = outputs.reshape(outputs.shape[:-1] + (readout.k, n // readout.k)).sum(axis=-1)
-    return sums / readout.tau + readout.beta
-
-
-def neuron_forward(logits: np.ndarray, a1, a2, allowed: np.ndarray | None = None):
-    """Single neuron: softmax(logits)-weighted mixture of all 16 gates at (a1, a2)."""
-    p = gate_probs(logits, allowed)
-    q = p @ gates.COEFFS
-    return q[..., 0] + q[..., 1] * a1 + q[..., 2] * a2 + q[..., 3] * (a1 * a2)
 
 
 def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = None) -> ForwardCache:

@@ -31,6 +31,9 @@ from .relaxed import ForwardCache, backward, forward_relaxed
 # the batch size follows from the net's widths and dtype.
 RELAXED_EVAL_BYTES = 64 << 20
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 class NumericsError(RuntimeError):
     """Raised when a loss or gradient stops being finite."""
@@ -45,26 +48,23 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def cross_entropy_loss(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the scores.
 
-    Accepts a single score vector (k,) with an integer label, or a batch
-    (batch, k) with labels (batch,). The gradient is that of the returned
-    (mean) loss, i.e. (softmax - one_hot) / batch.
+    Takes (batch, k) scores with (batch,) integer labels. The gradient is that
+    of the returned (mean) loss, i.e. (softmax - one_hot) / batch.
     """
     scores = np.asarray(scores)
-    squeeze = scores.ndim == 1
-    s2 = scores[None, :] if squeeze else scores
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, k = s2.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = scores.shape
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    shifted = s2 - s2.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     loss = float((logz - shifted[np.arange(n), labels]).mean())
-    grad = _softmax_rows(s2)
+    grad = _softmax_rows(scores)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, (grad[0] if squeeze else grad)
+    return loss, grad
 
 
 @dataclass
@@ -79,9 +79,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 100
     max_epochs: int = 200
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     eval_every: int = 1
     allowed_gates: int = ALL_GATES_MASK
@@ -91,8 +88,6 @@ class TrainConfig:
             raise ValueError("need at least 1 gate layer of width >= 2")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
@@ -138,7 +133,7 @@ def adam_step(
             bad = int((~np.isfinite(g)).sum())
             raise NumericsError(f"non-finite gradient: layer {li}, {bad} of {g.size} entries")
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     lr = config.learning_rate
@@ -152,7 +147,7 @@ def adam_step(
         v += step
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += config.adam_epsilon
+        denom += ADAM_EPSILON
         np.divide(m, c1, out=step)
         step *= lr
         step /= denom

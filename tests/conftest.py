@@ -5,10 +5,13 @@ network oracle evaluates all 16 gates explicitly per neuron, and the circuit
 oracle applies truth-table lookups gate by gate on 0/1 arrays (no bit
 packing, no collapsed coefficients), and the pack oracle moves one byte per
 sample and feature before ``packbits``. Tests compare the real
-implementations against these.
+implementations against these. ``check_equivalence`` compares two circuits'
+output bits through the packed path, which those oracles check, and
+``structurally_equal`` compares their netlists.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from gatenet.model import (
     discretize,
     init_params,
 )
+from gatenet.packed import execute_packed, pack, unpack
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -88,6 +92,91 @@ def oracle_circuit_counts(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
     bits = oracle_circuit_outputs(circuit, samples)
     k = circuit.readout.k
     return bits.reshape(bits.shape[0], k, -1).sum(axis=2).astype(np.int64)
+
+
+def structurally_equal(c1: Circuit, c2: Circuit) -> bool:
+    """Whether two circuits have the same wiring, opcodes, outputs and readout."""
+    return (
+        c1.input_width == c2.input_width
+        and c1.layer_sizes == c2.layer_sizes
+        and np.array_equal(c1.sources, c2.sources)
+        and np.array_equal(c1.opcodes, c2.opcodes)
+        and np.array_equal(c1.output_wires, c2.output_wires)
+        and c1.readout == c2.readout
+    )
+
+
+EXHAUSTIVE_LIMIT = 20
+_CHUNK = 1 << 13
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Outcome of an output-bit comparison between two circuits."""
+
+    equivalent: bool
+    mode: str  # "exhaustive" or "sampled"
+    tested: int
+    counterexample: np.ndarray | None = None  # first differing input row
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def check_equivalence(
+    c1: Circuit,
+    c2: Circuit,
+    mode: str = "auto",
+    samples: int = 10_000,
+    seed: int = 0,
+) -> EquivalenceReport:
+    """Compare two circuits' output bits input by input.
+
+    With ``mode="auto"`` the check is exhaustive over all 2^w assignments
+    when the input width w is at most 20, and falls back to ``samples``
+    seeded random vectors otherwise. Stops at the first mismatch and reports
+    that input row.
+    """
+    if c1.input_width != c2.input_width:
+        raise ValueError("circuits have different input widths")
+    if len(c1.output_wires) != len(c2.output_wires):
+        raise ValueError("circuits have different output counts")
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError("mode must be 'auto', 'exhaustive', or 'sampled'")
+    w = c1.input_width
+    if mode == "auto":
+        mode = "exhaustive" if w <= EXHAUSTIVE_LIMIT else "sampled"
+    if mode == "exhaustive":
+        if w > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive check limited to {EXHAUSTIVE_LIMIT} inputs, got {w}")
+        total = 1 << w
+
+        def batches():
+            cols = np.arange(w, dtype=np.uint32)
+            for start in range(0, total, _CHUNK):
+                idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
+                yield ((idx[:, None] >> cols) & 1).astype(np.uint8)
+
+    else:
+        total = int(samples)
+        gen = np.random.default_rng(seed)
+
+        def batches():
+            remaining = total
+            while remaining > 0:
+                take = min(_CHUNK, remaining)
+                remaining -= take
+                yield gen.integers(0, 2, size=(take, w), dtype=np.uint8)
+
+    tested = 0
+    for x in batches():
+        o1 = unpack(execute_packed(c1, pack(x)))
+        o2 = unpack(execute_packed(c2, pack(x)))
+        if not np.array_equal(o1, o2):
+            row = int(np.nonzero((o1 != o2).any(axis=1))[0][0])
+            return EquivalenceReport(False, mode, tested + row + 1, x[row].copy())
+        tested += len(x)
+    return EquivalenceReport(True, mode, tested)
 
 
 def random_layered_circuit(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    check_equivalence,
     oracle_circuit_counts,
     oracle_circuit_outputs,
     random_layered_circuit,
@@ -27,7 +28,7 @@ from gatenet import gates
 from gatenet.datasets import load_dataset, resolve_data_dir
 from gatenet.emit import compile_and_load
 from gatenet.model import discretize
-from gatenet.opt import check_equivalence, op_histogram, prune
+from gatenet.opt import op_histogram, prune
 from gatenet.packed import (
     benchmark,
     build_adder_aggregation,

@@ -387,6 +387,19 @@ class TestEntryPoints:
         assert proc.returncode == EXIT_USAGE
         assert "error" in proc.stderr
 
+    def test_cli_imports_every_module(self):
+        # a module the command never imports is code that no pipeline runs
+        files = os.listdir(os.path.join(_SRC, "gatenet"))
+        names = sorted(n[:-3] for n in files if n.endswith(".py") and n != "__main__.py")
+        code = "import sys, gatenet.cli; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=MODULE_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        unused = [n for n in names if n != "__init__" and f"gatenet.{n}" not in loaded]
+        assert unused == []
+
     def test_no_subcommand_exits_one(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gatenet"], capture_output=True, text=True, env=MODULE_ENV

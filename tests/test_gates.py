@@ -1,8 +1,7 @@
 """Gate semantics against hand-written oracles.
 
 The relaxed forms are checked against an independently written list of the
-sixteen polynomials (not derived from the package's coefficient matrix), and
-the derivatives against central finite differences.
+sixteen polynomials (not derived from the package's coefficient matrix).
 """
 
 import numpy as np
@@ -96,19 +95,6 @@ def test_complement_pairs_sum_to_one(g, a, b):
     assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grad_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    h = 1e-6
-    for g in range(16):
-        a = rng.uniform(h, 1 - h, size=50)
-        b = rng.uniform(h, 1 - h, size=50)
-        da, db = gates.grad_relaxed(g, a, b)
-        fd_a = (gates.eval_relaxed(g, a + h, b) - gates.eval_relaxed(g, a - h, b)) / (2 * h)
-        fd_b = (gates.eval_relaxed(g, a, b + h) - gates.eval_relaxed(g, a, b - h)) / (2 * h)
-        np.testing.assert_allclose(da, fd_a, atol=1e-8)
-        np.testing.assert_allclose(db, fd_b, atol=1e-8)
-
-
 def test_gate_id_encodes_truth_table():
     for g in range(16):
         bits = [int(gates.eval_hard(g, a, b)) for a, b in CORNERS]
@@ -120,8 +106,6 @@ def test_gate_id_out_of_range_rejected():
         gates.eval_relaxed(16, 0.5, 0.5)
     with pytest.raises(ValueError):
         gates.eval_hard(-1, 0, 0)
-    with pytest.raises(ValueError):
-        gates.grad_relaxed(17, 0.5, 0.5)
 
 
 def test_negation_transforms_exhaustive():

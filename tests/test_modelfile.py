@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_layered_circuit, random_small_net
+from conftest import check_equivalence, random_layered_circuit, random_small_net, structurally_equal
 from gatenet.model import ReadoutConfig, build_topology, init_params, LogicNet
 from gatenet.modelfile import (
     ModelFileError,
@@ -16,7 +16,7 @@ from gatenet.modelfile import (
     save_model,
     unpack_opcodes,
 )
-from gatenet.opt import check_equivalence, prune
+from gatenet.opt import prune
 from gatenet.packed import build_adder_aggregation, circuit_scores
 from gatenet.relaxed import forward_relaxed
 
@@ -68,7 +68,7 @@ class TestCircuitRoundTrip:
         path = str(tmp_path / "c.gnet")
         save_model(c, path)
         loaded = load_model(path)
-        assert loaded.structurally_equal(c)
+        assert structurally_equal(loaded, c)
         assert loaded.seed == c.seed
         np.testing.assert_allclose(loaded.max_probs, c.max_probs, rtol=1e-6)
         x = rng.integers(0, 2, size=(100, 9), dtype=np.uint8)
@@ -80,7 +80,7 @@ class TestCircuitRoundTrip:
             path = str(tmp_path / f"{name}.gnet")
             save_model(c, path)
             loaded = load_model(path)
-            assert loaded.structurally_equal(c)
+            assert structurally_equal(loaded, c)
             if c.counter_bits is not None:
                 assert [list(cb) for cb in loaded.counter_bits] == [
                     list(cb) for cb in c.counter_bits

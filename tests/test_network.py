@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import oracle_net_forward, random_small_net
-from gatenet import gates
 from gatenet.model import (
     LogicNet,
     NetworkTopology,
@@ -17,7 +16,7 @@ from gatenet.model import (
     init_params,
     mask_to_bools,
 )
-from gatenet.relaxed import backward, forward_relaxed, group_sum, neuron_forward
+from gatenet.relaxed import backward, forward_relaxed
 
 
 class TestTopology:
@@ -108,48 +107,53 @@ class TestInitParams:
         assert any(not np.array_equal(m1, m3) for m1, m3 in zip(a, c))
 
 
+def one_gate_scores(logits: np.ndarray) -> np.ndarray:
+    """Scores at the four corners of a layer whose two neurons share ``logits``.
+
+    The neurons read (a, b) and (b, a), and k=2 gives each its own group, so
+    with tau 1 and beta 0 every score is one neuron's output.
+    """
+    topo = NetworkTopology((2, 2), (np.array([[0, 1], [1, 0]], dtype=np.int32),))
+    net = LogicNet(topo, [np.stack([logits, logits])], ReadoutConfig(k=2))
+    return forward_relaxed(net, np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])).scores
+
+
+def saturated_gate_scores(opcodes: list[int], readout: ReadoutConfig) -> np.ndarray:
+    """Scores of one row through a layer of constant gates, one per output."""
+    topo = build_topology(0, [2, len(opcodes)])
+    logits = np.where(np.arange(16) == np.array(opcodes)[:, None], 60.0, 0.0)
+    return forward_relaxed(LogicNet(topo, [logits], readout), np.array([[0.0, 1.0]])).scores
+
+
 class TestNeuronForward:
     def test_uniform_logits_give_half_at_corners(self):
-        w = np.zeros(16)
         # 8 of the 16 truth tables are 1 at any fixed corner
-        assert neuron_forward(w, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-        assert neuron_forward(w, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(one_gate_scores(np.zeros(16)), 0.5, atol=1e-12)
 
     def test_saturated_xor(self):
         w = np.zeros(16)
         w[6] = 40.0
-        assert neuron_forward(w, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert neuron_forward(w, 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_explicit_mixture(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = rng.standard_normal(16)
-            a1, a2 = rng.uniform(0, 1, 2)
-            p = gate_probs(w)
-            want = sum(p[g] * float(gates.eval_relaxed(g, a1, a2)) for g in range(16))
-            assert neuron_forward(w, a1, a2) == pytest.approx(want, abs=1e-12)
+        want = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_allclose(one_gate_scores(w), want, atol=1e-12)
 
 
 class TestGroupSum:
     def test_stated_example(self):
-        out = group_sum(np.array([1.0, 0.0, 1.0, 1.0]), ReadoutConfig(k=2, tau=2.0))
-        np.testing.assert_allclose(out, [0.5, 1.0])
+        out = saturated_gate_scores([15, 0, 15, 15], ReadoutConfig(k=2, tau=2.0))
+        np.testing.assert_allclose(out, [[0.5, 1.0]], atol=1e-12)
 
     def test_beta_offset(self):
-        out = group_sum(np.zeros(6), ReadoutConfig(k=3, beta=0.3))
-        np.testing.assert_allclose(out, [0.3, 0.3, 0.3])
+        out = saturated_gate_scores([0] * 6, ReadoutConfig(k=3, beta=0.3))
+        np.testing.assert_allclose(out, [[0.3, 0.3, 0.3]], atol=1e-12)
 
-    def test_argmax_invariant_under_beta_and_tau(self):
-        rng = np.random.default_rng(1)
-        vals = rng.uniform(0, 1, size=(5, 12))
-        base = group_sum(vals, ReadoutConfig(k=4))
-        shifted = group_sum(vals, ReadoutConfig(k=4, tau=3.7, beta=-2.0))
+    def test_argmax_invariant_under_beta_and_tau(self, rng):
+        topo = build_topology(1, [8, 12])
+        logits = init_params(topo, 1, dtype=np.float64)
+        x = rng.uniform(0, 1, size=(5, 8))
+        base = forward_relaxed(LogicNet(topo, logits, ReadoutConfig(k=4)), x).scores
+        readout = ReadoutConfig(k=4, tau=3.7, beta=-2.0)
+        shifted = forward_relaxed(LogicNet(topo, logits, readout), x).scores
         np.testing.assert_array_equal(base.argmax(axis=1), shifted.argmax(axis=1))
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            group_sum(np.zeros(7), ReadoutConfig(k=2))
 
 
 class TestForwardRelaxed:

@@ -92,7 +92,7 @@ class TestPack:
         with pytest.raises(ValueError):
             pack(np.array([[0, 2]]))
 
-    @pytest.mark.parametrize("bad", [256, 0.5, 1.9, -1, np.nan])
+    @pytest.mark.parametrize("bad", [256, 0.5, 1.9, -1, np.nan, np.inf])
     def test_rejects_values_other_than_exact_0_or_1(self, bad):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
             pack(np.array([[0, bad]]))
