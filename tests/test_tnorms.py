@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatenet import gates
-from gatenet.tnorms import FAMILY_NAMES, RelaxationFamily, eval_family, t_conorm, t_norm
+from tnorms import FAMILY_NAMES, RelaxationFamily, eval_family, t_conorm, t_norm
 
 # Independent oracle implementations, scalar math only. The conorm oracles are
 # written as the De Morgan dual 1 - T(1-a, 1-b), which is the defining
