@@ -27,18 +27,22 @@ strictly layered circuit needs its input rows plus two bands. Inside a wave
 the gates are renumbered so that every opcode group fills one contiguous
 slice of rows: the group's two operands are gathered with ``np.take`` into
 scratch blocks and combined by numpy's bitwise ufuncs with ``out=`` straight
-into its slice. A batch runs in blocks of word lanes, as many as keep one
-block's plane within ``BUDGET`` bytes; the plane, scratch and gathered outputs
-of a block are carved from one buffer, and extra threads share out the
-blocks. Padding bits in the last lane never influence real samples (bitwise
-ops are per-bit independent); returned batches have their padding re-zeroed
-to keep the layout canonical.
+into its slice. A batch runs in blocks of word lanes: as few blocks as keep
+each block's plane within ``BUDGET`` bytes, of equal size give or take one
+lane. The plane, scratch and gathered outputs of a block are carved from one
+buffer, and extra threads share out the blocks. A batch of one block gathers
+its outputs straight into the returned words. Padding bits in the last lane
+never influence real samples (bitwise ops are per-bit independent); returned
+batches have their padding re-zeroed to keep the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
 binary numbers, and only the few resulting count planes are unpacked. The
 tree runs over leaf chunks of each group's planes that fit in cache, in
 whole lane rows, and then adds the chunks' counts as multi-bit numbers.
+``circuit_scores`` runs the batch one execution block at a time: it packs
+the block's rows, executes them as a one-block batch and counts the outputs
+while they are still in cache, then joins the blocks' scores.
 """
 
 from __future__ import annotations
@@ -82,9 +86,7 @@ class PackedBatch:
 def pack(samples: np.ndarray) -> PackedBatch:
     """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words."""
     _require_little_endian()
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or 0 in samples.shape:
-        raise ValueError("need a non-empty 2-d sample matrix")
+    samples = _sample_matrix(samples)
     exact = True
     if samples.dtype.kind in "ui":
         # one pass: viewed as unsigned, negative integers lie above 1 too
@@ -109,6 +111,14 @@ def pack(samples: np.ndarray) -> PackedBatch:
     words = np.empty((blocks.shape[0] * 8, lanes * 8), dtype=np.uint8)
     words.reshape(-1, 8, lanes * 8)[...] = blocks.reshape(-1, lanes * 8, 8).transpose(0, 2, 1)
     return PackedBatch(words=words[:f].view(np.uint64), sample_count=n)
+
+
+def _sample_matrix(samples) -> np.ndarray:
+    """``samples`` as an array, which must be a non-empty 2-d matrix."""
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or 0 in samples.shape:
+        raise ValueError("need a non-empty 2-d sample matrix")
+    return samples
 
 
 def unpack(batch: PackedBatch) -> np.ndarray:
@@ -166,8 +176,27 @@ BUDGET = 8 << 20
 
 
 def _block_lanes(rows: int) -> int:
-    """Lanes per block for a plane of ``rows`` 64-bit words per lane."""
+    """Most lanes per block for a plane of ``rows`` 64-bit words per lane."""
     return max(1, BUDGET // (8 * rows))
+
+
+def _lane_blocks(lanes: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) lanes of the fewest blocks of at most ``_block_lanes(rows)`` lanes.
+
+    The blocks differ in size by at most one lane, so no block is left small.
+    """
+    count = -(-lanes // _block_lanes(rows))
+    edges = [lanes * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _share(run, blocks: list, threads: int) -> list:
+    """``run`` over ``blocks`` dealt in turn to up to ``threads`` threads; each thread's result."""
+    workers = max(1, min(threads, len(blocks)))
+    if workers == 1:
+        return [run(blocks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, (blocks[t::workers] for t in range(workers))))
 
 
 class _ExecPlan:
@@ -313,21 +342,26 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     return plan
 
 
-def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, starts, step: int) -> None:
-    """Execute the lane blocks ``lo .. lo + step`` for each ``lo`` in ``starts`` into ``out``.
+def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, blocks: list) -> None:
+    """Execute the lanes ``lo .. hi`` of ``words`` into ``out`` for each (lo, hi) in ``blocks``.
 
     Every block's plane, scratch and gathered outputs are carved from one
-    buffer, so each ``out=`` below is C-contiguous.
+    buffer, so each ``out=`` below is C-contiguous. A block of all the lanes
+    gathers its outputs straight into ``out``.
     """
-    heights = np.array([plan.rows, plan.scratch, plan.scratch, len(plan.outputs)])
-    buf = np.empty(heights.sum() * min(step, words.shape[1]), dtype=np.uint64)
-    for lo in starts:
-        hi = min(lo + step, words.shape[1])
+    step = max(hi - lo for lo, hi in blocks)
+    whole = step == out.shape[1]
+    heights = np.array([plan.rows, plan.scratch, plan.scratch, 0 if whole else len(plan.outputs)])
+    buf = np.empty(heights.sum() * step, dtype=np.uint64)
+    for lo, hi in blocks:
         parts = np.split(buf[: heights.sum() * (hi - lo)], np.cumsum(heights)[:-1] * (hi - lo))
         plane, a, b, gathered = (part.reshape(-1, hi - lo) for part in parts)
         plane[: plan.input_width] = words[:, lo:hi]
         _run_groups(plan, plane, a, b)
-        out[:, lo:hi] = np.take(plane, plan.outputs, axis=0, out=gathered, mode="clip")
+        if whole:
+            np.take(plane, plan.outputs, axis=0, out=out, mode="clip")
+        else:
+            out[:, lo:hi] = np.take(plane, plan.outputs, axis=0, out=gathered, mode="clip")
 
 
 def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> PackedBatch:
@@ -342,17 +376,9 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
             f"batch has {batch.feature_count} features, circuit wants {circuit.input_width}"
         )
     plan = _plan_for(circuit)
-    lanes = batch.lanes
-    step = _block_lanes(plan.rows)
-    starts = range(0, lanes, step)
-    out = np.empty((len(plan.outputs), lanes), dtype=np.uint64)
-    workers = max(1, min(threads, len(starts)))
-    run = partial(_run_blocks, plan, batch.words, out, step=step)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, (starts[t::workers] for t in range(workers))))
-    else:
-        run(starts)
+    out = np.empty((len(plan.outputs), batch.lanes), dtype=np.uint64)
+    blocks = _lane_blocks(batch.lanes, plan.rows)
+    _share(partial(_run_blocks, plan, batch.words, out), blocks, threads)
     tail = batch.sample_count % 64
     if tail:  # only the last lane holds padding bits
         out[:, -1] &= np.uint64((1 << tail) - 1)
@@ -360,12 +386,18 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
 
 
 # Bytes of output planes per leaf chunk of the readout. The carry-save tree's
-# scratch for a chunk is about the chunk's size again; at 1-2 MB both stay in
-# cache. Only the leaf chunks are held to this bound: the chunk counts are
-# added over all lanes at once, and they take about bits/step of the output
+# scratch for a chunk is about the chunk's size again. ``circuit_scores``
+# counts one execution block at a time: on the criterion-8 circuits, 8000
+# output planes of about 52 lanes, 3.3 MB. At 4 MB such a block is one leaf,
+# and the leaf tree's per-call overhead is paid once per block instead of
+# three times. On 16384 rows, 2 MB against 4 MB took circuit_scores from 56.1
+# to 51.4 ms on the pruned circuit and from 78.1 to 73.0 ms on the unpruned one
+# (medians of 32 interleaved calls; 2-core 2.0 GHz Xeon); 8 MB ran as 4 MB.
+# Only the leaf chunks are held to this bound: the chunk counts are added over
+# all lanes of the call at once, and they take about bits/step of the output
 # words, which grows with the square of the lanes (about 1 MB at 16384 rows
-# and 11 MB at 60000 rows of a 10 x 800-plane readout).
-READOUT_BYTES = 2 << 20
+# and 11 MB at 60000 rows of a 10 x 800-plane readout in one call).
+READOUT_BYTES = 4 << 20
 
 
 def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
@@ -457,9 +489,51 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
 
 
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
-    """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch."""
-    batch = samples if isinstance(samples, PackedBatch) else pack(samples)
-    return _scores(circuit, execute_packed(circuit, batch, threads=threads))
+    """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch.
+
+    The batch runs in the lane blocks of ``execute_packed``, one at a time:
+    each block is packed (or sliced from the PackedBatch), executed and
+    counted into its rows of the scores. Threads take turns over the blocks,
+    so results are identical for any thread count.
+    """
+    return _score_batch(circuit, samples, threads)[0]
+
+
+def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, list]:
+    """``circuit_scores`` and, per thread, the seconds of its pack, execute and readout."""
+    if isinstance(samples, PackedBatch):
+        n, lanes = samples.sample_count, samples.lanes
+    else:
+        samples = _sample_matrix(samples)
+        n, lanes = len(samples), -(-len(samples) // 64)
+    scores = np.empty((n, circuit.readout.k), dtype=np.int64)
+    chunks = _lane_blocks(lanes, _plan_for(circuit).rows)
+    return scores, _share(partial(_score_chunks, circuit, samples, scores), chunks, threads)
+
+
+def _score_chunks(circuit: Circuit, samples, scores: np.ndarray, chunks: list) -> np.ndarray:
+    """Score the lanes ``lo .. hi`` of ``samples`` for each (lo, hi) in ``chunks``.
+
+    Writes the chunks' rows of ``scores``; returns the seconds spent in pack,
+    execute and readout, summed over the chunks.
+    """
+    stages = np.zeros(3)
+    for lo, hi in chunks:
+        t0 = time.perf_counter()
+        if isinstance(samples, PackedBatch):
+            count = min(64 * hi, samples.sample_count) - 64 * lo
+            batch = PackedBatch(words=samples.words[:, lo:hi], sample_count=count)
+        else:
+            batch = pack(samples[64 * lo : 64 * hi])
+        t1 = time.perf_counter()
+        outputs = execute_packed(circuit, batch)
+        t2 = time.perf_counter()
+        scores[64 * lo : 64 * lo + batch.sample_count] = _scores(circuit, outputs)
+        stages += (t1 - t0, t2 - t1, time.perf_counter() - t2)
+        # free before the next chunk allocates: otherwise the heap shrinks and
+        # regrows every chunk, about 1900 page faults per 16384-row call
+        del batch, outputs
+    return stages
 
 
 def _scores(circuit: Circuit, outputs: PackedBatch) -> np.ndarray:
@@ -542,9 +616,11 @@ def benchmark(
 ) -> dict:
     """Median-of-repetitions inference throughput and time per stage.
 
-    ``samples_per_sec`` counts execution plus readout of the pre-packed
-    batch. ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the stages'
-    medians; ``pack_ms`` packs the batch's rows, recovered once by ``unpack``.
+    Each repetition scores the batch's rows, recovered once by ``unpack``,
+    on the path ``circuit_scores`` runs, and sums each stage over the lane
+    blocks; with several threads, a stage's time is the largest of the
+    threads' sums. ``samples_per_sec`` counts execution plus readout;
+    ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the stages' medians.
     """
     rows = unpack(batch)
     report = {
@@ -556,15 +632,8 @@ def benchmark(
     }
     for threads in threads_list:
         circuit_scores(circuit, batch, threads=threads)  # warmup + plan build
-        stages = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            pack(rows)
-            t1 = time.perf_counter()
-            outputs = execute_packed(circuit, batch, threads=threads)
-            t2 = time.perf_counter()
-            _scores(circuit, outputs)
-            stages.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+        stages = [np.max(_score_batch(circuit, rows, threads)[1], axis=0)
+                  for _ in range(repetitions)]
         pack_s, execute_s, readout_s = np.median(stages, axis=0)
         med = float(np.median([e + r for _, e, r in stages]))
         samples_per_sec = batch.sample_count / med

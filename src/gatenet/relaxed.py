@@ -27,7 +27,8 @@ previous layer's gradient rows.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score
-gradient divided by tau. Activations are stored feature-major (width, batch)
+gradient divided by tau. A group's sum adds its neurons in order for any
+batch size, so a row scores the same bits alone as in any batch. Activations are stored feature-major (width, batch)
 so gathers are row slices. Everything runs in the net's dtype, the gate
 softmax included: training builds float32 nets, the gradient checks float64
 ones.
@@ -201,7 +202,11 @@ def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = Non
         a1 += q[:, 0:1]
         act += a1
     k = net.readout.k
-    np.sum(cache.acts[-1].reshape(k, -1, batch), axis=1, out=work.sums)
+    groups = cache.acts[-1].reshape(k, -1, batch)
+    if batch == 1:  # np.sum adds one contiguous row pairwise; add it in order, as for more rows
+        work.sums[:, 0] = np.cumsum(groups[:, :, 0], axis=1)[:, -1]
+    else:
+        np.sum(groups, axis=1, out=work.sums)
     np.divide(work.sums.T, net.readout.tau, out=cache.scores)
     cache.scores += net.readout.beta
     return cache

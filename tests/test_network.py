@@ -178,6 +178,16 @@ class TestForwardRelaxed:
         with pytest.raises(ValueError):
             forward_relaxed(net, np.zeros((3, net.input_width + 1)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_score_the_same_bits_in_any_batch(self, dtype):
+        topo = build_topology(4, [20, 600, 600])
+        net = LogicNet(topo, init_params(topo, 4, dtype=dtype), ReadoutConfig(k=3))
+        x = np.random.default_rng(4).uniform(0, 1, size=(6, 20))
+        whole = forward_relaxed(net, x).scores.copy()
+        for size in (1, 2):
+            parts = [forward_relaxed(net, x[i : i + size]).scores for i in range(0, 6, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
     def test_saturated_constant_true_network(self):
         topo = build_topology(5, [4, 8, 8])
         logits = [np.zeros((8, 16)) for _ in range(2)]

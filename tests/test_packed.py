@@ -1,5 +1,6 @@
 """Bit-packed circuit execution against the truth-table interpreter."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import (
     random_layered_circuit,
     random_netlist,
 )
-from gatenet import gates
+from gatenet import gates, packed
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
 from gatenet.packed import (
@@ -22,6 +23,7 @@ from gatenet.packed import (
     READOUT_BYTES,
     PackedBatch,
     _decode_counts,
+    _lane_blocks,
     _plan_for,
     benchmark,
     build_adder_aggregation,
@@ -212,6 +214,56 @@ class TestGeneralNetlists:
             want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
             np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
         np.testing.assert_array_equal(execute_packed(circ, batch, threads=3).words, got.words)
+
+
+class TestChunkedScores:
+    """``circuit_scores`` packs, executes and counts one execution block at a time.
+
+    ``BUDGET`` is lowered to 3 lanes per block, so 453 samples (8 lanes, the
+    last one partial) run as chunks of 2, 3 and 3 lanes.
+    """
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 7, 8, 64, 257])
+    @pytest.mark.parametrize("step", [1, 3, 62])
+    def test_lane_blocks_are_fewest_and_even(self, monkeypatch, lanes, step):
+        monkeypatch.setattr(packed, "BUDGET", 8 * 100 * step)
+        blocks = _lane_blocks(lanes, 100)
+        assert len(blocks) == -(-lanes // step)
+        assert blocks[0][0] == 0 and blocks[-1][1] == lanes
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 7 * 64 + 5])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("adder", [False, True])
+    def test_matches_whole_batch_readout_and_oracle(self, rng, monkeypatch, n, threads, adder):
+        circ = random_layered_circuit(rng, 12, [20, 20], 4)
+        scored = build_adder_aggregation(circ) if adder else circ
+        monkeypatch.setattr(packed, "BUDGET", 8 * _plan_for(scored).rows * 3)
+        x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
+        whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
+        np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
+        for samples in (x, pack(x)):
+            np.testing.assert_array_equal(circuit_scores(scored, samples, threads=threads), whole)
+
+    def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
+        circ = random_layered_circuit(rng, 6, [8], 2)
+        monkeypatch.setattr(packed, "BUDGET", 8 * _plan_for(circ).rows)  # 1 lane per block
+        late = np.zeros((200, 6), dtype=np.uint8)
+        late[-1, 0] = 2  # only the last chunk holds the bad value
+        cases = [
+            (np.zeros((0, 6), dtype=np.uint8), "need a non-empty 2-d sample matrix"),
+            (np.zeros((3, 0), dtype=np.uint8), "need a non-empty 2-d sample matrix"),
+            (np.zeros(6, dtype=np.uint8), "need a non-empty 2-d sample matrix"),
+            (np.full((3, 6), 0.5), "samples must be Boolean (each value exactly 0 or 1)"),
+            (late, "samples must be Boolean (each value exactly 0 or 1)"),
+            (np.zeros((3, 5), dtype=np.uint8), "batch has 5 features, circuit wants 6"),
+            (pack(np.zeros((3, 5), dtype=np.uint8)), "batch has 5 features, circuit wants 6"),
+        ]
+        for samples, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                circuit_scores(circ, samples)
 
 
 class TestPlaneRows:
