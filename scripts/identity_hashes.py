@@ -4,8 +4,8 @@
     python3 scripts/identity_hashes.py > hashes.txt
 
 Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
-of ``circuit_scores`` and the output bits ``unpack(execute_packed(...))``,
-both at threads 1 and 3 and for n = 1, 63, 64, 65 and 16384 seeded random
+of ``circuit_scores`` at threads 1 and 3 and the output bits
+``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 seeded random
 rows, plus the ``emit_source`` text and the saved ``.gnet`` bytes of every
 circuit, and the words ``pack`` makes of seeded uint8, bool and float64 rows
 at those n and 1, 9 and 784 features. The circuits are 8 seeded random
@@ -117,8 +117,8 @@ def main() -> None:
                 for t in THREADS:
                     scores = circuit_scores(circuit, batch, threads=t)
                     print(f"{label}.n{n}.threads{t}.scores {digest(scores)}")
-                    bits = unpack(execute_packed(circuit, batch, threads=t))
-                    print(f"{label}.n{n}.threads{t}.outputs {digest(bits)}")
+                bits = unpack(execute_packed(circuit, batch))
+                print(f"{label}.n{n}.outputs {digest(bits)}")
     for f in PACK_FEATURES:
         rng = np.random.default_rng([10, f])
         for n in SAMPLE_COUNTS:

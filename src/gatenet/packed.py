@@ -29,11 +29,11 @@ slice of rows: the group's two operands are gathered with ``np.take`` into
 scratch blocks and combined by numpy's bitwise ufuncs with ``out=`` straight
 into its slice. A batch runs in blocks of word lanes: as few blocks as keep
 each block's plane within ``BUDGET`` bytes, of equal size give or take one
-lane. The plane, scratch and gathered outputs of a block are carved from one
-buffer, and extra threads share out the blocks. A batch of one block gathers
-its outputs straight into the returned words. Padding bits in the last lane
-never influence real samples (bitwise ops are per-bit independent); returned
-batches have their padding re-zeroed to keep the layout canonical.
+lane. The plane and scratch of a block are carved from one buffer, and the
+block's outputs are gathered straight into its lanes of the returned words.
+Padding bits in the last lane never influence real samples (bitwise ops are
+per-bit independent); returned batches have their padding re-zeroed to keep
+the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
@@ -42,7 +42,8 @@ tree runs over leaf chunks of each group's planes that fit in cache, in
 whole lane rows, and then adds the chunks' counts as multi-bit numbers.
 ``circuit_scores`` runs the batch one execution block at a time: it packs
 the block's rows, executes them as a one-block batch and counts the outputs
-while they are still in cache, then joins the blocks' scores.
+while they are still in cache, then joins the blocks' scores. Extra threads
+share out the blocks.
 """
 
 from __future__ import annotations
@@ -188,15 +189,6 @@ def _lane_blocks(lanes: int, rows: int) -> list[tuple[int, int]]:
     count = -(-lanes // _block_lanes(rows))
     edges = [lanes * i // count for i in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _share(run, blocks: list, threads: int) -> list:
-    """``run`` over ``blocks`` dealt in turn to up to ``threads`` threads; each thread's result."""
-    workers = max(1, min(threads, len(blocks)))
-    if workers == 1:
-        return [run(blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, (blocks[t::workers] for t in range(workers))))
 
 
 class _ExecPlan:
@@ -345,40 +337,31 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
 def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, blocks: list) -> None:
     """Execute the lanes ``lo .. hi`` of ``words`` into ``out`` for each (lo, hi) in ``blocks``.
 
-    Every block's plane, scratch and gathered outputs are carved from one
-    buffer, so each ``out=`` below is C-contiguous. A block of all the lanes
-    gathers its outputs straight into ``out``.
+    Every block's plane and scratch are carved from one buffer, so each
+    ``out=`` of ``_run_groups`` is C-contiguous. The outputs are gathered
+    straight into their lanes of ``out``; numpy writes a strided slice back
+    through a temporary.
     """
     step = max(hi - lo for lo, hi in blocks)
-    whole = step == out.shape[1]
-    heights = np.array([plan.rows, plan.scratch, plan.scratch, 0 if whole else len(plan.outputs)])
+    heights = np.array([plan.rows, plan.scratch, plan.scratch])
     buf = np.empty(heights.sum() * step, dtype=np.uint64)
     for lo, hi in blocks:
         parts = np.split(buf[: heights.sum() * (hi - lo)], np.cumsum(heights)[:-1] * (hi - lo))
-        plane, a, b, gathered = (part.reshape(-1, hi - lo) for part in parts)
+        plane, a, b = (part.reshape(-1, hi - lo) for part in parts)
         plane[: plan.input_width] = words[:, lo:hi]
         _run_groups(plan, plane, a, b)
-        if whole:
-            np.take(plane, plan.outputs, axis=0, out=out, mode="clip")
-        else:
-            out[:, lo:hi] = np.take(plane, plan.outputs, axis=0, out=gathered, mode="clip")
+        np.take(plane, plan.outputs, axis=0, out=out[:, lo:hi], mode="clip")
 
 
-def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> PackedBatch:
-    """Evaluate the circuit; returns the output wires as a PackedBatch.
-
-    Results are identical for any thread count: threads take turns over the
-    same lane blocks, which are independent, and write their lanes of one
-    output.
-    """
+def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
+    """Evaluate the circuit; returns the output wires as a PackedBatch."""
     if batch.feature_count != circuit.input_width:
         raise ValueError(
             f"batch has {batch.feature_count} features, circuit wants {circuit.input_width}"
         )
     plan = _plan_for(circuit)
     out = np.empty((len(plan.outputs), batch.lanes), dtype=np.uint64)
-    blocks = _lane_blocks(batch.lanes, plan.rows)
-    _share(partial(_run_blocks, plan, batch.words, out), blocks, threads)
+    _run_blocks(plan, batch.words, out, _lane_blocks(batch.lanes, plan.rows))
     tail = batch.sample_count % 64
     if tail:  # only the last lane holds padding bits
         out[:, -1] &= np.uint64((1 << tail) - 1)
@@ -387,8 +370,10 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
 
 # Bytes of output planes per leaf chunk of the readout. The carry-save tree's
 # scratch for a chunk is about the chunk's size again. ``circuit_scores``
-# counts one execution block at a time: on the criterion-8 circuits, 8000
-# output planes of about 52 lanes, 3.3 MB. At 4 MB such a block is one leaf,
+# counts one execution block at a time, and a block's outputs take at most
+# its plane's ``BUDGET`` bytes; at half of that, a block whose outputs are at
+# most half its plane rows is counted as one leaf. On the criterion-8
+# circuits, 8000 output planes of about 52 lanes (3.3 MB) are such a block,
 # and the leaf tree's per-call overhead is paid once per block instead of
 # three times. On 16384 rows, 2 MB against 4 MB took circuit_scores from 56.1
 # to 51.4 ms on the pruned circuit and from 78.1 to 73.0 ms on the unpruned one
@@ -397,7 +382,7 @@ def execute_packed(circuit: Circuit, batch: PackedBatch, threads: int = 1) -> Pa
 # all lanes of the call at once, and they take about bits/step of the output
 # words, which grows with the square of the lanes (about 1 MB at 16384 rows
 # and 11 MB at 60000 rows of a 10 x 800-plane readout in one call).
-READOUT_BYTES = 4 << 20
+READOUT_BYTES = BUDGET // 2
 
 
 def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
@@ -508,7 +493,12 @@ def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, l
         n, lanes = len(samples), -(-len(samples) // 64)
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
     chunks = _lane_blocks(lanes, _plan_for(circuit).rows)
-    return scores, _share(partial(_score_chunks, circuit, samples, scores), chunks, threads)
+    run = partial(_score_chunks, circuit, samples, scores)
+    workers = max(1, min(threads, len(chunks)))
+    if workers == 1:
+        return scores, [run(chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # threads take turns over the chunks
+        return scores, list(pool.map(run, (chunks[t::workers] for t in range(workers))))
 
 
 def _score_chunks(circuit: Circuit, samples, scores: np.ndarray, chunks: list) -> np.ndarray:

@@ -155,8 +155,10 @@ class TestExecutePacked:
             k = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
             circ = random_layered_circuit(rng, int(rng.integers(2, 30)), [width] * depth, k)
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
-            got = unpack(execute_packed(circ, pack(x), threads=threads))
+            got = unpack(execute_packed(circ, pack(x)))
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
+            counts = circuit_scores(circ, x, threads=threads)
+            np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
     def test_all_sixteen_opcodes_exhaustive(self):
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
@@ -183,9 +185,9 @@ class TestExecutePacked:
         circ = random_layered_circuit(rng, 16, [32, 32], 4)
         x = (rng.uniform(size=(500, 16)) < 0.5).astype(np.uint8)
         batch = pack(x)
-        a = execute_packed(circ, batch, threads=1)
-        b = execute_packed(circ, batch, threads=4)
-        np.testing.assert_array_equal(a.words, b.words)
+        a = circuit_scores(circ, batch, threads=1)
+        b = circuit_scores(circ, batch, threads=4)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestGeneralNetlists:
@@ -197,7 +199,7 @@ class TestGeneralNetlists:
             width, gate_count = int(rng.integers(1, 20)), int(rng.integers(0, 200))
             circ = random_netlist(rng, width, gate_count, k, group)
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
-            got = unpack(execute_packed(circ, pack(x), threads=threads))
+            got = unpack(execute_packed(circ, pack(x)))
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
             counts = circuit_scores(circ, x, threads=threads)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
@@ -213,7 +215,8 @@ class TestGeneralNetlists:
         for lo in range(0, batch.sample_count, 64 * 64):  # the oracle, 64 lanes at a time
             want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
             np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
-        np.testing.assert_array_equal(execute_packed(circ, batch, threads=3).words, got.words)
+        want = popcount_scores(got, circ.readout)
+        np.testing.assert_array_equal(circuit_scores(circ, batch, threads=3), want)
 
 
 class TestChunkedScores:
@@ -355,9 +358,10 @@ class TestPopcount:
         np.testing.assert_array_equal(popcount_scores(ones, ReadoutConfig(k=3)), np.full((n, 3), 4))
 
     def test_lane_blocks_match_unpacked_sum(self, rng):
-        # 64 planes of 8200 lanes span more than one leaf chunk of the readout
-        words = rng.integers(0, 2**64, size=(64, 8200), dtype=np.uint64)
-        batch = PackedBatch(words, 8200 * 64 - 17)
+        # 64 planes of 1.5 leaves' worth of lanes span two leaf chunks of the readout
+        lanes = READOUT_BYTES * 3 // (2 * 8 * 64)
+        words = rng.integers(0, 2**64, size=(64, lanes), dtype=np.uint64)
+        batch = PackedBatch(words, lanes * 64 - 17)
         want = unpack(batch).reshape(batch.sample_count, 4, 16).sum(axis=2)
         np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=4)), want)
 
