@@ -22,7 +22,7 @@ import numpy as np
 from numpy import ctypeslib as npct
 
 from .model import Circuit
-from .packed import PackedBatch, _block_lanes, _plan_for, build_adder_aggregation, pack
+from .packed import PackedBatch, _block_lanes, _lane_blocks, _plan_for, build_adder_aggregation, pack
 
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -34,6 +34,7 @@ _KERNEL = """
         uint64_t *restrict o = out + j * n;                              \\
         const uint64_t *restrict a = plane + (size_t)gn_src_a[t] * n;    \\
         const uint64_t *restrict b = plane + (size_t)gn_src_b[t] * n;    \\
+        (void)a, (void)b;                                                \\
         for (size_t l = 0; l < n; ++l) o[l] = (expr);                    \\
     }                                                                    \\
     break;
@@ -45,11 +46,16 @@ _KERNEL = """
 int SYMBOL(const uint64_t *in, size_t lanes, int64_t *scores, size_t samples) {
     const size_t inputs = gn_dims[0], rows = gn_dims[1], groups = gn_dims[3];
     const size_t classes = gn_dims[4], bits = gn_dims[5];
-    const size_t block = gn_dims[2] < lanes ? gn_dims[2] : lanes;
-    uint64_t *plane = malloc(rows * block * sizeof *plane);
+    if (lanes == 0) return 0;
+    /* the fewest blocks of at most gn_dims[2] lanes, as even as they go:
+     * block blk starts at lane lanes*blk/count, found without that product */
+    const size_t count = (lanes - 1) / gn_dims[2] + 1;
+    const size_t q = lanes / count, r = lanes % count;
+    uint64_t *plane = malloc(rows * (q + (r != 0)) * sizeof *plane);
     if (plane == NULL) return 1;
-    for (size_t lo = 0; lo < lanes; lo += block) {
-        const size_t n = lanes - lo < block ? lanes - lo : block;
+    for (size_t blk = 0; blk < count; ++blk) {
+        const size_t lo = blk * q + r * blk / count;
+        const size_t n = q + r * (blk + 1) / count - r * blk / count;
         for (size_t i = 0; i < inputs; ++i)
             memcpy(plane + i * n, in + i * lanes + lo, n * sizeof *plane);
         for (size_t g = 0, t = 0; g < groups; ++g) {
@@ -169,7 +175,7 @@ class CompiledCircuit:
         out = np.empty((batch.sample_count, self.classes), dtype=np.int64)
         words = np.ascontiguousarray(batch.words)
         if self._fn(words, batch.lanes, out, batch.sample_count):
-            lanes = min(_block_lanes(self.plane_rows), batch.lanes)
+            lanes = max(hi - lo for lo, hi in _lane_blocks(batch.lanes, self.plane_rows))
             raise MemoryError(
                 f"cannot allocate the {self.plane_rows} x {lanes}-word plane "
                 f"({self.plane_rows * lanes * 8} bytes)"

@@ -38,12 +38,12 @@ the layout canonical.
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
 binary numbers, and only the few resulting count planes are unpacked. The
-tree runs over leaf chunks of each group's planes that fit in cache, in
-whole lane rows, and then adds the chunks' counts as multi-bit numbers.
-``circuit_scores`` runs the batch one execution block at a time: it packs
-the block's rows, executes them as a one-block batch and counts the outputs
-while they are still in cache, then joins the blocks' scores. Extra threads
-share out the blocks.
+readout splits lanes by the same rule, applied to its output planes, and
+counts each lane block in one tree over all of a group's planes; lanes count
+independently, so no stage adds across blocks. ``circuit_scores`` runs the
+batch one execution block at a time: it packs the block's rows, executes
+them as a one-block batch and counts the outputs while they are still in
+cache, then joins the blocks' scores. Extra threads share out the blocks.
 """
 
 from __future__ import annotations
@@ -368,35 +368,17 @@ def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
     return PackedBatch(words=out, sample_count=batch.sample_count)
 
 
-# Bytes of output planes per leaf chunk of the readout. The carry-save tree's
-# scratch for a chunk is about the chunk's size again. ``circuit_scores``
-# counts one execution block at a time, and a block's outputs take at most
-# its plane's ``BUDGET`` bytes; at half of that, a block whose outputs are at
-# most half its plane rows is counted as one leaf. On the criterion-8
-# circuits, 8000 output planes of about 52 lanes (3.3 MB) are such a block,
-# and the leaf tree's per-call overhead is paid once per block instead of
-# three times. On 16384 rows, 2 MB against 4 MB took circuit_scores from 56.1
-# to 51.4 ms on the pruned circuit and from 78.1 to 73.0 ms on the unpruned one
-# (medians of 32 interleaved calls; 2-core 2.0 GHz Xeon); 8 MB ran as 4 MB.
-# Only the leaf chunks are held to this bound: the chunk counts are added over
-# all lanes of the call at once, and they take about bits/step of the output
-# words, which grows with the square of the lanes (about 1 MB at 16384 rows
-# and 11 MB at 60000 rows of a 10 x 800-plane readout in one call).
-READOUT_BYTES = BUDGET // 2
-
-
 def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     """Set-bit counts per contiguous output group: (samples, k) int64.
 
     Counting stays on the packed words: each group's G output planes are
     added pairwise as bit-sliced binary numbers in a carry-save tree, so only
     the ceil(log2(G+1)) count planes per class are unpacked to samples. The
-    tree first counts leaf chunks of each group's planes, whole lane rows of
-    at most ``READOUT_BYTES`` for all groups together, then adds the chunks'
-    counts as multi-bit numbers over all lanes at once; that last stage is
-    not held to ``READOUT_BYTES``. Padding bits never reach a real sample's
-    count (every word operation is per-bit independent) and are dropped at
-    the unpack.
+    lanes are split as ``execute_packed`` splits them, by ``_lane_blocks``
+    over the output planes, and each lane block is counted in one tree over
+    all of a group's planes; lanes count independently, so no stage adds
+    across blocks. Padding bits never reach a real sample's count (every
+    word operation is per-bit independent) and are dropped at the unpack.
     """
     n = outputs.feature_count
     k = readout.k
@@ -405,15 +387,13 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     group = n // k
     if group == 0:
         return np.zeros((outputs.sample_count, k), dtype=np.int64)
-    lanes = outputs.lanes
-    planes = outputs.words.reshape(k, group, lanes)
-    step = min(group, max(1, READOUT_BYTES // (planes.itemsize * k * lanes)))  # planes per leaf
-    leaves = np.zeros((step.bit_length(), k, -(-group // step), lanes), dtype=np.uint64)
-    for i, lo in enumerate(range(0, group, step)):
-        leaf = planes[None, :, lo : lo + step]
-        bits = leaf.shape[2].bit_length()
-        leaves[:bits, :, i] = _carry_save_count(leaf, bits)
-    return _decode_counts(_carry_save_count(leaves, group.bit_length()), outputs.sample_count)
+    planes = outputs.words.reshape(1, k, group, outputs.lanes)
+    scores = np.empty((outputs.sample_count, k), dtype=np.int64)
+    for lo, hi in _lane_blocks(outputs.lanes, n):
+        count = min(64 * hi, outputs.sample_count) - 64 * lo
+        counts = _carry_save_count(planes[..., lo:hi], group.bit_length())
+        scores[64 * lo : 64 * lo + count] = _decode_counts(counts, count)
+    return scores
 
 
 def _carry_save_count(

@@ -1,17 +1,20 @@
 """Emitted C against the packed interpreter and the truth-table oracle."""
 
 import dataclasses
+import os
 import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
 from conftest import SAMPLE_COUNTS, oracle_circuit_counts, random_layered_circuit
 from gatenet.emit import compile_and_load, emit_source
+from gatenet import packed
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
-from gatenet.packed import build_adder_aggregation, circuit_scores
+from gatenet.packed import _plan_for, build_adder_aggregation, circuit_scores
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -71,6 +74,19 @@ class TestEmitText:
         ):
             assert tables(emit_source(circuit))["gn_group_op"] == opcodes
             np.testing.assert_array_equal(compile_and_load(circuit).scores(x), expected)
+
+    @needs_cc
+    def test_compiles_as_strict_c99(self, rng, tmp_path):
+        source = tmp_path / "circuit.c"
+        source.write_text(emit_source(random_layered_circuit(rng, 40, [64, 64], k=2)))
+        compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+        flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-c"]
+        proc = subprocess.run(
+            [compiler, *flags, "-o", str(tmp_path / "circuit.o"), str(source)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 @needs_cc
@@ -135,6 +151,20 @@ class TestCompiled:
         rows = handle.plane_rows
         with pytest.raises(MemoryError, match=rf"{rows} x 4-word plane \({rows * 32} bytes\)"):
             handle.scores(x)
+
+    def test_uneven_lane_blocks(self, rng, monkeypatch):
+        # 3 lanes per block: 8 lanes run as blocks of 2, 3 and 3, 10 lanes as
+        # 2, 3, 2 and 3, and 11 lanes as 2, 3, 3 and 3
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        rows = _plan_for(build_adder_aggregation(c)).rows
+        monkeypatch.setattr(packed, "BUDGET", 8 * rows * 3)
+        handle = compile_and_load(c)
+        assert tables(emit_source(c))["gn_dims"][2] == 3
+        for n in (1, 65, 453, 640, 701):
+            x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+            np.testing.assert_array_equal(handle.scores(x), circuit_scores(c, x))
+        empty = np.zeros(1, dtype=np.uint64)
+        assert handle._fn(empty, 0, np.zeros(1, dtype=np.int64), 0) == 0
 
     def test_mnist_preset(self):
         rng = np.random.default_rng(64000)

@@ -20,7 +20,6 @@ from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
 from gatenet.packed import (
     BUDGET,
-    READOUT_BYTES,
     PackedBatch,
     _decode_counts,
     _lane_blocks,
@@ -204,7 +203,7 @@ class TestGeneralNetlists:
             counts = circuit_scores(circ, x, threads=threads)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
-    def test_several_lane_blocks_with_a_partial_last_one(self, rng):
+    def test_several_even_lane_blocks_with_a_partial_last_lane(self, rng):
         circ = random_netlist(rng, 8, 3000, 4, 500)
         step = BUDGET // (8 * _plan_for(circ).rows)  # lanes per block
         lanes = 3 * step + step // 3
@@ -357,20 +356,27 @@ class TestPopcount:
         ones = PackedBatch(np.full((12, lanes), np.iinfo(np.uint64).max, np.uint64), n)
         np.testing.assert_array_equal(popcount_scores(ones, ReadoutConfig(k=3)), np.full((n, 3), 4))
 
-    def test_lane_blocks_match_unpacked_sum(self, rng):
-        # 64 planes of 1.5 leaves' worth of lanes span two leaf chunks of the readout
-        lanes = READOUT_BYTES * 3 // (2 * 8 * 64)
+    def test_lane_blocks_match_unpacked_sum(self, rng, monkeypatch):
+        # 64 planes of 2 1/3 blocks' worth of lanes: lane blocks of 4, 5 and 5
+        monkeypatch.setattr(packed, "BUDGET", 8 * 64 * 6)
+        step = packed.BUDGET // (8 * 64)  # lanes per block
+        lanes = 2 * step + step // 3
+        assert [hi - lo for lo, hi in _lane_blocks(lanes, 64)] == [4, 5, 5]
         words = rng.integers(0, 2**64, size=(64, lanes), dtype=np.uint64)
         batch = PackedBatch(words, lanes * 64 - 17)
         want = unpack(batch).reshape(batch.sample_count, 4, 16).sum(axis=2)
         np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=4)), want)
 
     @pytest.mark.parametrize("group", [16, 48, 69])
-    def test_leaf_chunks_match_per_plane_sum(self, rng, group):
-        # lanes for leaf chunks of 16 planes: one chunk, three whole ones, and
-        # four whole ones plus one of 5, an odd leftover of odd size
+    def test_lane_blocks_match_per_plane_sum(self, rng, monkeypatch, group):
+        # 2 1/5 blocks' worth of lanes make lane blocks of 3, 4 and 4, each
+        # counted in one tree per group; groups of 16, 48 and 69 planes leave
+        # an odd number over at no, one and most levels of the tree
         k = 2
-        lanes = READOUT_BYTES // (8 * k * 16)
+        monkeypatch.setattr(packed, "BUDGET", 8 * k * group * 5)
+        step = packed.BUDGET // (8 * k * group)  # lanes per block
+        lanes = 2 * step + 1
+        assert [hi - lo for lo, hi in _lane_blocks(lanes, k * group)] == [3, 4, 4]
         words = rng.integers(0, 2**64, size=(k * group, lanes), dtype=np.uint64)
         batch = PackedBatch(words, lanes * 64 - 17)
         want = np.zeros((k, batch.sample_count), dtype=np.int64)
