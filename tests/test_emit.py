@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import SAMPLE_COUNTS, oracle_circuit_counts, random_layered_circuit
-from gatenet.emit import compile_and_load, emit_source
 from gatenet import packed
+from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
 from gatenet.packed import _plan_for, build_adder_aggregation, circuit_scores
