@@ -197,8 +197,9 @@ class Circuit:
     into bands (the training layers, plus one band of counter gates when an
     adder readout has been appended). ``output_wires`` lists the wires the
     readout consumes, group-major. ``counter_bits``, when present, holds per
-    class the LSB-first counter wires of the adder aggregation, and the
-    readout decodes those instead of popcounting ``output_wires``.
+    class the LSB-first counter wires of the adder aggregation, which split
+    ``output_wires`` into k equal runs; the readout decodes those instead of
+    popcounting ``output_wires``.
     """
 
     input_width: int
@@ -233,6 +234,10 @@ class Circuit:
             raise ValueError("output count not divisible by readout k")
         if self.max_probs is not None and len(self.max_probs) != g:
             raise ValueError("need one max-probability entry per gate")
+        if self.counter_bits is not None and not np.array_equal(
+            self.counter_bits, self.output_wires.reshape(self.readout.k, -1)
+        ):  # ragged counters compare unequal too
+            raise ValueError("counter_bits must split output_wires into k equal runs")
 
     @property
     def num_gates(self) -> int:

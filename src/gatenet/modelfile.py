@@ -128,6 +128,13 @@ def _read_readout(r: _Reader) -> ReadoutConfig:
     return ReadoutConfig(k=int(k), tau=tau, beta=beta)
 
 
+def _read_flag(r: _Reader, name: str) -> bool:
+    (flag,) = r.take(1)
+    if flag > 1:
+        raise ModelFileError(f"{r.path}: {name} flag byte is {flag}; only 0 and 1 exist")
+    return flag == 1
+
+
 def load_model(path: str) -> LogicNet | Circuit:
     """Read a model file back; validates checksum, magic, and structure."""
     try:
@@ -175,12 +182,12 @@ def load_model(path: str) -> LogicNet | Circuit:
             output_wires = r.array("<u4", n_out).copy()
             readout = _read_readout(r)
             max_probs = None
-            if r.take(1) == b"\x01":
+            if _read_flag(r, "max probs"):
                 max_probs = r.array("<f4", n_gates).astype(np.float64)
             counter_bits = None
-            if r.take(1) == b"\x01":
+            if _read_flag(r, "counter bits"):
                 lengths = r.array("<u4", readout.k).astype(np.int64)
-                if lengths.sum() != n_out:
+                if lengths.sum() != n_out:  # else the last run would take the rest
                     raise ModelFileError(
                         f"{path}: counter lengths sum to {lengths.sum()}, not {n_out}"
                     )

@@ -27,23 +27,21 @@ strictly layered circuit needs its input rows plus two bands. Inside a wave
 the gates are renumbered so that every opcode group fills one contiguous
 slice of rows: the group's two operands are gathered with ``np.take`` into
 scratch blocks and combined by numpy's bitwise ufuncs with ``out=`` straight
-into its slice. A batch runs in blocks of word lanes: as few blocks as keep
-each block's plane within ``BUDGET`` bytes, of equal size give or take one
-lane. The plane and scratch of a block are carved from one buffer, and the
-block's outputs are gathered straight into its lanes of the returned words.
-Padding bits in the last lane never influence real samples (bitwise ops are
-per-bit independent); returned batches have their padding re-zeroed to keep
-the layout canonical.
+into its slice. ``execute_packed`` runs the batch it is given as one block,
+its plane and scratch carved from one buffer. Padding bits in the last lane
+never influence real samples (bitwise ops are per-bit independent); returned
+batches have their padding re-zeroed to keep the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
-binary numbers, and only the few resulting count planes are unpacked. The
-readout splits lanes by the same rule, applied to its output planes, and
-counts each lane block in one tree over all of a group's planes; lanes count
-independently, so no stage adds across blocks. ``circuit_scores`` runs the
-batch one execution block at a time: it packs the block's rows, executes
-them as a one-block batch and counts the outputs while they are still in
-cache, then joins the blocks' scores. Extra threads share out the blocks.
+binary numbers, and only the few resulting count planes are unpacked.
+``popcount_scores`` counts all the lanes it is given in one tree.
+
+``circuit_scores`` is the one place that splits a batch into lane blocks:
+as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
+size give or take one lane. It runs them one at a time: it packs a block's
+rows, executes them and counts the outputs while they are still in cache,
+then joins the blocks' scores. Extra threads share out the blocks.
 """
 
 from __future__ import annotations
@@ -187,8 +185,7 @@ def _lane_blocks(lanes: int, rows: int) -> list[tuple[int, int]]:
     The blocks differ in size by at most one lane, so no block is left small.
     """
     count = -(-lanes // _block_lanes(rows))
-    edges = [lanes * i // count for i in range(count + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    return [(lanes * i // count, lanes * (i + 1) // count) for i in range(count)]
 
 
 class _ExecPlan:
@@ -334,34 +331,26 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     return plan
 
 
-def _run_blocks(plan: _ExecPlan, words: np.ndarray, out: np.ndarray, blocks: list) -> None:
-    """Execute the lanes ``lo .. hi`` of ``words`` into ``out`` for each (lo, hi) in ``blocks``.
-
-    Every block's plane and scratch are carved from one buffer, so each
-    ``out=`` of ``_run_groups`` is C-contiguous. The outputs are gathered
-    straight into their lanes of ``out``; numpy writes a strided slice back
-    through a temporary.
-    """
-    step = max(hi - lo for lo, hi in blocks)
-    heights = np.array([plan.rows, plan.scratch, plan.scratch])
-    buf = np.empty(heights.sum() * step, dtype=np.uint64)
-    for lo, hi in blocks:
-        parts = np.split(buf[: heights.sum() * (hi - lo)], np.cumsum(heights)[:-1] * (hi - lo))
-        plane, a, b = (part.reshape(-1, hi - lo) for part in parts)
-        plane[: plan.input_width] = words[:, lo:hi]
-        _run_groups(plan, plane, a, b)
-        np.take(plane, plan.outputs, axis=0, out=out[:, lo:hi], mode="clip")
-
-
 def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
-    """Evaluate the circuit; returns the output wires as a PackedBatch."""
+    """Evaluate the circuit on the whole batch as one block; returns the output wires.
+
+    The plane and two scratch blocks are carved from one buffer, so each
+    ``out=`` of ``_run_groups`` is C-contiguous. The plane holds every lane:
+    34 MB for 16384 rows of the 48000-gate criterion-8 circuit.
+    ``circuit_scores`` keeps within ``BUDGET`` by passing one lane block.
+    """
     if batch.feature_count != circuit.input_width:
         raise ValueError(
             f"batch has {batch.feature_count} features, circuit wants {circuit.input_width}"
         )
     plan = _plan_for(circuit)
-    out = np.empty((len(plan.outputs), batch.lanes), dtype=np.uint64)
-    _run_blocks(plan, batch.words, out, _lane_blocks(batch.lanes, plan.rows))
+    rows, lanes = plan.rows, batch.lanes
+    buf = np.empty((rows + 2 * plan.scratch) * lanes, dtype=np.uint64)
+    plane = buf[: rows * lanes].reshape(rows, lanes)
+    a, b = buf[rows * lanes :].reshape(2, plan.scratch, lanes)
+    plane[: plan.input_width] = batch.words
+    _run_groups(plan, plane, a, b)
+    out = np.take(plane, plan.outputs, axis=0)
     tail = batch.sample_count % 64
     if tail:  # only the last lane holds padding bits
         out[:, -1] &= np.uint64((1 << tail) - 1)
@@ -373,12 +362,11 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
 
     Counting stays on the packed words: each group's G output planes are
     added pairwise as bit-sliced binary numbers in a carry-save tree, so only
-    the ceil(log2(G+1)) count planes per class are unpacked to samples. The
-    lanes are split as ``execute_packed`` splits them, by ``_lane_blocks``
-    over the output planes, and each lane block is counted in one tree over
-    all of a group's planes; lanes count independently, so no stage adds
-    across blocks. Padding bits never reach a real sample's count (every
-    word operation is per-bit independent) and are dropped at the unpack.
+    the ceil(log2(G+1)) count planes per class are unpacked to samples. All
+    lanes are counted in one tree over all of a group's planes; inside
+    ``circuit_scores`` that is one lane block's outputs. Padding bits never
+    reach a real sample's count (every word operation is per-bit
+    independent) and are dropped at the unpack.
     """
     n = outputs.feature_count
     k = readout.k
@@ -388,12 +376,8 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     if group == 0:
         return np.zeros((outputs.sample_count, k), dtype=np.int64)
     planes = outputs.words.reshape(1, k, group, outputs.lanes)
-    scores = np.empty((outputs.sample_count, k), dtype=np.int64)
-    for lo, hi in _lane_blocks(outputs.lanes, n):
-        count = min(64 * hi, outputs.sample_count) - 64 * lo
-        counts = _carry_save_count(planes[..., lo:hi], group.bit_length())
-        scores[64 * lo : 64 * lo + count] = _decode_counts(counts, count)
-    return scores
+    counts = _carry_save_count(planes, group.bit_length())
+    return _decode_counts(counts, outputs.sample_count)
 
 
 def _carry_save_count(
@@ -456,10 +440,11 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch.
 
-    The batch runs in the lane blocks of ``execute_packed``, one at a time:
-    each block is packed (or sliced from the PackedBatch), executed and
-    counted into its rows of the scores. Threads take turns over the blocks,
-    so results are identical for any thread count.
+    The batch runs in the lane blocks of ``_lane_blocks`` over the plan's
+    plane rows, one at a time: each block is packed (or sliced from the
+    PackedBatch), executed and counted into its rows of the scores. An empty
+    PackedBatch scores as (0, k). Threads take turns over the blocks, so
+    results are identical for any thread count.
     """
     return _score_batch(circuit, samples, threads)[0]
 

@@ -14,7 +14,7 @@ from gatenet import packed
 from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
-from gatenet.packed import _plan_for, build_adder_aggregation, circuit_scores
+from gatenet.packed import PackedBatch, _plan_for, build_adder_aggregation, circuit_scores
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -165,6 +165,17 @@ class TestCompiled:
             np.testing.assert_array_equal(handle.scores(x), circuit_scores(c, x))
         empty = np.zeros(1, dtype=np.uint64)
         assert handle._fn(empty, 0, np.zeros(1, dtype=np.int64), 0) == 0
+
+    def test_empty_packed_batch(self, rng):
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        handle = compile_and_load(c)
+        empty = PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)
+        got = circuit_scores(c, empty)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, handle.scores(empty))
+        for rows in (np.zeros((0, 12), dtype=np.uint8), np.zeros(12, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
+                circuit_scores(c, rows)
 
     def test_mnist_preset(self):
         rng = np.random.default_rng(64000)

@@ -168,6 +168,33 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match="readout transform byte is 1"):
             load_model(path)
 
+    @pytest.mark.parametrize("lengths", [[2, 4], [3, 2], [3, 4], [6, 0]])
+    def test_counter_lengths_other_than_equal_runs_rejected(self, rng, tmp_path, lengths):
+        # an adder circuit with k=2 groups of 4 outputs ends in 3 counter bits per class
+        c = build_adder_aggregation(random_layered_circuit(rng, 6, [8], k=2))
+        path = str(tmp_path / "adder.gnet")
+        save_model(c, path)
+        data = bytearray(open(path, "rb").read())
+        assert data[-16:-8] == struct.pack("<II", 3, 3)  # the last field, before the checksum
+        data[-16:-8] = struct.pack("<II", *lengths)
+        data[-8:] = hashlib.sha256(bytes(data[:-8])).digest()[:8]
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ModelFileError, match="counter"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["max probs", "counter bits"])
+    def test_flag_bytes_other_than_0_or_1_rejected(self, rng, tmp_path, name):
+        c, path = self.make_file(rng, tmp_path)
+        data = bytearray(open(path, "rb").read())
+        g = c.num_gates
+        flag = -9 if name == "counter bits" else -9 - 4 * g - 1  # before the checksum
+        assert data[flag] == (0 if name == "counter bits" else 1)
+        data[flag] = 7
+        data[-8:] = hashlib.sha256(bytes(data[:-8])).digest()[:8]
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ModelFileError, match=f"{name} flag byte is 7"):
+            load_model(path)
+
     def test_opcode_flip_with_fixed_checksum_changes_semantics(self, rng, tmp_path):
         c, path = self.make_file(rng, tmp_path)
         data = bytearray(open(path, "rb").read())

@@ -203,7 +203,9 @@ class TestGeneralNetlists:
             counts = circuit_scores(circ, x, threads=threads)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
-    def test_several_even_lane_blocks_with_a_partial_last_lane(self, rng):
+    def test_whole_batch_execute_and_blocked_scores_with_a_partial_last_lane(self, rng):
+        # execute_packed runs all the lanes as one block; circuit_scores
+        # splits them into four lane blocks
         circ = random_netlist(rng, 8, 3000, 4, 500)
         step = BUDGET // (8 * _plan_for(circ).rows)  # lanes per block
         lanes = 3 * step + step // 3
@@ -356,27 +358,20 @@ class TestPopcount:
         ones = PackedBatch(np.full((12, lanes), np.iinfo(np.uint64).max, np.uint64), n)
         np.testing.assert_array_equal(popcount_scores(ones, ReadoutConfig(k=3)), np.full((n, 3), 4))
 
-    def test_lane_blocks_match_unpacked_sum(self, rng, monkeypatch):
-        # 64 planes of 2 1/3 blocks' worth of lanes: lane blocks of 4, 5 and 5
-        monkeypatch.setattr(packed, "BUDGET", 8 * 64 * 6)
-        step = packed.BUDGET // (8 * 64)  # lanes per block
-        lanes = 2 * step + step // 3
-        assert [hi - lo for lo, hi in _lane_blocks(lanes, 64)] == [4, 5, 5]
+    def test_one_tree_over_lanes_matches_unpacked_sum(self, rng):
+        # 64 planes of 14 lanes, the last one partial, counted in one tree
+        lanes = 14
         words = rng.integers(0, 2**64, size=(64, lanes), dtype=np.uint64)
         batch = PackedBatch(words, lanes * 64 - 17)
         want = unpack(batch).reshape(batch.sample_count, 4, 16).sum(axis=2)
         np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=4)), want)
 
     @pytest.mark.parametrize("group", [16, 48, 69])
-    def test_lane_blocks_match_per_plane_sum(self, rng, monkeypatch, group):
-        # 2 1/5 blocks' worth of lanes make lane blocks of 3, 4 and 4, each
-        # counted in one tree per group; groups of 16, 48 and 69 planes leave
-        # an odd number over at no, one and most levels of the tree
-        k = 2
-        monkeypatch.setattr(packed, "BUDGET", 8 * k * group * 5)
-        step = packed.BUDGET // (8 * k * group)  # lanes per block
-        lanes = 2 * step + 1
-        assert [hi - lo for lo, hi in _lane_blocks(lanes, k * group)] == [3, 4, 4]
+    def test_one_tree_over_lanes_matches_per_plane_sum(self, rng, group):
+        # 11 lanes, the last one partial, counted in one tree per group;
+        # groups of 16, 48 and 69 planes leave an odd number over at no, one
+        # and most levels of the tree
+        k, lanes = 2, 11
         words = rng.integers(0, 2**64, size=(k * group, lanes), dtype=np.uint64)
         batch = PackedBatch(words, lanes * 64 - 17)
         want = np.zeros((k, batch.sample_count), dtype=np.int64)
@@ -418,6 +413,25 @@ class TestAdderAggregation:
         x = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=np.uint8)
         scores = circuit_scores(agg, x)
         np.testing.assert_array_equal(scores[:, 0], [3, 2, 1, 0])
+
+    def test_counter_bits_must_split_outputs_into_k_equal_runs(self):
+        # the readout decodes len(outputs) // k counter bits per class
+        fields = dict(
+            input_width=2,
+            layer_sizes=(2,),
+            sources=np.array([[0, 1], [0, 1]], dtype=np.uint32),
+            opcodes=np.array([1, 7], dtype=np.uint8),
+            output_wires=np.array([0, 1, 2, 3], dtype=np.uint32),
+            readout=ReadoutConfig(k=2),
+        )
+        wires = np.arange(4, dtype=np.uint32)
+        for bad in [(wires[:1], wires[1:]), (wires,), (wires[:2], wires[:2]), (wires[2:], wires[:2])]:
+            with pytest.raises(ValueError, match="counter_bits"):
+                Circuit(**fields, counter_bits=bad)
+        circ = Circuit(**fields, counter_bits=(wires[:2], wires[2:]))
+        x = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        # class 0 counts bits (x0, x1), class 1 bits (x0 & x1, x0 | x1)
+        np.testing.assert_array_equal(circuit_scores(circ, x), [[1, 2], [2, 2], [3, 3]])
 
     def test_counter_uses_only_xor_and_and(self, rng):
         circ = random_layered_circuit(rng, 8, [16, 16], 2)
