@@ -425,12 +425,15 @@ class TestAdderAggregation:
             readout=ReadoutConfig(k=2),
         )
         wires = np.arange(4, dtype=np.uint32)
-        for bad in [(wires[:1], wires[1:]), (wires,), (wires[:2], wires[:2]), (wires[2:], wires[:2])]:
+        unequal, one, repeated, reordered = (
+            (wires[:1], wires[1:]), (wires,), (wires[:2], wires[:2]), (wires[2:], wires[:2])
+        )
+        for bad in (unequal, one, repeated, reordered):
             with pytest.raises(ValueError, match="counter_bits"):
                 Circuit(**fields, counter_bits=bad)
         circ = Circuit(**fields, counter_bits=(wires[:2], wires[2:]))
         x = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        # class 0 counts bits (x0, x1), class 1 bits (x0 & x1, x0 | x1)
+        # class 0 reads x0 + 2 * x1, class 1 reads (x0 & x1) + 2 * (x0 | x1)
         np.testing.assert_array_equal(circuit_scores(circ, x), [[1, 2], [2, 2], [3, 3]])
 
     def test_counter_uses_only_xor_and_and(self, rng):
