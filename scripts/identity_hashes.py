@@ -5,13 +5,14 @@
 
 Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
 of ``circuit_scores`` at threads 1 and 3 and the output bits
-``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 seeded random
-rows, plus the ``emit_source`` text and the saved ``.gnet`` bytes of every
-circuit, and the words ``pack`` makes of seeded uint8, bool and float64 rows
-at those n and 1, 9 and 784 features. The circuits are 8 seeded random
-layered circuits, each with its pruned, adder-aggregated and
-pruned-then-aggregated forms, and the 48000-gate 784 -> 6x8000, k=10 circuit
-of acceptance criterion 8 with its pruned form.
+``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 random rows
+seeded by the circuit's label, so a circuit whose gates change, as a new
+counter's do, is still scored on the same rows; plus the ``emit_source`` text
+and the saved ``.gnet`` bytes of every circuit, and the words ``pack`` makes
+of seeded uint8, bool and float64 rows at those n and 1, 9 and 784 features.
+The circuits are 8 seeded random layered circuits, each with its pruned,
+adder-aggregated and pruned-then-aggregated forms, and the 48000-gate
+784 -> 6x8000, k=10 circuit of acceptance criterion 8 with its pruned form.
 Training is covered by two short seeded ``train`` runs on small random data:
 the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
 history rows with their losses and eval accuracies. The package is imported
@@ -110,7 +111,7 @@ def main() -> None:
         for label, circuit in circuits():
             print(f"{label}.emit_source {digest(emit_source(circuit))}")
             print(f"{label}.gnet {digest(model_bytes(circuit, path))}")
-            rng = np.random.default_rng(circuit.num_gates)
+            rng = np.random.default_rng(list(label.encode()))
             for n in SAMPLE_COUNTS:
                 x = rng.integers(0, 2, size=(n, circuit.input_width), dtype=np.uint8)
                 batch = pack(x)

@@ -22,7 +22,15 @@ import numpy as np
 from numpy import ctypeslib as npct
 
 from .model import Circuit
-from .packed import PackedBatch, _block_lanes, _lane_blocks, _plan_for, build_adder_aggregation, pack
+from .packed import (
+    PackedBatch,
+    _block_lanes,
+    _lane_blocks,
+    _plan_for,
+    _require_width,
+    build_adder_aggregation,
+    pack,
+)
 
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -168,10 +176,7 @@ class CompiledCircuit:
     def scores(self, samples) -> np.ndarray:
         """(samples, k) int64 class scores for raw 0/1 rows or a PackedBatch."""
         batch = samples if isinstance(samples, PackedBatch) else pack(samples)
-        if batch.feature_count != self.input_width:
-            raise ValueError(
-                f"batch has {batch.feature_count} features, circuit wants {self.input_width}"
-            )
+        _require_width(batch.feature_count, self.input_width)
         out = np.empty((batch.sample_count, self.classes), dtype=np.int64)
         words = np.ascontiguousarray(batch.words)
         if self._fn(words, batch.lanes, out, batch.sample_count):

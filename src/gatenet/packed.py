@@ -33,9 +33,10 @@ never influence real samples (bitwise ops are per-bit independent); returned
 batches have their padding re-zeroed to keep the layout canonical.
 
 Class scores count the set output bits of each group without leaving the
-packed words: a carry-save tree adds a group's planes pairwise as bit-sliced
-binary numbers, and only the few resulting count planes are unpacked.
-``popcount_scores`` counts all the lanes it is given in one tree.
+packed words: a column compressor of full adders reduces a group's planes,
+three at a time, to one plane per binary digit of the count, and only those
+few count planes are unpacked. ``popcount_scores`` counts all the lanes it
+is given at once.
 
 ``circuit_scores`` is the one place that splits a batch into lane blocks:
 as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
@@ -331,6 +332,11 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     return plan
 
 
+def _require_width(features: int, input_width: int) -> None:
+    if features != input_width:
+        raise ValueError(f"batch has {features} features, circuit wants {input_width}")
+
+
 def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
     """Evaluate the circuit on the whole batch as one block; returns the output wires.
 
@@ -339,10 +345,7 @@ def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
     34 MB for 16384 rows of the 48000-gate criterion-8 circuit.
     ``circuit_scores`` keeps within ``BUDGET`` by passing one lane block.
     """
-    if batch.feature_count != circuit.input_width:
-        raise ValueError(
-            f"batch has {batch.feature_count} features, circuit wants {circuit.input_width}"
-        )
+    _require_width(batch.feature_count, circuit.input_width)
     plan = _plan_for(circuit)
     rows, lanes = plan.rows, batch.lanes
     buf = np.empty((rows + 2 * plan.scratch) * lanes, dtype=np.uint64)
@@ -361,12 +364,11 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     """Set-bit counts per contiguous output group: (samples, k) int64.
 
     Counting stays on the packed words: each group's G output planes are
-    added pairwise as bit-sliced binary numbers in a carry-save tree, so only
-    the ceil(log2(G+1)) count planes per class are unpacked to samples. All
-    lanes are counted in one tree over all of a group's planes; inside
-    ``circuit_scores`` that is one lane block's outputs. Padding bits never
-    reach a real sample's count (every word operation is per-bit
-    independent) and are dropped at the unpack.
+    reduced by ``_carry_save_count``'s column compressor, so only the
+    ceil(log2(G+1)) count planes per class are unpacked to samples. All
+    lanes are counted at once; inside ``circuit_scores`` that is one lane
+    block's outputs. Padding bits never reach a real sample's count (every
+    word operation is per-bit independent) and are dropped at the unpack.
     """
     n = outputs.feature_count
     k = readout.k
@@ -375,49 +377,64 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     group = n // k
     if group == 0:
         return np.zeros((outputs.sample_count, k), dtype=np.int64)
-    planes = outputs.words.reshape(1, k, group, outputs.lanes)
-    counts = _carry_save_count(planes, group.bit_length())
+    counts = _carry_save_count(outputs.words.reshape(k, group, outputs.lanes))
     return _decode_counts(counts, outputs.sample_count)
 
 
-def _carry_save_count(
-    nums: np.ndarray, width: int, xor=np.bitwise_xor, and_=np.bitwise_and, zero=0
-) -> np.ndarray:
-    """Bit-sliced per-class sums of (bits, k, numbers, lanes) numbers: (width, k, lanes).
+def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and) -> np.ndarray:
+    """Per-class sums of (k, G, lanes) bit planes as (width, k, lanes) count planes, LSB first.
 
-    The numbers are LSB plane first. Each tree level adds the first half of
-    the numbers to the second half with a ripple-carry adder, all pairs and
-    classes at once; an odd number left over is carried up, extended by
-    ``zero`` planes. Sums never exceed 2**width - 1, so carries out of the
-    top count plane are never formed. A full adder's two carry terms are
-    never both set, so XOR joins them. ``xor`` and ``and_`` are called like
-    ufuncs with ``out=``: the defaults add words, and
+    A column compressor (Wallace, 1964): the G planes are the weight-1
+    column. Each pass replaces every three planes a, b, c of a column by a
+    sum plane a ^ b ^ c, kept in the column, and a carry plane
+    (a & b) ^ ((a ^ b) & c), sent to the next column; a last pair goes
+    through a half adder (a ^ b, a & b). A column is done when one plane is
+    left, and that plane is its count bit, so no final ripple add is needed.
+    Counts never exceed G <= 2**width - 1, with width = G.bit_length(), so
+    carries out of the top column are never formed. A full adder takes 5
+    word operations and leaves one plane fewer, and a half adder, at most one
+    per column, takes 2, so a count costs at most 5 per counted bit. The
+    planes a pass leaves over go in front of its sums, so the next pass takes
+    them first and, as gates, their wires die sooner. Columns are held plane
+    by plane, (planes, k, lanes), so that each operand of a pass after the
+    first is one contiguous block: numpy runs small strided blocks several
+    times slower. Each pass writes a column's next planes into the other of
+    two buffers; ``planes`` itself is never written. ``xor`` and ``and_`` are
+    called like ufuncs with ``out=``: the defaults compute words, and
     ``build_adder_aggregation`` passes ones that append gates.
     """
-    _, k, _, lanes = nums.shape
-    while nums.shape[2] > 1:
-        bits, count = nums.shape[0], nums.shape[2]
-        half = count // 2
-        a, b = nums[:, :, :half], nums[:, :, half : 2 * half]
-        grown = min(bits + 1, width)
-        nxt = np.empty((grown, k, half + count % 2, lanes), dtype=nums.dtype)
-        if count % 2:
-            nxt[:bits, :, half] = nums[:, :, count - 1]
-            nxt[bits:, :, half] = zero
-        sums = nxt[:, :, :half]
-        carry = sums[bits] if grown > bits else np.empty_like(sums[0])
-        half_sum = np.empty_like(carry)
-        and_(a[0], b[0], out=carry)
-        xor(a[0], b[0], out=sums[0])
-        for t in range(1, bits):
-            xor(a[t], b[t], out=half_sum)
-            xor(half_sum, carry, out=sums[t])
-            if t + 1 < grown:
-                and_(carry, half_sum, out=carry)
-                and_(a[t], b[t], out=half_sum)
-                xor(carry, half_sum, out=carry)
-        nums = nxt
-    return nums[:, :, 0]
+    k, g, lanes = planes.shape
+    width = g.bit_length()
+    counts = np.empty((width, k, lanes), dtype=planes.dtype)
+    x = np.empty((g // 3, k, lanes), dtype=planes.dtype)  # a ^ b, then (a ^ b) & c
+    bufs = np.empty((2, g // 3 + 2, k, lanes), dtype=planes.dtype)
+    col, turn = planes.transpose(1, 0, 2), 0
+    for w in range(width):
+        top = w + 1 == width
+        up, sent = np.empty((len(col) // 2, k, lanes), dtype=planes.dtype), 0
+        while len(col) > 1:
+            t = max(len(col) // 3, 1)  # full adders, or a half adder on a last pair
+            a, b, c, rest = col[:t], col[t : 2 * t], col[2 * t : 3 * t], col[3 * t :]
+            nxt = bufs[turn, : len(rest) + t]
+            turn ^= 1
+            nxt[: len(rest)] = rest
+            sums, carry = nxt[len(rest) :], up[sent : sent + t]
+            sent += t
+            if len(c) == 0:
+                if not top:
+                    and_(a, b, out=carry)
+                xor(a, b, out=sums)
+            else:
+                xor(a, b, out=x[:t])
+                xor(x[:t], c, out=sums)
+                if not top:
+                    and_(a, b, out=carry)
+                    and_(x[:t], c, out=x[:t])
+                    xor(carry, x[:t], out=carry)
+            col = nxt
+        counts[w] = col[0]
+        col = up[:sent]
+    return counts
 
 
 def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
@@ -452,10 +469,11 @@ def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
 def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, list]:
     """``circuit_scores`` and, per thread, the seconds of its pack, execute and readout."""
     if isinstance(samples, PackedBatch):
-        n, lanes = samples.sample_count, samples.lanes
+        n, lanes, features = samples.sample_count, samples.lanes, samples.feature_count
     else:
         samples = _sample_matrix(samples)
-        n, lanes = len(samples), -(-len(samples) // 64)
+        n, lanes, features = len(samples), -(-len(samples) // 64), samples.shape[1]
+    _require_width(features, circuit.input_width)  # also when no lane block runs
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
     chunks = _lane_blocks(lanes, _plan_for(circuit).rows)
     run = partial(_score_chunks, circuit, samples, scores)
@@ -503,35 +521,29 @@ def _scores(circuit: Circuit, outputs: PackedBatch) -> np.ndarray:
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
     """Append XOR/AND counters so class counts come out as binary wires.
 
-    The counters are the readout's carry-save tree run over wire ids: each
-    word operation appends gates instead of computing words, and the zero
-    planes that extend an odd leftover number fold away (x ^ 0 = x,
-    x & 0 = 0), so no constant gate is made. A group of G output bits costs
-    under 7 gates per bit and ceil(log2(G+1)) counter wires (LSB first, class
-    after class, in ``counter_bits``); its depth is at most ceil(log2(G+1))**2,
-    for ceil(log2 G) levels of ripple-carry adders at most twice as deep as
-    they are wide. The counts equal popcount readout exactly.
+    The counters are the readout's column compressor run over wire ids: each
+    word operation appends gates instead of computing words. A group of G
+    output bits costs at most 5 gates per bit and ceil(log2(G+1)) counter
+    wires (LSB first, class after class, in ``counter_bits``); its depth is
+    at most ceil(log2(G+1))**2 (54 for G = 800). The counts equal popcount
+    readout exactly.
     """
     if circuit.counter_bits is not None:
         return circuit
     gsz = circuit.group_size
     if gsz == 0:
         raise ValueError("circuit has no output wires to aggregate")
-    zero = -1  # the constant-zero plane; never a wire id
     new_src: list[np.ndarray] = []
     new_ops: list[np.ndarray] = []
 
     def gate(opcode: int, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        real = (a != zero) & (b != zero)
-        pairs = np.stack([a[real], b[real]], axis=1)  # read before ``out`` may overwrite a
-        # with a zero operand, AND gives zero and XOR gives the other operand
-        out[...] = zero if opcode == 1 else np.maximum(a, b)
-        out[real] = circuit.num_wires + sum(map(len, new_ops)) + np.arange(len(pairs))
-        new_src.append(pairs)
-        new_ops.append(np.full(len(pairs), opcode, dtype=np.uint8))
+        new_src.append(np.stack([a.ravel(), b.ravel()], axis=1))  # before ``out`` may overwrite a
+        first = circuit.num_wires + sum(map(len, new_ops))
+        out[...] = np.arange(first, first + a.size).reshape(out.shape)
+        new_ops.append(np.full(a.size, opcode, dtype=np.uint8))
 
-    groups = circuit.output_wires.astype(np.int64).reshape(1, circuit.readout.k, gsz, 1)
-    planes = _carry_save_count(groups, gsz.bit_length(), partial(gate, 6), partial(gate, 1), zero)
+    groups = circuit.output_wires.astype(np.int64).reshape(circuit.readout.k, gsz, 1)
+    planes = _carry_save_count(groups, partial(gate, 6), partial(gate, 1))
     counters = tuple(planes[:, :, 0].T.astype(np.uint32))
     added = sum(map(len, new_ops))
     max_probs = circuit.max_probs

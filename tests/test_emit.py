@@ -177,6 +177,14 @@ class TestCompiled:
             with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
                 circuit_scores(c, rows)
 
+    def test_empty_packed_batch_of_the_wrong_width(self, rng):
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        handle = compile_and_load(c)
+        empty = PackedBatch(np.zeros((5, 0), dtype=np.uint64), 0)
+        for score in (lambda batch: circuit_scores(c, batch), handle.scores):
+            with pytest.raises(ValueError, match="batch has 5 features, circuit wants 12"):
+                score(empty)
+
     def test_mnist_preset(self):
         rng = np.random.default_rng(64000)
         pruned = prune(random_layered_circuit(rng, 784, [64000] * 6, 10))

@@ -467,27 +467,39 @@ class TestAdderAggregation:
         assert build_adder_aggregation(agg) is agg
 
     def test_gate_count_growth_bound(self, rng):
-        # ~2 * G * log2(G) per group, so k groups cost about 2 * n * log2(n/k)
+        # a loose bound, about 2 * n * log2(n/k) for k groups of n/k bits; the
+        # column compressor costs at most 5 * n (test_counter_size_and_depth)
         circ = random_layered_circuit(rng, 32, [512, 512], 8)
         agg = build_adder_aggregation(circ)
         g = 512 // 8
         bound = int(2 * 512 * (np.log2(g) + 1))
         assert agg.num_gates - circ.num_gates <= bound
 
-    @pytest.mark.parametrize("group", [8, 64, 800])
+    @pytest.mark.parametrize("group", [7, 8, 63, 64, 800])
     def test_counter_size_and_depth(self, group):
-        # the carry-save tree: fewer than 7 gates per counted bit, and
-        # ceil(log2 G) adder levels, each at most twice as deep as it is wide
+        # the column compressor: a full adder is 5 gates and leaves one plane
+        # fewer, so at most 5 gates per counted bit, within the depth bound
         k = 2
         circ = passthrough_circuit(group * k, k)
         agg = build_adder_aggregation(circ)
         added = agg.opcodes[circ.num_gates :]
-        assert len(added) <= 8 * group * k
+        assert len(added) <= 5 * group * k
         depth = agg.levels()[circ.num_gates :].max() - 1  # the band it reads is level 1
         assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
         assert set(np.unique(added)) <= {1, 6}
         x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
         np.testing.assert_array_equal(circuit_scores(agg, x), circuit_scores(circ, x))
+
+
+    @pytest.mark.parametrize("group", [7, 63])
+    def test_all_ones_fill_the_top_column(self, group):
+        # 2**m - 1 set bits set every count bit, the top column's included
+        k, n = 3, 65
+        circ = passthrough_circuit(group * k, k)
+        ones = np.ones((n, group * k), dtype=np.uint8)
+        want = np.full((n, k), group)
+        np.testing.assert_array_equal(popcount_scores(pack(ones), circ.readout), want)
+        np.testing.assert_array_equal(circuit_scores(build_adder_aggregation(circ), ones), want)
 
 
 class TestBenchmark:
