@@ -490,7 +490,6 @@ class TestAdderAggregation:
         x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
         np.testing.assert_array_equal(circuit_scores(agg, x), circuit_scores(circ, x))
 
-
     @pytest.mark.parametrize("group", [7, 63])
     def test_all_ones_fill_the_top_column(self, group):
         # 2**m - 1 set bits set every count bit, the top column's included
