@@ -11,8 +11,10 @@ counter's do, is still scored on the same rows; plus the ``emit_source`` text
 and the saved ``.gnet`` bytes of every circuit, and the words ``pack`` makes
 of seeded uint8, bool and float64 rows at those n and 1, 9 and 784 features.
 The circuits are 8 seeded random layered circuits, each with its pruned,
-adder-aggregated and pruned-then-aggregated forms, and the 48000-gate
-784 -> 6x8000, k=10 circuit of acceptance criterion 8 with its pruned form.
+adder-aggregated and pruned-then-aggregated forms, a small hand-built
+circuit whose classes are all constant-true, all constant-false and mixed,
+with its adder form, and the 48000-gate 784 -> 6x8000, k=10 circuit of
+acceptance criterion 8 with its pruned form.
 Training is covered by two short seeded ``train`` runs on small random data:
 the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
 history rows with their losses and eval accuracies. The package is imported
@@ -31,7 +33,14 @@ import numpy as np
 
 from gatenet.datasets import BinaryDataset
 from gatenet.emit import emit_source
-from gatenet.model import LogicNet, ReadoutConfig, build_topology, discretize, init_params
+from gatenet.model import (
+    Circuit,
+    LogicNet,
+    ReadoutConfig,
+    build_topology,
+    discretize,
+    init_params,
+)
 from gatenet.modelfile import save_model
 from gatenet.opt import prune
 from gatenet.packed import build_adder_aggregation, circuit_scores, execute_packed, pack, unpack
@@ -57,6 +66,22 @@ def layered(rng: np.random.Generator, input_width: int, widths: list[int], k: in
     return discretize(LogicNet(topo, init_params(topo, seed), ReadoutConfig(k=k)))
 
 
+def folded() -> Circuit:
+    """Five inputs, six gates and three classes of four outputs each.
+
+    Class 0 reads the constant-true gate four times, class 1 the
+    constant-false gate, and class 2 two gates, both constants and an input.
+    """
+    return Circuit(
+        input_width=5,
+        layer_sizes=(5, 1),
+        sources=np.array([[0, 1], [2, 3], [1, 4], [0, 0], [0, 0], [5, 6]]),
+        opcodes=np.array([6, 1, 7, 15, 0, 14]),
+        output_wires=np.array([8, 8, 8, 8, 9, 9, 9, 9, 10, 8, 9, 2]),
+        readout=ReadoutConfig(k=3),
+    )
+
+
 def circuits():
     """(label, circuit) pairs in a fixed order."""
     rng = np.random.default_rng(6)
@@ -69,6 +94,8 @@ def circuits():
         yield f"random{i}.pruned", pruned
         yield f"random{i}.adder", build_adder_aggregation(base)
         yield f"random{i}.pruned.adder", build_adder_aggregation(pruned)
+    yield "folded", folded()
+    yield "folded.adder", build_adder_aggregation(folded())
     big = layered(np.random.default_rng(48), 784, [8000] * 6, 10)
     yield "criterion8", big
     yield "criterion8.pruned", prune(big)

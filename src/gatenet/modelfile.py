@@ -135,6 +135,17 @@ def _read_flag(r: _Reader, name: str) -> bool:
     return flag == 1
 
 
+def _require_in_range(path: str, field: str, layers, unit: bool = False) -> None:
+    """Reject a non-finite value in any layer, or with ``unit`` one outside [0, 1]."""
+    for li, values in enumerate(layers):
+        bad = ~np.isfinite(values) | (unit & ((values < 0) | (values > 1)))
+        if bad.any():
+            want = "finite and within [0, 1]" if unit else "finite"
+            raise ModelFileError(
+                f"{path}: {field} of layer {li} holds {values[bad][0]}; every value must be {want}"
+            )
+
+
 def load_model(path: str) -> LogicNet | Circuit:
     """Read a model file back; validates checksum, magic, and structure."""
     try:
@@ -170,6 +181,7 @@ def load_model(path: str) -> LogicNet | Circuit:
                 for li in range(len(widths) - 1)
             ]
             r.done()
+            _require_in_range(path, "logits", logits)
             topo = NetworkTopology(widths, conns, seed=int(seed))
             return LogicNet(topo, logits, readout, allowed_gates=int(mask))
         if kind == KIND_CIRCUIT:
@@ -184,6 +196,8 @@ def load_model(path: str) -> LogicNet | Circuit:
             max_probs = None
             if _read_flag(r, "max probs"):
                 max_probs = r.array("<f4", n_gates).astype(np.float64)
+                bands = np.split(max_probs, np.cumsum(layer_sizes)[:-1].astype(np.int64))
+                _require_in_range(path, "max probs", bands, unit=True)
             counter_bits = None
             if _read_flag(r, "counter bits"):
                 lengths = r.array("<u4", readout.k).astype(np.int64)

@@ -36,13 +36,17 @@ Class scores count the set output bits of each group without leaving the
 packed words: a column compressor of full adders reduces a group's planes,
 three at a time, to one plane per binary digit of the count, and only those
 few count planes are unpacked. ``popcount_scores`` counts all the lanes it
-is given at once.
+is given at once. Outputs of constant gates (opcodes 0 and 15) are not
+counted: ``_counted`` decides, per class, which output wires are counted
+and the offset each class adds, its constant-true outputs, and the numpy
+readout and ``build_adder_aggregation`` both follow it.
 
 ``circuit_scores`` is the one place that splits a batch into lane blocks:
 as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
 size give or take one lane. It runs them one at a time: it packs a block's
-rows, executes them and counts the outputs while they are still in cache,
-then joins the blocks' scores. Extra threads share out the blocks.
+rows, executes them with only the counted wires as outputs and counts those
+while they are still in cache, adds the offsets, then joins the blocks'
+scores. Extra threads share out the blocks.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -367,8 +372,10 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     reduced by ``_carry_save_count``'s column compressor, so only the
     ceil(log2(G+1)) count planes per class are unpacked to samples. All
     lanes are counted at once; inside ``circuit_scores`` that is one lane
-    block's outputs. Padding bits never reach a real sample's count (every
-    word operation is per-bit independent) and are dropped at the unpack.
+    block's counted outputs, which leave out constant outputs, so the
+    class offsets are added there, not here. Padding bits never reach a
+    real sample's count (every word operation is per-bit independent) and
+    are dropped at the unpack.
     """
     n = outputs.feature_count
     k = readout.k
@@ -381,37 +388,50 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     return _decode_counts(counts, outputs.sample_count)
 
 
-def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and) -> np.ndarray:
+def _carry_save_count(
+    planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and, extra=(), zero=None
+) -> np.ndarray:
     """Per-class sums of (k, G, lanes) bit planes as (width, k, lanes) count planes, LSB first.
 
     A column compressor (Wallace, 1964): the G planes are the weight-1
-    column. Each pass replaces every three planes a, b, c of a column by a
-    sum plane a ^ b ^ c, kept in the column, and a carry plane
-    (a & b) ^ ((a ^ b) & c), sent to the next column; a last pair goes
-    through a half adder (a ^ b, a & b). A column is done when one plane is
-    left, and that plane is its count bit, so no final ripple add is needed.
-    Counts never exceed G <= 2**width - 1, with width = G.bit_length(), so
-    carries out of the top column are never formed. A full adder takes 5
-    word operations and leaves one plane fewer, and a half adder, at most one
-    per column, takes 2, so a count costs at most 5 per counted bit. The
-    planes a pass leaves over go in front of its sums, so the next pass takes
-    them first and, as gates, their wires die sooner. Columns are held plane
-    by plane, (planes, k, lanes), so that each operand of a pass after the
-    first is one contiguous block: numpy runs small strided blocks several
-    times slower. Each pass writes a column's next planes into the other of
-    two buffers; ``planes`` itself is never written. ``xor`` and ``and_`` are
-    called like ufuncs with ``out=``: the defaults compute words, and
-    ``build_adder_aggregation`` passes ones that append gates.
+    column, and ``extra[w]``, when given, holds (m, k, lanes) more planes of
+    weight 2**w that go in front of column w. Each pass replaces every three
+    planes a, b, c of a column by a sum plane a ^ b ^ c, kept in the column,
+    and a carry plane (a & b) ^ ((a ^ b) & c), sent to the next column; a
+    last pair goes through a half adder (a ^ b, a & b). A column is done when
+    one plane is left, and that plane is its count bit, so no final ripple
+    add is needed; a column left with no plane gets ``zero``. The count has
+    width = max(G.bit_length(), len(extra)) bits, and the caller makes sure
+    that every sum stays below 2**width, so carries out of the top column are
+    never formed. A full adder takes 5 word operations and leaves one plane
+    fewer, and a half adder, at most one per column, takes 2, so a count
+    costs at most 5 per counted bit. The planes a pass leaves over go in
+    front of its sums, so the next pass takes them first and, as gates, their
+    wires die sooner. Columns are held plane by plane, (planes, k, lanes), so
+    that each operand of a pass after the first is one contiguous block:
+    numpy runs small strided blocks several times slower. Each pass writes a
+    column's next planes into the other of two buffers; ``planes`` itself is
+    never written. ``xor`` and ``and_`` are called like ufuncs with ``out=``:
+    the defaults compute words, and ``build_adder_aggregation`` passes ones
+    that append gates.
     """
     k, g, lanes = planes.shape
-    width = g.bit_length()
+    width = max(g.bit_length(), len(extra))
+    extra = [*extra, *[np.empty((0, k, lanes), planes.dtype)] * (width + 1 - len(extra))]
+    col = planes.transpose(1, 0, 2)
+    if len(extra[0]):
+        col = np.concatenate([extra[0], col])
+    m = len(col)  # no later column holds more planes
     counts = np.empty((width, k, lanes), dtype=planes.dtype)
-    x = np.empty((g // 3, k, lanes), dtype=planes.dtype)  # a ^ b, then (a ^ b) & c
-    bufs = np.empty((2, g // 3 + 2, k, lanes), dtype=planes.dtype)
-    col, turn = planes.transpose(1, 0, 2), 0
+    x = np.empty((m // 3, k, lanes), dtype=planes.dtype)  # a ^ b, then (a ^ b) & c
+    bufs = np.empty((2, m // 3 + 2, k, lanes), dtype=planes.dtype)
+    turn = 0
     for w in range(width):
         top = w + 1 == width
-        up, sent = np.empty((len(col) // 2, k, lanes), dtype=planes.dtype), 0
+        sent = len(extra[w + 1])
+        up = np.empty((sent + len(col) // 2, k, lanes), dtype=planes.dtype)
+        if sent:
+            up[:sent] = extra[w + 1]
         while len(col) > 1:
             t = max(len(col) // 3, 1)  # full adders, or a half adder on a last pair
             a, b, c, rest = col[:t], col[t : 2 * t], col[2 * t : 3 * t], col[3 * t :]
@@ -432,7 +452,7 @@ def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_an
                     and_(x[:t], c, out=x[:t])
                     xor(carry, x[:t], out=carry)
             col = nxt
-        counts[w] = col[0]
+        counts[w] = col[0] if len(col) else zero
         col = up[:sent]
     return counts
 
@@ -457,11 +477,14 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch.
 
-    The batch runs in the lane blocks of ``_lane_blocks`` over the plan's
-    plane rows, one at a time: each block is packed (or sliced from the
-    PackedBatch), executed and counted into its rows of the scores. An empty
-    PackedBatch scores as (0, k). Threads take turns over the blocks, so
-    results are identical for any thread count.
+    A class's score is the set-bit count of its output wires. The batch
+    runs in the lane blocks of ``_lane_blocks`` over the plane rows of the
+    plan for ``_counted``'s circuit, one at a time: each block is packed (or
+    sliced from the PackedBatch), executed, and its counted wires, the
+    outputs of non-constant gates and inputs, are counted into its rows of
+    the scores, plus each class's offset for its constant-true outputs. An
+    empty PackedBatch scores as (0, k). Threads take turns over the blocks,
+    so results are identical for any thread count.
     """
     return _score_batch(circuit, samples, threads)[0]
 
@@ -475,8 +498,9 @@ def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, l
         n, lanes, features = len(samples), -(-len(samples) // 64), samples.shape[1]
     _require_width(features, circuit.input_width)  # also when no lane block runs
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
-    chunks = _lane_blocks(lanes, _plan_for(circuit).rows)
-    run = partial(_score_chunks, circuit, samples, scores)
+    fold = _counted(circuit)
+    chunks = _lane_blocks(lanes, _plan_for(fold.circuit).rows)
+    run = partial(_score_chunks, fold.circuit, fold.offset, samples, scores)
     workers = max(1, min(threads, len(chunks)))
     if workers == 1:
         return scores, [run(chunks)]
@@ -484,11 +508,14 @@ def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, l
         return scores, list(pool.map(run, (chunks[t::workers] for t in range(workers))))
 
 
-def _score_chunks(circuit: Circuit, samples, scores: np.ndarray, chunks: list) -> np.ndarray:
+def _score_chunks(
+    circuit: Circuit, offset: np.ndarray, samples, scores: np.ndarray, chunks: list
+) -> np.ndarray:
     """Score the lanes ``lo .. hi`` of ``samples`` for each (lo, hi) in ``chunks``.
 
-    Writes the chunks' rows of ``scores``; returns the seconds spent in pack,
-    execute and readout, summed over the chunks.
+    Writes the chunks' rows of ``scores``: the counts of ``circuit``'s
+    outputs plus ``offset``. Returns the seconds spent in pack, execute and
+    readout, summed over the chunks.
     """
     stages = np.zeros(3)
     for lo, hi in chunks:
@@ -501,7 +528,8 @@ def _score_chunks(circuit: Circuit, samples, scores: np.ndarray, chunks: list) -
         t1 = time.perf_counter()
         outputs = execute_packed(circuit, batch)
         t2 = time.perf_counter()
-        scores[64 * lo : 64 * lo + batch.sample_count] = _scores(circuit, outputs)
+        block = scores[64 * lo : 64 * lo + batch.sample_count]
+        np.add(_scores(circuit, outputs), offset, out=block)
         stages += (t1 - t0, t2 - t1, time.perf_counter() - t2)
         # free before the next chunk allocates: otherwise the heap shrinks and
         # regrows every chunk, about 1900 page faults per 16384-row call
@@ -518,15 +546,67 @@ def _scores(circuit: Circuit, outputs: PackedBatch) -> np.ndarray:
     return popcount_scores(outputs, circuit.readout)
 
 
+class _Fold(NamedTuple):
+    """Which outputs each class counts, and what it adds: see ``_counted``."""
+
+    circuit: Circuit  # outputs: each class's counted wires, then pads to the widest class
+    offset: np.ndarray  # (k,) added to each class's count of those outputs
+    counted: np.ndarray  # (k,) each class's counted wires, ahead of its pads
+    ones: np.ndarray  # (k,) each class's constant-true outputs
+    true: np.ndarray  # the first constant-true output wire, if any (0 or 1 wires)
+    false: np.ndarray  # the first constant-false output wire, if any
+
+
+def _counted(circuit: Circuit) -> _Fold:
+    """Which output wires each class counts, and its offset (cached on the circuit).
+
+    A class's score is the set-bit count of its counted wires plus its
+    constant-true outputs. An output wire is not counted when it is the
+    output of an opcode-0 or opcode-15 gate; an input wire is always
+    counted. Every class is padded to the widest class's count with one
+    constant output wire, a constant-false one where there is one, and the
+    offset is the class's constant-true outputs less its constant-true pads.
+    The fold's circuit is ``circuit`` with the padded wires, class after
+    class, as its outputs, or ``circuit`` itself when no output is constant
+    or its outputs are counters.
+    """
+    fold = getattr(circuit, "_fold", None)
+    if fold is None:
+        k, w_in = circuit.readout.k, circuit.input_width
+        wires = circuit.output_wires.astype(np.int64).reshape(k, -1)
+        op = np.full(wires.shape, 3, dtype=np.uint8)  # inputs count as a pass-through
+        gate = (wires >= w_in) & (circuit.counter_bits is None)  # counters are decoded
+        op[gate] = circuit.opcodes[wires[gate] - w_in]
+        const, ones = (op == 0) | (op == 15), np.count_nonzero(op == 15, axis=1)
+        true, false = (wires[op == value][:1] for value in (15, 0))
+        counted = np.count_nonzero(~const, axis=1)
+        width = int(counted.max())
+        fold = _Fold(circuit, ones, counted, ones, true, false)
+        if const.any():
+            padded = np.take_along_axis(wires, np.argsort(const, axis=1, kind="stable"), 1)
+            padded = padded[:, :width]
+            padded[np.arange(width) >= counted[:, None]] = false[0] if len(false) else true[0]
+            offset = ones - (width - counted) * (len(false) == 0)
+            scored = replace(circuit, output_wires=padded.ravel())
+            fold = fold._replace(circuit=scored, offset=offset)
+        circuit._fold = fold
+    return fold
+
+
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
     """Append XOR/AND counters so class counts come out as binary wires.
 
     The counters are the readout's column compressor run over wire ids: each
-    word operation appends gates instead of computing words. A group of G
-    output bits costs at most 5 gates per bit and ceil(log2(G+1)) counter
-    wires (LSB first, class after class, in ``counter_bits``); its depth is
-    at most ceil(log2(G+1))**2 (54 for G = 800). The counts equal popcount
-    readout exactly.
+    word operation appends gates instead of computing words. Each class
+    counts the wires ``_counted`` keeps, and adds its offset through the
+    compressor's columns: a constant-true wire goes in front of column w for
+    each set bit w of the offset. A count bit that is always 0 is a
+    constant-false wire, made as a wire XOR itself if the circuit has none.
+    A class costs at most 5 gates per counted bit, plus about one per set
+    offset bit, and ceil(log2(G+1)) counter wires for its full group of G
+    outputs (LSB first, class after class, in ``counter_bits``); its depth
+    is at most ceil(log2(G+1))**2 (57 on the 48000-gate criterion-8
+    circuit, G = 800). The counts equal popcount readout exactly.
     """
     if circuit.counter_bits is not None:
         return circuit
@@ -535,17 +615,30 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
         raise ValueError("circuit has no output wires to aggregate")
     new_src: list[np.ndarray] = []
     new_ops: list[np.ndarray] = []
+    added = 0
 
     def gate(opcode: int, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        nonlocal added
         new_src.append(np.stack([a.ravel(), b.ravel()], axis=1))  # before ``out`` may overwrite a
-        first = circuit.num_wires + sum(map(len, new_ops))
+        first, added = circuit.num_wires + added, added + a.size
         out[...] = np.arange(first, first + a.size).reshape(out.shape)
         new_ops.append(np.full(a.size, opcode, dtype=np.uint8))
 
-    groups = circuit.output_wires.astype(np.int64).reshape(circuit.readout.k, gsz, 1)
-    planes = _carry_save_count(groups, partial(gate, 6), partial(gate, 1))
-    counters = tuple(planes[:, :, 0].T.astype(np.uint32))
-    added = sum(map(len, new_ops))
+    xor, and_ = partial(gate, 6), partial(gate, 1)
+    fold = _counted(circuit)
+    k, width = circuit.readout.k, gsz.bit_length()
+    wires = fold.circuit.output_wires.astype(np.int64).reshape(k, -1)
+    planes = np.empty((k, width, 1, 1), dtype=np.int64)
+    for c, (counted, ones) in enumerate(zip(fold.counted.tolist(), fold.ones.tolist())):
+        bits = [fold.true[: ones >> w & 1, None, None] for w in range(width)]  # (0 or 1, 1, 1)
+        planes[c] = _carry_save_count(wires[c, None, :counted, None], xor, and_, bits, zero=-1)
+    unset = planes == -1  # count bits with no plane left are always 0
+    false = fold.false
+    if unset.any() and not len(false):
+        false = np.empty(1, dtype=np.int64)
+        xor(fold.true, fold.true, out=false)
+    planes[unset] = false[:1]
+    counters = tuple(planes[:, :, 0, 0].astype(np.uint32))
     max_probs = circuit.max_probs
     if max_probs is not None:
         max_probs = np.concatenate([max_probs, np.ones(added)])

@@ -251,3 +251,46 @@ def rng(request):
     """A generator seeded from the test's own id, so its draws do not depend on other tests."""
     digest = hashlib.sha256(request.node.nodeid.encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+# Classes of outputs for the constant-output fold, one string per class:
+# x is a gate that depends on the inputs, i an input wire itself, and 0 and 1
+# are constant-false and constant-true gates.
+FOLD_CASES = {
+    "all_false": ("000", "x0x", "1xx"),
+    "all_true": ("111", "xx0", "x1x"),
+    "mixed": ("x0x1", "1x0x", "xxxx"),
+    "no_constants": ("xxx", "xxx"),
+    "input_outputs": ("ix0", "x1i"),
+    "group_of_one": ("0", "1", "x", "i"),
+    "no_false_anywhere": ("11x", "xxx", "1x1"),
+    "all_constant": ("10", "11", "00"),
+    "all_true_no_false": ("11", "11"),
+}
+
+
+def fold_circuit(classes, input_width: int = 6) -> Circuit:
+    """A two-band circuit whose outputs are the kinds ``classes`` spell out (see FOLD_CASES).
+
+    The first band holds four gates over input pairs; each output is a gate
+    of its own in the second band, reading the first, or an input wire.
+    Opcodes 0 and 15 appear only where a class asks for them.
+    """
+    hidden = [(1, 0, 1), (6, 2, 3), (7, 4, 5), (14, 1, 4)]  # (opcode, source, source)
+    band, outputs = [], []
+    for j, kind in enumerate("".join(classes)):
+        if kind == "i":
+            outputs.append(j % input_width)
+            continue
+        op = {"0": 0, "1": 15}.get(kind, (6, 1, 9, 13, 7)[j % 5])
+        band.append((op, input_width + j % 4, input_width + (j + 1) % 4))
+        outputs.append(input_width + len(hidden) + len(band) - 1)
+    table = np.array(hidden + band, dtype=np.int64).reshape(-1, 3)
+    return Circuit(
+        input_width=input_width,
+        layer_sizes=(len(hidden), len(band)) if band else (len(hidden),),
+        sources=table[:, 1:],
+        opcodes=table[:, 0],
+        output_wires=np.array(outputs),
+        readout=ReadoutConfig(k=len(classes)),
+    )

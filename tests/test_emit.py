@@ -9,7 +9,13 @@ import subprocess
 import numpy as np
 import pytest
 
-from conftest import SAMPLE_COUNTS, oracle_circuit_counts, random_layered_circuit
+from conftest import (
+    FOLD_CASES,
+    SAMPLE_COUNTS,
+    fold_circuit,
+    oracle_circuit_counts,
+    random_layered_circuit,
+)
 from gatenet import packed
 from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
@@ -118,6 +124,15 @@ class TestCompiled:
         handle = compile_and_load(p)
         x = rng.integers(0, 2, size=(200, 8), dtype=np.uint8)
         np.testing.assert_array_equal(handle.scores(x), oracle_circuit_counts(c, x))
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_constant_outputs_fold_into_offsets(self, case):
+        # the kernel runs the adder, which adds constant outputs per class
+        c = fold_circuit(FOLD_CASES[case])
+        handle = compile_and_load(c)
+        for n in (1, 63, 65, 453):
+            x = np.random.default_rng(n).integers(0, 2, size=(n, c.input_width), dtype=np.uint8)
+            np.testing.assert_array_equal(handle.scores(x), oracle_circuit_counts(c, x))
 
     def test_passthrough_outputs(self):
         c = Circuit(

@@ -217,3 +217,36 @@ class TestCorruption:
     def test_wrong_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_model({"not": "a model"}, str(tmp_path / "x.gnet"))
+
+
+class TestNonFiniteValues:
+    """Values that load but that ``discretize`` and the readout cannot use."""
+
+    @pytest.mark.parametrize(
+        "layer, neuron, value", [(0, 3, np.inf), (1, 0, np.nan), (1, 2, -np.inf)]
+    )
+    def test_non_finite_logits_rejected(self, tmp_path, layer, neuron, value):
+        topo = build_topology(3, [6, 8, 8])
+        net = LogicNet(topo, init_params(topo, 3), ReadoutConfig(k=2))
+        net.logits[layer][neuron, 5] = value
+        path = str(tmp_path / "net.gnet")
+        save_model(net, path)
+        with pytest.raises(ModelFileError, match=f"logits of layer {layer} holds {value}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25, 1.5])
+    def test_max_probs_not_finite_or_outside_unit_interval_rejected(self, rng, tmp_path, value):
+        c = random_layered_circuit(rng, 6, [8, 8], k=2)
+        c.max_probs = np.full(c.num_gates, 0.5)
+        c.max_probs[8 + 2] = value  # the third gate of layer 1
+        path = str(tmp_path / "c.gnet")
+        save_model(c, path)
+        with pytest.raises(ModelFileError, match=f"max probs of layer 1 holds {value}"):
+            load_model(path)
+
+    def test_bounds_of_the_unit_interval_load(self, rng, tmp_path):
+        c = random_layered_circuit(rng, 6, [8, 8], k=2)
+        c.max_probs = np.tile([0.0, 1.0], c.num_gates // 2)
+        path = str(tmp_path / "c.gnet")
+        save_model(c, path)
+        np.testing.assert_array_equal(load_model(path).max_probs, c.max_probs)

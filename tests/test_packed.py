@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    FOLD_CASES,
     SAMPLE_COUNTS,
+    fold_circuit,
     oracle_circuit_counts,
     oracle_circuit_outputs,
     oracle_pack,
@@ -21,6 +23,7 @@ from gatenet.opt import prune
 from gatenet.packed import (
     BUDGET,
     PackedBatch,
+    _counted,
     _decode_counts,
     _lane_blocks,
     _plan_for,
@@ -478,17 +481,29 @@ class TestAdderAggregation:
     @pytest.mark.parametrize("group", [7, 8, 63, 64, 800])
     def test_counter_size_and_depth(self, group):
         # the column compressor: a full adder is 5 gates and leaves one plane
-        # fewer, so at most 5 gates per counted bit, within the depth bound
+        # fewer, so at most 5 gates per counted bit of the widest class, plus
+        # one per set bit of a class's constant-true outputs, within the depth
+        # bound; constant outputs are added, not counted
         k = 2
-        circ = passthrough_circuit(group * k, k)
-        agg = build_adder_aggregation(circ)
-        added = agg.opcodes[circ.num_gates :]
-        assert len(added) <= 5 * group * k
-        depth = agg.levels()[circ.num_gates :].max() - 1  # the band it reads is level 1
-        assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
-        assert set(np.unique(added)) <= {1, 6}
+        plain = passthrough_circuit(group * k, k)
+        folded = passthrough_circuit(group * k, k)
+        folded.opcodes[::3] = 15  # every third output true, every fifth false,
+        folded.opcodes[1::5] = 0  # and in class 1 every seventh false too
+        folded.opcodes[group + 2 :: 7] = 0
         x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
-        np.testing.assert_array_equal(circuit_scores(agg, x), circuit_scores(circ, x))
+        for circ in (plain, folded):
+            agg = build_adder_aggregation(circ)
+            added = agg.opcodes[circ.num_gates :]
+            ops = circ.opcodes.reshape(k, group)
+            widest = np.count_nonzero((ops != 0) & (ops != 15), axis=1).max()
+            ones = np.count_nonzero(ops == 15, axis=1)
+            assert len(added) <= 5 * k * widest + sum(bin(n).count("1") for n in ones)
+            depth = agg.levels()[circ.num_gates :].max() - 1  # the band it reads is level 1
+            assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
+            assert set(np.unique(added)) <= {1, 6}
+            want = oracle_circuit_counts(circ, x)
+            np.testing.assert_array_equal(circuit_scores(agg, x), want)
+            np.testing.assert_array_equal(circuit_scores(circ, x), want)
 
     @pytest.mark.parametrize("group", [7, 63])
     def test_all_ones_fill_the_top_column(self, group):
@@ -499,6 +514,86 @@ class TestAdderAggregation:
         want = np.full((n, k), group)
         np.testing.assert_array_equal(popcount_scores(pack(ones), circ.readout), want)
         np.testing.assert_array_equal(circuit_scores(build_adder_aggregation(circ), ones), want)
+
+
+class TestConstantFold:
+    """Outputs of opcode-0 and opcode-15 gates are added per class, not counted."""
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 453])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_scores_match_oracle(self, case, n):
+        circ = fold_circuit(FOLD_CASES[case])
+        x = np.random.default_rng(n).integers(0, 2, size=(n, circ.input_width), dtype=np.uint8)
+        want = oracle_circuit_counts(circ, x)
+        adder = build_adder_aggregation(circ)
+        assert set(np.unique(adder.opcodes[circ.num_gates :])) <= {1, 6}
+        group = len(FOLD_CASES[case][0])
+        assert [len(c) for c in adder.counter_bits] == [group.bit_length()] * circ.readout.k
+        for scores in (circuit_scores(circ, x), circuit_scores(circ, pack(x), threads=3),
+                       circuit_scores(adder, x)):
+            np.testing.assert_array_equal(scores, want)
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_execute_packed_still_returns_every_output(self, case):
+        circ = fold_circuit(FOLD_CASES[case])
+        x = np.random.default_rng(3).integers(0, 2, size=(70, circ.input_width), dtype=np.uint8)
+        got = unpack(execute_packed(circ, pack(x)))
+        np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
+
+    @pytest.mark.parametrize(
+        "case, counted, offset, pad",
+        [
+            ("mixed", [2, 2, 4], [1, 1, 0], 0),  # pads are the constant-false wire
+            ("no_false_anywhere", [1, 3, 1], [0, 0, 0], 15),  # constant-true pads come off
+            ("all_constant", [0, 0, 0], [1, 2, 0], None),
+            ("input_outputs", [2, 2], [0, 1], 0),
+        ],
+    )
+    def test_counted_wires_and_offsets(self, case, counted, offset, pad):
+        circ = fold_circuit(FOLD_CASES[case])
+        fold = _counted(circ)
+        assert _counted(circ) is fold  # cached on the circuit
+        np.testing.assert_array_equal(fold.counted, counted)
+        np.testing.assert_array_equal(fold.offset, offset)
+        wires = fold.circuit.output_wires.astype(np.int64).reshape(circ.readout.k, -1)
+        assert wires.shape[1] == max(counted)
+        ops = np.append(np.full(circ.input_width, 3), circ.opcodes)[wires]
+        for row, kept, kinds in zip(ops, counted, FOLD_CASES[case]):
+            assert not np.isin(row[:kept], (0, 15)).any()
+            assert np.all(row[kept:] == pad)
+            assert kept == sum(kind in "xi" for kind in kinds)
+
+    def test_nothing_folds_without_constant_outputs(self):
+        circ = fold_circuit(FOLD_CASES["no_constants"])
+        assert _counted(circ).circuit is circ
+        adder = build_adder_aggregation(circ)
+        assert _counted(adder).circuit is adder
+
+    def test_scoring_gathers_only_counted_outputs(self, monkeypatch):
+        # circuit_scores calls execute_packed through the module, on the fold's circuit
+        circ = fold_circuit(FOLD_CASES["all_true"])
+        widths = []
+
+        def spy(circuit, batch):
+            out = execute_packed(circuit, batch)
+            widths.append(out.feature_count)
+            return out
+
+        monkeypatch.setattr(packed, "execute_packed", spy)
+        x = np.random.default_rng(4).integers(0, 2, size=(100, circ.input_width), dtype=np.uint8)
+        np.testing.assert_array_equal(circuit_scores(circ, x), oracle_circuit_counts(circ, x))
+        assert widths == [3 * 2]  # 3 classes of the widest class's 2 counted wires, not 3
+
+    def test_pruned_circuit_counts_fewer_outputs(self, rng):
+        # prune resolves constant outputs to shared constant gates
+        base = random_layered_circuit(rng, 12, [64, 64, 40], k=4)
+        pruned = prune(base)
+        fold = _counted(pruned)
+        assert fold.counted.sum() < len(pruned.output_wires)
+        x = rng.integers(0, 2, size=(453, 12), dtype=np.uint8)
+        want = oracle_circuit_counts(base, x)
+        np.testing.assert_array_equal(circuit_scores(pruned, x), want)
+        np.testing.assert_array_equal(circuit_scores(build_adder_aggregation(pruned), x), want)
 
 
 class TestBenchmark:
