@@ -14,7 +14,10 @@ The circuits are 8 seeded random layered circuits, each with its pruned,
 adder-aggregated and pruned-then-aggregated forms, a small hand-built
 circuit whose classes are all constant-true, all constant-false and mixed,
 with its adder form, and the 48000-gate 784 -> 6x8000, k=10 circuit of
-acceptance criterion 8 with its pruned form.
+acceptance criterion 8 with its pruned form. An adder form's scores are its
+counter wires read as binary by the test suite's ``adder_counts``, under
+both thread labels, and its ``emit_source`` line is that of the circuit it
+was built from, since ``emit_source`` builds the adder itself.
 Training is covered by two short seeded ``train`` runs on small random data:
 the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
 history rows with their losses and eval accuracies. The package is imported
@@ -27,10 +30,12 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import numpy as np
 
+from conftest import adder_counts
 from gatenet.datasets import BinaryDataset
 from gatenet.emit import emit_source
 from gatenet.model import (
@@ -83,22 +88,22 @@ def folded() -> Circuit:
 
 
 def circuits():
-    """(label, circuit) pairs in a fixed order."""
+    """(label, circuit, base) in a fixed order; ``base`` is what an adder form was built from."""
     rng = np.random.default_rng(6)
     for i in range(8):
         width = int(rng.integers(2, 65))
         k = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
         base = layered(rng, int(rng.integers(2, 41)), [width] * int(rng.integers(1, 6)), k)
         pruned = prune(base)
-        yield f"random{i}", base
-        yield f"random{i}.pruned", pruned
-        yield f"random{i}.adder", build_adder_aggregation(base)
-        yield f"random{i}.pruned.adder", build_adder_aggregation(pruned)
-    yield "folded", folded()
-    yield "folded.adder", build_adder_aggregation(folded())
+        yield f"random{i}", base, None
+        yield f"random{i}.pruned", pruned, None
+        yield f"random{i}.adder", build_adder_aggregation(base), base
+        yield f"random{i}.pruned.adder", build_adder_aggregation(pruned), pruned
+    yield "folded", folded(), None
+    yield "folded.adder", build_adder_aggregation(folded()), folded()
     big = layered(np.random.default_rng(48), 784, [8000] * 6, 10)
-    yield "criterion8", big
-    yield "criterion8.pruned", prune(big)
+    yield "criterion8", big, None
+    yield "criterion8.pruned", prune(big), None
 
 
 def planted_sets(classes: int, seed: int):
@@ -135,15 +140,18 @@ def main() -> None:
             print(f"train{i}.final.gnet {digest(model_bytes(result.final, path))}")
             print(f"train{i}.best.gnet {digest(model_bytes(result.best, path))}")
             print(f"train{i}.history {digest(repr(result.history))}")
-        for label, circuit in circuits():
-            print(f"{label}.emit_source {digest(emit_source(circuit))}")
+        for label, circuit, base in circuits():
+            print(f"{label}.emit_source {digest(emit_source(circuit if base is None else base))}")
             print(f"{label}.gnet {digest(model_bytes(circuit, path))}")
             rng = np.random.default_rng(list(label.encode()))
             for n in SAMPLE_COUNTS:
                 x = rng.integers(0, 2, size=(n, circuit.input_width), dtype=np.uint8)
                 batch = pack(x)
                 for t in THREADS:
-                    scores = circuit_scores(circuit, batch, threads=t)
+                    if base is None:
+                        scores = circuit_scores(circuit, batch, threads=t)
+                    else:
+                        scores = adder_counts(circuit, batch)
                     print(f"{label}.n{n}.threads{t}.scores {digest(scores)}")
                 bits = unpack(execute_packed(circuit, batch))
                 print(f"{label}.n{n}.outputs {digest(bits)}")

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .datasets import DataError, load_dataset, resolve_data_dir
-from .emit import emit_source
+from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
@@ -394,11 +394,11 @@ def cmd_prune(args) -> int:
 
 def cmd_compile(args) -> int:
     circuit = _load_circuit(args.in_path)
-    counted = build_adder_aggregation(circuit)
+    adder = build_adder_aggregation(circuit)
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
-        fh.write(emit_source(counted))
-    print(f"gates: {circuit.num_gates} -> {counted.num_gates} with counters")
+        fh.write(_emit(adder, "circuit_eval"))
+    print(f"gates: {circuit.num_gates} -> {adder.num_gates} with counters")
     _print_max_probs(circuit)
     print(f"source: {out_path}")
     return EXIT_OK

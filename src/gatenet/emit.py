@@ -24,6 +24,7 @@ from numpy import ctypeslib as npct
 from .model import Circuit
 from .packed import (
     PackedBatch,
+    _batch_or_rows,
     _block_lanes,
     _lane_blocks,
     _plan_for,
@@ -127,20 +128,26 @@ def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
     ``in`` holds one plane of ``lanes`` 64-bit words per input wire,
     wire-major (word of wire i in lane L sits at ``in[i*lanes + L]``); bit b
     of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
-    receives samples x k signed counts, sample-major, decoded from the
-    counter wires of ``build_adder_aggregation(circuit)``. Downstream scaling
-    (count/tau + beta) is left to the caller. The function returns 0, or 1
-    when it cannot allocate its plane of ``BUDGET`` bytes per lane block.
+    receives samples x k signed counts, sample-major: the plan runs the
+    circuit with the counters of ``build_adder_aggregation``, built here
+    from the plain circuit, and the kernel decodes their wires. Downstream
+    scaling (count/tau + beta) is left to the caller. The function returns
+    0, or 1 when it cannot allocate its plane of ``BUDGET`` bytes per lane
+    block.
     """
-    circuit = build_adder_aggregation(circuit)
-    plan = _plan_for(circuit)
+    return _emit(build_adder_aggregation(circuit), symbol)
+
+
+def _emit(adder: Circuit, symbol: str) -> str:
+    """``emit_source`` for the adder aggregation ``adder`` of a circuit."""
+    plan = _plan_for(adder)
     dims = (
-        circuit.input_width,
+        adder.input_width,
         plan.rows,
         _block_lanes(plan.rows),
         len(plan.group_op),
-        circuit.readout.k,
-        len(plan.outputs) // circuit.readout.k,
+        adder.readout.k,
+        adder.group_size,
     )
     return "".join(
         [
@@ -175,7 +182,9 @@ class CompiledCircuit:
 
     def scores(self, samples) -> np.ndarray:
         """(samples, k) int64 class scores for raw 0/1 rows or a PackedBatch."""
-        batch = samples if isinstance(samples, PackedBatch) else pack(samples)
+        batch = _batch_or_rows(samples)
+        if not isinstance(batch, PackedBatch):
+            batch = pack(batch)
         _require_width(batch.feature_count, self.input_width)
         out = np.empty((batch.sample_count, self.classes), dtype=np.int64)
         words = np.ascontiguousarray(batch.words)
@@ -199,8 +208,8 @@ def compile_and_load(
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc)")
-    circuit = build_adder_aggregation(circuit)
-    source = emit_source(circuit, symbol=symbol)
+    adder = build_adder_aggregation(circuit)
+    source = _emit(adder, symbol)
     tmp = None
     if keep_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="gatenet_emit_")
@@ -228,7 +237,7 @@ def compile_and_load(
     return CompiledCircuit(
         input_width=circuit.input_width,
         classes=circuit.readout.k,
-        plane_rows=_plan_for(circuit).rows,
+        plane_rows=_plan_for(adder).rows,
         library_path=so_path,
         _fn=fn,
         _keepalive=(lib, tmp),

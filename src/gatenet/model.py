@@ -14,7 +14,7 @@ may rewire consumers across layers, which this representation allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,10 @@ class ReadoutConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("readout needs k >= 1 groups")
-        if not self.tau > 0:
-            raise ValueError("readout tau must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"readout tau must be finite and positive, got {self.tau}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"readout beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,9 @@ class Circuit:
     ``sources[g]`` are the two input wires of gate ``g`` (wire id of gate g is
     ``input_width + g``); both are strictly smaller than the gate's own wire,
     so gates are topologically ordered. ``layer_sizes`` partitions the gates
-    into bands (the training layers, plus one band of counter gates when an
-    adder readout has been appended). ``output_wires`` lists the wires the
-    readout consumes, group-major. ``counter_bits``, when present, holds per
-    class the LSB-first counter wires of the adder aggregation, which split
-    ``output_wires`` into k equal runs; the readout decodes those instead of
-    popcounting ``output_wires``.
+    into bands (the training layers, plus one band of counter gates in an
+    adder aggregation). ``output_wires`` lists the wires the readout
+    counts, group-major.
     """
 
     input_width: int
@@ -210,7 +209,6 @@ class Circuit:
     readout: ReadoutConfig
     seed: int = 0
     max_probs: np.ndarray | None = None
-    counter_bits: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         self.sources = np.ascontiguousarray(self.sources, dtype=np.uint32)
@@ -234,10 +232,6 @@ class Circuit:
             raise ValueError("output count not divisible by readout k")
         if self.max_probs is not None and len(self.max_probs) != g:
             raise ValueError("need one max-probability entry per gate")
-        if self.counter_bits is not None and not np.array_equal(
-            self.counter_bits, self.output_wires.reshape(self.readout.k, -1)
-        ):  # ragged counters compare unequal too
-            raise ValueError("counter_bits must split output_wires into k equal runs")
 
     @property
     def num_gates(self) -> int:

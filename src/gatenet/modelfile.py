@@ -79,11 +79,7 @@ def save_model(model: LogicNet | Circuit, path: str) -> None:
             parts.append(b"\x00")
         else:
             parts.append(b"\x01" + model.max_probs.astype("<f4").tobytes())
-        if model.counter_bits is None:
-            parts.append(b"\x00")
-        else:
-            lengths = np.array([len(cb) for cb in model.counter_bits], dtype="<u4")
-            parts.append(b"\x01" + lengths.tobytes())
+        parts.append(b"\x00")  # counter bits: adder circuits are never stored
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     blob = b"".join(parts)
@@ -126,13 +122,6 @@ def _read_readout(r: _Reader) -> ReadoutConfig:
             f"{r.path}: readout transform byte is {code}; only 0 (sum/tau + beta) exists"
         )
     return ReadoutConfig(k=int(k), tau=tau, beta=beta)
-
-
-def _read_flag(r: _Reader, name: str) -> bool:
-    (flag,) = r.take(1)
-    if flag > 1:
-        raise ModelFileError(f"{r.path}: {name} flag byte is {flag}; only 0 and 1 exist")
-    return flag == 1
 
 
 def _require_in_range(path: str, field: str, layers, unit: bool = False) -> None:
@@ -194,20 +183,18 @@ def load_model(path: str) -> LogicNet | Circuit:
             output_wires = r.array("<u4", n_out).copy()
             readout = _read_readout(r)
             max_probs = None
-            if _read_flag(r, "max probs"):
+            (flag,) = r.take(1)
+            if flag > 1:
+                raise ModelFileError(f"{path}: max probs flag byte is {flag}; only 0 and 1 exist")
+            if flag:
                 max_probs = r.array("<f4", n_gates).astype(np.float64)
                 bands = np.split(max_probs, np.cumsum(layer_sizes)[:-1].astype(np.int64))
                 _require_in_range(path, "max probs", bands, unit=True)
-            counter_bits = None
-            if _read_flag(r, "counter bits"):
-                lengths = r.array("<u4", readout.k).astype(np.int64)
-                if lengths.sum() != n_out:  # else the last run would take the rest
-                    raise ModelFileError(
-                        f"{path}: counter lengths sum to {lengths.sum()}, not {n_out}"
-                    )
-                counter_bits = tuple(
-                    part.astype(np.uint32)
-                    for part in np.split(output_wires, np.cumsum(lengths)[:-1])
+            (counters,) = r.take(1)
+            if counters != 0:
+                raise ModelFileError(
+                    f"{path}: counter bits flag byte is {counters}; only 0 exists, as adder "
+                    "circuits are built at emit time, not stored"
                 )
             r.done()
             return Circuit(
@@ -219,7 +206,6 @@ def load_model(path: str) -> LogicNet | Circuit:
                 readout=readout,
                 seed=int(seed),
                 max_probs=max_probs,
-                counter_bits=counter_bits,
             )
     except ValueError as exc:
         raise ModelFileError(f"{path}: invalid model structure: {exc}") from exc

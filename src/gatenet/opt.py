@@ -40,8 +40,7 @@ def prune(circuit: Circuit) -> Circuit:
     Output semantics are preserved exactly: the returned circuit produces the
     same output bits as the original for every input assignment, in the same
     order. Idempotent up to structural equality. Per-gate max-probability
-    diagnostics survive for the kept gates (materialized gates get 1.0), and
-    counter metadata is carried through the renumbering.
+    diagnostics survive for the kept gates (materialized gates get 1.0).
     """
     w_in = circuit.input_width
     n = circuit.num_gates
@@ -122,12 +121,6 @@ def prune(circuit: Circuit) -> Circuit:
     max_probs = None
     if circuit.max_probs is not None:
         max_probs = np.concatenate([circuit.max_probs[live_idx], np.ones(len(extra_ops))])
-    counter_bits = None
-    if circuit.counter_bits is not None:
-        splits = np.cumsum([len(cb) for cb in circuit.counter_bits])[:-1]
-        counter_bits = tuple(
-            part.astype(np.uint32) for part in np.split(new_out, splits)
-        )
     return Circuit(
         input_width=w_in,
         layer_sizes=tuple(sizes),
@@ -137,7 +130,6 @@ def prune(circuit: Circuit) -> Circuit:
         readout=circuit.readout,
         seed=circuit.seed,
         max_probs=max_probs,
-        counter_bits=counter_bits,
     )
 
 

@@ -126,6 +126,16 @@ def _sample_matrix(samples) -> np.ndarray:
     return samples
 
 
+def _batch_or_rows(samples) -> PackedBatch | np.ndarray:
+    """A PackedBatch as it is, zero raw rows as an empty one of their width, else the rows."""
+    if isinstance(samples, PackedBatch):
+        return samples
+    samples = np.asarray(samples)
+    if samples.ndim == 2 and len(samples) == 0:
+        return PackedBatch(np.zeros((samples.shape[1], 0), dtype=np.uint64), 0)
+    return _sample_matrix(samples)
+
+
 def unpack(batch: PackedBatch) -> np.ndarray:
     """Inverse of pack: (samples, features) uint8."""
     _require_little_endian()
@@ -483,18 +493,19 @@ def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     sliced from the PackedBatch), executed, and its counted wires, the
     outputs of non-constant gates and inputs, are counted into its rows of
     the scores, plus each class's offset for its constant-true outputs. An
-    empty PackedBatch scores as (0, k). Threads take turns over the blocks,
-    so results are identical for any thread count.
+    empty PackedBatch, or zero raw rows, of the circuit's width scores as
+    (0, k). Threads take turns over the blocks, so results are identical for
+    any thread count.
     """
     return _score_batch(circuit, samples, threads)[0]
 
 
 def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, list]:
     """``circuit_scores`` and, per thread, the seconds of its pack, execute and readout."""
+    samples = _batch_or_rows(samples)
     if isinstance(samples, PackedBatch):
         n, lanes, features = samples.sample_count, samples.lanes, samples.feature_count
     else:
-        samples = _sample_matrix(samples)
         n, lanes, features = len(samples), -(-len(samples) // 64), samples.shape[1]
     _require_width(features, circuit.input_width)  # also when no lane block runs
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
@@ -529,21 +540,12 @@ def _score_chunks(
         outputs = execute_packed(circuit, batch)
         t2 = time.perf_counter()
         block = scores[64 * lo : 64 * lo + batch.sample_count]
-        np.add(_scores(circuit, outputs), offset, out=block)
+        np.add(popcount_scores(outputs, circuit.readout), offset, out=block)
         stages += (t1 - t0, t2 - t1, time.perf_counter() - t2)
         # free before the next chunk allocates: otherwise the heap shrinks and
         # regrows every chunk, about 1900 page faults per 16384-row call
         del batch, outputs
     return stages
-
-
-def _scores(circuit: Circuit, outputs: PackedBatch) -> np.ndarray:
-    """(samples, k) class scores from the circuit's executed output wires."""
-    if circuit.counter_bits is not None:
-        # class-major, LSB-first counter wires are the count planes, transposed
-        words = outputs.words.reshape(circuit.readout.k, -1, outputs.lanes)
-        return _decode_counts(words.transpose(1, 0, 2), outputs.sample_count)
-    return popcount_scores(outputs, circuit.readout)
 
 
 class _Fold(NamedTuple):
@@ -567,15 +569,14 @@ def _counted(circuit: Circuit) -> _Fold:
     constant output wire, a constant-false one where there is one, and the
     offset is the class's constant-true outputs less its constant-true pads.
     The fold's circuit is ``circuit`` with the padded wires, class after
-    class, as its outputs, or ``circuit`` itself when no output is constant
-    or its outputs are counters.
+    class, as its outputs, or ``circuit`` itself when no output is constant.
     """
     fold = getattr(circuit, "_fold", None)
     if fold is None:
         k, w_in = circuit.readout.k, circuit.input_width
         wires = circuit.output_wires.astype(np.int64).reshape(k, -1)
         op = np.full(wires.shape, 3, dtype=np.uint8)  # inputs count as a pass-through
-        gate = (wires >= w_in) & (circuit.counter_bits is None)  # counters are decoded
+        gate = wires >= w_in
         op[gate] = circuit.opcodes[wires[gate] - w_in]
         const, ones = (op == 0) | (op == 15), np.count_nonzero(op == 15, axis=1)
         true, false = (wires[op == value][:1] for value in (15, 0))
@@ -604,12 +605,13 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
     constant-false wire, made as a wire XOR itself if the circuit has none.
     A class costs at most 5 gates per counted bit, plus about one per set
     offset bit, and ceil(log2(G+1)) counter wires for its full group of G
-    outputs (LSB first, class after class, in ``counter_bits``); its depth
-    is at most ceil(log2(G+1))**2 (57 on the 48000-gate criterion-8
-    circuit, G = 800). The counts equal popcount readout exactly.
+    outputs; its depth is at most ceil(log2(G+1))**2 (57 on the 48000-gate
+    criterion-8 circuit, G = 800). The returned circuit's output wires are
+    the counter wires, class after class, LSB first: read as binary, its k
+    runs of ``len(output_wires) // k`` bits are the popcount readout's counts
+    exactly. Only emission runs it; scored or aggregated again, it would
+    count its counter wires.
     """
-    if circuit.counter_bits is not None:
-        return circuit
     gsz = circuit.group_size
     if gsz == 0:
         raise ValueError("circuit has no output wires to aggregate")
@@ -638,7 +640,6 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
         false = np.empty(1, dtype=np.int64)
         xor(fold.true, fold.true, out=false)
     planes[unset] = false[:1]
-    counters = tuple(planes[:, :, 0, 0].astype(np.uint32))
     max_probs = circuit.max_probs
     if max_probs is not None:
         max_probs = np.concatenate([max_probs, np.ones(added)])
@@ -647,11 +648,10 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
         layer_sizes=circuit.layer_sizes + (added,),
         sources=np.concatenate([circuit.sources, *new_src]),
         opcodes=np.concatenate([circuit.opcodes, *new_ops]),
-        output_wires=np.concatenate(counters),
+        output_wires=planes.ravel(),
         readout=circuit.readout,
         seed=circuit.seed,
         max_probs=max_probs,
-        counter_bits=counters,
     )
 
 

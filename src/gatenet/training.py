@@ -94,8 +94,7 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        ReadoutConfig(k=1, tau=self.tau, beta=self.beta)  # rejects a bad tau or beta
         mask_to_bools(self.allowed_gates)
 
 
@@ -248,7 +247,7 @@ def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:
 
     A LogicNet is scored in relaxed mode, in batches whose ForwardCache fits
     in ``RELAXED_EVAL_BYTES`` where one row allows; a Circuit runs packed
-    Boolean inference with popcount (or adder) readout.
+    Boolean inference with the popcount readout.
     """
     if int(dataset.width) != model.input_width:
         raise ValueError(

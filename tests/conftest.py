@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's fast code paths: the
 network oracle evaluates all 16 gates explicitly per neuron, and the circuit
 oracle applies truth-table lookups gate by gate on 0/1 arrays (no bit
 packing, no collapsed coefficients), and the pack oracle moves one byte per
-sample and feature before ``packbits``. Tests compare the real
+sample and feature before ``packbits``. ``adder_counts`` reads an adder
+aggregation's counter wires as binary counts. Tests compare the real
 implementations against these. ``check_equivalence`` compares two circuits'
 output bits through the packed path, which those oracles check, and
 ``structurally_equal`` compares their netlists.
@@ -26,7 +27,7 @@ from gatenet.model import (
     discretize,
     init_params,
 )
-from gatenet.packed import execute_packed, pack, unpack
+from gatenet.packed import PackedBatch, execute_packed, pack, unpack
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -92,6 +93,19 @@ def oracle_circuit_counts(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
     bits = oracle_circuit_outputs(circuit, samples)
     k = circuit.readout.k
     return bits.reshape(bits.shape[0], k, -1).sum(axis=2).astype(np.int64)
+
+
+def adder_counts(adder: Circuit, samples) -> np.ndarray:
+    """(samples, k) counts an adder aggregation's output wires spell, for rows or a PackedBatch.
+
+    The outputs are k runs of ``bits`` counter wires, class after class,
+    LSB first: bit b of a class's run is worth 1 << b.
+    """
+    batch = samples if isinstance(samples, PackedBatch) else pack(samples)
+    wires = unpack(execute_packed(adder, batch)).astype(np.int64)
+    k = adder.readout.k
+    bits = wires.shape[1] // k
+    return (wires.reshape(-1, k, bits) << np.arange(bits)).sum(axis=2)
 
 
 def structurally_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -230,6 +230,17 @@ class TestTrain:
         ])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--tau", "inf"), ("--tau", "nan"), ("--beta", "-inf")])
+    def test_non_finite_readout_is_usage_error(self, flag, value, tmp_path, data_dir, capsys):
+        out = tmp_path / "m.gnet"
+        rc = main([
+            "train", "--dataset", "monk1", "--layers", "2", "--width", "6", "--epochs", "1",
+            f"{flag}={value}", "--data-dir", data_dir, "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert f"readout {flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["loss = mse", "dtype = float64"], ids=["loss", "dtype"])
     def test_removed_objective_keys_rejected(self, line, tmp_path, data_dir, capsys):
         cfg = tmp_path / "run.cfg"

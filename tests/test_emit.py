@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     FOLD_CASES,
     SAMPLE_COUNTS,
+    adder_counts,
     fold_circuit,
     oracle_circuit_counts,
     random_layered_circuit,
@@ -114,8 +115,9 @@ class TestCompiled:
     def test_counter_readout(self, rng):
         base = random_layered_circuit(rng, 9, [12, 12], k=3)
         adder = build_adder_aggregation(base)
-        handle = compile_and_load(adder)
+        handle = compile_and_load(base)
         x = rng.integers(0, 2, size=(321, 9), dtype=np.uint8)
+        np.testing.assert_array_equal(handle.scores(x), adder_counts(adder, x))
         np.testing.assert_array_equal(handle.scores(x), oracle_circuit_counts(base, x))
 
     def test_pruned_circuit_with_materialized_gates(self, rng):
@@ -184,21 +186,23 @@ class TestCompiled:
     def test_empty_packed_batch(self, rng):
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)
-        empty = PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)
-        got = circuit_scores(c, empty)
-        assert got.shape == (0, 2) and got.dtype == np.int64
-        np.testing.assert_array_equal(got, handle.scores(empty))
-        for rows in (np.zeros((0, 12), dtype=np.uint8), np.zeros(12, dtype=np.uint8)):
+        for empty in (PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0),
+                      np.zeros((0, 12), dtype=np.uint8)):
+            got = circuit_scores(c, empty)
+            assert got.shape == (0, 2) and got.dtype == np.int64
+            np.testing.assert_array_equal(got, handle.scores(empty))
+        for score in (lambda rows: circuit_scores(c, rows), handle.scores):
             with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
-                circuit_scores(c, rows)
+                score(np.zeros(12, dtype=np.uint8))
 
     def test_empty_packed_batch_of_the_wrong_width(self, rng):
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)
-        empty = PackedBatch(np.zeros((5, 0), dtype=np.uint64), 0)
-        for score in (lambda batch: circuit_scores(c, batch), handle.scores):
-            with pytest.raises(ValueError, match="batch has 5 features, circuit wants 12"):
-                score(empty)
+        for empty in (PackedBatch(np.zeros((5, 0), dtype=np.uint64), 0),
+                      np.zeros((0, 5), dtype=np.uint8)):
+            for score in (lambda batch: circuit_scores(c, batch), handle.scores):
+                with pytest.raises(ValueError, match="batch has 5 features, circuit wants 12"):
+                    score(empty)
 
     def test_mnist_preset(self):
         rng = np.random.default_rng(64000)

@@ -81,10 +81,6 @@ class TestCircuitRoundTrip:
             save_model(c, path)
             loaded = load_model(path)
             assert structurally_equal(loaded, c)
-            if c.counter_bits is not None:
-                assert [list(cb) for cb in loaded.counter_bits] == [
-                    list(cb) for cb in c.counter_bits
-                ]
             x = rng.integers(0, 2, size=(64, 8), dtype=np.uint8)
             np.testing.assert_array_equal(circuit_scores(loaded, x), circuit_scores(c, x))
 
@@ -168,18 +164,19 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match="readout transform byte is 1"):
             load_model(path)
 
-    @pytest.mark.parametrize("lengths", [[2, 4], [3, 2], [3, 4], [6, 0]])
-    def test_counter_lengths_other_than_equal_runs_rejected(self, rng, tmp_path, lengths):
-        # an adder circuit with k=2 groups of 4 outputs ends in 3 counter bits per class
+    def test_counter_bits_flag_rejected(self, rng, tmp_path):
+        # an adder circuit is saved as a plain circuit, its flag 00 like any other
         c = build_adder_aggregation(random_layered_circuit(rng, 6, [8], k=2))
         path = str(tmp_path / "adder.gnet")
         save_model(c, path)
         data = bytearray(open(path, "rb").read())
-        assert data[-16:-8] == struct.pack("<II", 3, 3)  # the last field, before the checksum
-        data[-16:-8] = struct.pack("<II", *lengths)
+        assert data[-9] == 0  # the last field, before the checksum
+        data[-9] = 1
         data[-8:] = hashlib.sha256(bytes(data[:-8])).digest()[:8]
         open(path, "wb").write(bytes(data))
-        with pytest.raises(ModelFileError, match="counter"):
+        with pytest.raises(
+            ModelFileError, match="counter bits flag byte is 1; .* built at emit time, not stored"
+        ):
             load_model(path)
 
     @pytest.mark.parametrize("name", ["max probs", "counter bits"])
@@ -242,6 +239,25 @@ class TestNonFiniteValues:
         path = str(tmp_path / "c.gnet")
         save_model(c, path)
         with pytest.raises(ModelFileError, match=f"max probs of layer 1 holds {value}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("tau", np.inf), ("beta", np.nan), ("beta", -np.inf)])
+    def test_non_finite_readout_rejected(self, rng, tmp_path, field, value):
+        c = random_layered_circuit(rng, 6, [8], k=2)
+        path = str(tmp_path / "c.gnet")
+        save_model(c, path)
+        data = bytearray(open(path, "rb").read())
+        g = c.num_gates
+        readout_offset = (
+            4 + 2 + 1 + 8 + 4 + 4 + 4 * len(c.layer_sizes) + 8 * g + (g + 1) // 2
+            + 4 + 4 * len(c.output_wires)
+        )
+        at = readout_offset + (4 if field == "tau" else 12)  # after k, or after k and tau
+        assert struct.unpack_from("<d", data, at)[0] == getattr(c.readout, field)
+        struct.pack_into("<d", data, at, value)
+        data[-8:] = hashlib.sha256(bytes(data[:-8])).digest()[:8]
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ModelFileError, match=f"readout {field} must be finite.*, got {value}"):
             load_model(path)
 
     def test_bounds_of_the_unit_interval_load(self, rng, tmp_path):

@@ -146,6 +146,14 @@ class TestGroupSum:
         out = saturated_gate_scores([0] * 6, ReadoutConfig(k=3, beta=0.3))
         np.testing.assert_allclose(out, [[0.3, 0.3, 0.3]], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", np.inf), ("tau", np.nan), ("beta", np.nan), ("beta", np.inf), ("beta", -np.inf)],
+    )
+    def test_non_finite_tau_or_beta_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^readout {field} must be finite"):
+            ReadoutConfig(k=2, **{field: value})
+
     def test_argmax_invariant_under_beta_and_tau(self, rng):
         topo = build_topology(1, [8, 12])
         logits = init_params(topo, 1, dtype=np.float64)

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import (
     check_equivalence,
-    oracle_circuit_counts,
     oracle_circuit_outputs,
     random_layered_circuit,
     random_netlist,
@@ -27,7 +26,7 @@ from gatenet.opt import (
     prune,
     write_histogram_csv,
 )
-from gatenet.packed import build_adder_aggregation, circuit_scores, execute_packed, pack, unpack
+from gatenet.packed import build_adder_aggregation, execute_packed, pack, unpack
 
 
 def circ(w_in, layer_sizes, sources, opcodes, outputs, k=1):
@@ -97,10 +96,6 @@ def loop_prune(circuit: Circuit) -> Circuit:
             extra_src.append((0, 0) if key[0] == "const" else (key[1], key[1]))
             extra_ops.append((0, 15)[key[1]] if key[0] == "const" else 12)
         new_out.append(made[key])
-    counter_bits = None
-    if circuit.counter_bits is not None:
-        splits = np.cumsum([len(cb) for cb in circuit.counter_bits])[:-1]
-        counter_bits = tuple(np.split(np.array(new_out, dtype=np.uint32), splits))
     max_probs = None
     if circuit.max_probs is not None:
         max_probs = np.concatenate([circuit.max_probs[live_idx], np.ones(len(extra_ops))])
@@ -113,7 +108,6 @@ def loop_prune(circuit: Circuit) -> Circuit:
         readout=circuit.readout,
         seed=circuit.seed,
         max_probs=max_probs,
-        counter_bits=counter_bits,
     )
 
 
@@ -220,15 +214,6 @@ class TestPrune:
         c = random_layered_circuit(rng, 6, [8, 8], k=2)
         p = prune(c)
         assert p.max_probs is not None and len(p.max_probs) == p.num_gates
-
-    def test_counter_circuit_survives_pruning(self, rng):
-        base = random_layered_circuit(rng, 10, [8, 8], k=2)
-        adder = build_adder_aggregation(base)
-        p = prune(adder)
-        assert p.counter_bits is not None
-        assert [len(cb) for cb in p.counter_bits] == [len(cb) for cb in adder.counter_bits]
-        x = rng.integers(0, 2, size=(333, 10), dtype=np.uint8)
-        np.testing.assert_array_equal(circuit_scores(p, x), oracle_circuit_counts(base, x))
 
     def test_pass_through_outputs_execute_packed(self):
         c = circ(3, (1,), [[1, 0]], [3], [3])

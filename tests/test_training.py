@@ -128,6 +128,8 @@ class TestTrainConfigValidation:
             {"tau": 0.0},
             {"width": 1},
             {"allowed_gates": 0},
+            {"tau": float("inf")},
+            {"beta": float("nan")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -237,6 +239,15 @@ class TestEvaluate:
         data = ToyData(np.zeros((3, net.input_width + 2), dtype=np.uint8), np.zeros(3), 2)
         with pytest.raises(ValueError):
             evaluate(net, data)
+
+    def test_empty_dataset_counts_zero_for_net_and_circuit(self, rng):
+        net = random_small_net(rng)
+        k = net.readout.k
+        empty = ToyData(np.zeros((0, net.input_width), dtype=np.uint8), np.zeros(0), k)
+        for model in (net, discretize(net)):
+            res = evaluate(model, empty)
+            assert res.count == 0 and res.accuracy == 0.0
+            np.testing.assert_array_equal(res.confusion, np.zeros((k, k)))
 
     def test_relaxed_batches_stay_within_budget(self, rng):
         # 600 rows of 784 -> 4x8000 hold 79 MB of float32 activations at once
