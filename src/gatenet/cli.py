@@ -74,6 +74,8 @@ def _real(text: str) -> float:
     """Parse a float, accepting exact fractions like 1/0.075."""
     if "/" in text:
         num, _, den = text.partition("/")
+        if float(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return float(num) / float(den)
     return float(text)
 

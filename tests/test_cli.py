@@ -147,6 +147,9 @@ class TestSettingsMerge:
         cfg.write_text("epochs = many\n")
         with pytest.raises(UsageError, match="bad value"):
             merge_settings(self._args(config=str(cfg)))
+        cfg.write_text("tau = 1/0\n")
+        with pytest.raises(UsageError, match="bad value for tau: zero denominator in '1/0'"):
+            merge_settings(self._args(config=str(cfg)))
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(UsageError, match="unknown preset"):
@@ -240,6 +243,12 @@ class TestTrain:
         assert rc == EXIT_USAGE
         assert f"readout {flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_denominator_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", "monk1", "--tau", "1/0", "--data-dir", data_dir])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --tau: invalid _real value: '1/0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["loss = mse", "dtype = float64"], ids=["loss", "dtype"])
     def test_removed_objective_keys_rejected(self, line, tmp_path, data_dir, capsys):

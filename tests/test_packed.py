@@ -253,9 +253,10 @@ class TestChunkedScores:
         whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
         for samples in (x, pack(x)):
-            got = adder_counts(scored, samples) if adder else circuit_scores(
-                scored, samples, threads=threads
-            )
+            if adder:
+                got = adder_counts(scored, samples)
+            else:
+                got = circuit_scores(scored, samples, threads=threads)
             np.testing.assert_array_equal(got, whole)
 
     def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
