@@ -21,7 +21,7 @@ from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import benchmark, build_adder_aggregation, circuit_scores, pack
+from .packed import _counted, benchmark, build_adder_aggregation, circuit_scores, pack
 from .presets import get_preset, preset_names
 from .training import NumericsError, TrainConfig, evaluate, train
 
@@ -400,7 +400,8 @@ def cmd_compile(args) -> int:
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
         fh.write(_emit(adder, "circuit_eval"))
-    print(f"gates: {circuit.num_gates} -> {adder.num_gates} with counters")
+    pruned = _counted(circuit).base.num_gates
+    print(f"gates: {circuit.num_gates} -> {pruned} -> {adder.num_gates} with counters")
     _print_max_probs(circuit)
     print(f"source: {out_path}")
     return EXIT_OK

@@ -2,11 +2,13 @@
 
 The emitted translation unit is plain C99 over the standard library: one
 fixed kernel plus ``static const`` tables holding the execution plan that
-``execute_packed`` runs, for the circuit with its adder aggregation. The
-kernel runs the plan over blocks of 64-bit lanes in a heap plane and decodes
-each class's counter rows into scores. Only the tables depend on the
-circuit, and emission is a pure function of it: the text is byte-identical
-across runs, with no timestamps or environment-dependent parts.
+``execute_packed`` runs, for the pruned circuit with its adder aggregation
+(``build_adder_aggregation``). The kernel runs the plan over blocks of
+64-bit lanes in a heap plane and decodes each class's counter rows into
+scores. Only the tables depend on the circuit, and emission is a pure
+function of it: the text is byte-identical across runs, with no timestamps
+or environment-dependent parts, and the same for a circuit and its
+``prune`` form.
 """
 
 from __future__ import annotations
@@ -129,8 +131,10 @@ def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
     wire-major (word of wire i in lane L sits at ``in[i*lanes + L]``); bit b
     of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
     receives samples x k signed counts, sample-major: the plan runs the
-    circuit with the counters of ``build_adder_aggregation``, built here
-    from the plain circuit, and the kernel decodes their wires. Downstream
+    pruned circuit with the counters of ``build_adder_aggregation``, built
+    here from the plain circuit, and the kernel decodes their wires. So
+    ``emit_source(c) == emit_source(prune(c))``, and the scores equal
+    ``circuit_scores``, which runs the same pruned circuit. Downstream
     scaling (count/tau + beta) is left to the caller. The function returns
     0, or 1 when it cannot allocate its plane of ``BUDGET`` bytes per lane
     block.

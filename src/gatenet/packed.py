@@ -36,17 +36,18 @@ Class scores count the set output bits of each group without leaving the
 packed words: a column compressor of full adders reduces a group's planes,
 three at a time, to one plane per binary digit of the count, and only those
 few count planes are unpacked. ``popcount_scores`` counts all the lanes it
-is given at once. Outputs of constant gates (opcodes 0 and 15) are not
-counted: ``_counted`` decides, per class, which output wires are counted
-and the offset each class adds, its constant-true outputs, and the numpy
-readout and ``build_adder_aggregation`` both follow it.
+is given at once. Scoring and emission never run a circuit as it is given:
+``_counted`` prunes it (``opt.prune``), so constant, pass-through, negation
+and dead gates do not run, and leaves the outputs of the pruned circuit's
+constant gates uncounted, adding each class's constant-true outputs as an
+offset. The numpy readout and ``build_adder_aggregation`` both follow it.
 
 ``circuit_scores`` is the one place that splits a batch into lane blocks:
 as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
 size give or take one lane. It runs them one at a time: it packs a block's
-rows, executes them with only the counted wires as outputs and counts those
-while they are still in cache, adds the offsets, then joins the blocks'
-scores. Extra threads share out the blocks.
+rows, executes the pruned circuit with only the counted wires as outputs
+and counts those while they are still in cache, adds the offsets, then
+joins the blocks' scores. Extra threads share out the blocks.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Circuit, ReadoutConfig
+from .opt import prune
 
 
 def _require_little_endian() -> None:
@@ -74,10 +76,21 @@ class PackedBatch:
 
     The words are ``np.uint64``; bit j (LSB-first) of that word is sample
     64*l + j. Bits at or beyond sample_count in the last lane are zero.
+    ``words`` must be 2-d with exactly ceil(sample_count / 64) lanes, so no
+    sample is read from beyond the words.
     """
 
     words: np.ndarray
     sample_count: int
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.words) != 2:
+            raise ValueError(f"words must be 2-d (features, lanes), got {np.ndim(self.words)}-d")
+        need = -(-self.sample_count // 64)
+        if self.sample_count < 0 or self.lanes != need:
+            raise ValueError(
+                f"{self.sample_count} samples need {max(need, 0)} lanes, words have {self.lanes}"
+            )
 
     @property
     def lanes(self) -> int:
@@ -140,6 +153,8 @@ def unpack(batch: PackedBatch) -> np.ndarray:
     """Inverse of pack: (samples, features) uint8."""
     _require_little_endian()
     f, lanes = batch.words.shape
+    if lanes == 0:
+        return np.zeros((0, f), dtype=np.uint8)
     words = np.zeros((-(-f // 8) * 8, lanes), dtype=np.uint64)
     words[:f] = batch.words
     blocks = words.view(np.uint8).reshape(-1, 8, lanes * 8).transpose(0, 2, 1).copy()
@@ -487,15 +502,17 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch.
 
-    A class's score is the set-bit count of its output wires. The batch
-    runs in the lane blocks of ``_lane_blocks`` over the plane rows of the
-    plan for ``_counted``'s circuit, one at a time: each block is packed (or
-    sliced from the PackedBatch), executed, and its counted wires, the
-    outputs of non-constant gates and inputs, are counted into its rows of
-    the scores, plus each class's offset for its constant-true outputs. An
-    empty PackedBatch, or zero raw rows, of the circuit's width scores as
-    (0, k). Threads take turns over the blocks, so results are identical for
-    any thread count.
+    A class's score is the set-bit count of its output wires. What runs is
+    ``_counted``'s scoring circuit, the pruned form of ``circuit``, in the
+    lane blocks of ``_lane_blocks`` over its plan's plane rows, one at a
+    time: each block is packed (or sliced from the PackedBatch), executed,
+    and its counted wires, the outputs of the pruned circuit's non-constant
+    gates and inputs, are counted into its rows of the scores, plus each
+    class's offset for its constant-true outputs. The scores are those of
+    ``circuit`` itself, since pruning keeps every output bit. An empty
+    PackedBatch, or zero raw rows, of the circuit's width scores as (0, k).
+    Threads take turns over the blocks, so results are identical for any
+    thread count.
     """
     return _score_batch(circuit, samples, threads)[0]
 
@@ -549,9 +566,13 @@ def _score_chunks(
 
 
 class _Fold(NamedTuple):
-    """Which outputs each class counts, and what it adds: see ``_counted``."""
+    """Which outputs each class counts, and what it adds: see ``_counted``.
 
-    circuit: Circuit  # outputs: each class's counted wires, then pads to the widest class
+    Every wire named here is a wire of ``base``.
+    """
+
+    base: Circuit  # the pruned circuit that scoring and emission run
+    circuit: Circuit  # base, its outputs each class's counted wires, then pads
     offset: np.ndarray  # (k,) added to each class's count of those outputs
     counted: np.ndarray  # (k,) each class's counted wires, ahead of its pads
     ones: np.ndarray  # (k,) each class's constant-true outputs
@@ -562,46 +583,53 @@ class _Fold(NamedTuple):
 def _counted(circuit: Circuit) -> _Fold:
     """Which output wires each class counts, and its offset (cached on the circuit).
 
-    A class's score is the set-bit count of its counted wires plus its
-    constant-true outputs. An output wire is not counted when it is the
-    output of an opcode-0 or opcode-15 gate; an input wire is always
-    counted. Every class is padded to the widest class's count with one
-    constant output wire, a constant-false one where there is one, and the
-    offset is the class's constant-true outputs less its constant-true pads.
-    The fold's circuit is ``circuit`` with the padded wires, class after
-    class, as its outputs, or ``circuit`` itself when no output is constant.
+    The fold's ``base`` is ``prune(circuit)``, which gives every output bit
+    of ``circuit`` with no constant, pass-through, negation or dead gate;
+    its wires are the ones the fold names. A class's score is the set-bit
+    count of its counted wires plus its constant-true outputs. An output
+    wire is not counted when it is the output of an opcode-0 or opcode-15
+    gate, the shared constants ``prune`` makes for outputs that resolve to
+    a constant; an input wire is always counted. Every class is padded to
+    the widest class's count with one constant output wire, a
+    constant-false one where there is one, and the offset is the class's
+    constant-true outputs less its constant-true pads. The fold's circuit
+    is ``base`` with the padded wires, class after class, as its outputs,
+    or ``base`` itself when no output is constant.
     """
     fold = getattr(circuit, "_fold", None)
     if fold is None:
-        k, w_in = circuit.readout.k, circuit.input_width
-        wires = circuit.output_wires.astype(np.int64).reshape(k, -1)
+        base = prune(circuit)
+        k, w_in = base.readout.k, base.input_width
+        wires = base.output_wires.astype(np.int64).reshape(k, -1)
         op = np.full(wires.shape, 3, dtype=np.uint8)  # inputs count as a pass-through
         gate = wires >= w_in
-        op[gate] = circuit.opcodes[wires[gate] - w_in]
+        op[gate] = base.opcodes[wires[gate] - w_in]
         const, ones = (op == 0) | (op == 15), np.count_nonzero(op == 15, axis=1)
         true, false = (wires[op == value][:1] for value in (15, 0))
         counted = np.count_nonzero(~const, axis=1)
         width = int(counted.max())
-        fold = _Fold(circuit, ones, counted, ones, true, false)
+        fold = _Fold(base, base, ones, counted, ones, true, false)
         if const.any():
             padded = np.take_along_axis(wires, np.argsort(const, axis=1, kind="stable"), 1)
             padded = padded[:, :width]
             padded[np.arange(width) >= counted[:, None]] = false[0] if len(false) else true[0]
             offset = ones - (width - counted) * (len(false) == 0)
-            scored = replace(circuit, output_wires=padded.ravel())
+            scored = replace(base, output_wires=padded.ravel())
             fold = fold._replace(circuit=scored, offset=offset)
         circuit._fold = fold
     return fold
 
 
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
-    """Append XOR/AND counters so class counts come out as binary wires.
+    """The pruned circuit with XOR/AND counters, so class counts come out as binary wires.
 
-    The counters are the readout's column compressor run over wire ids: each
-    word operation appends gates instead of computing words. Each class
-    counts the wires ``_counted`` keeps, and adds its offset through the
-    compressor's columns: a constant-true wire goes in front of column w for
-    each set bit w of the offset. A count bit that is always 0 is a
+    The counters are appended to ``_counted``'s pruned base, not to
+    ``circuit``, so the adder of a circuit and that of its ``prune`` form
+    are the same. They are the readout's column compressor run over wire
+    ids: each word operation appends gates instead of computing words. Each
+    class counts the wires ``_counted`` keeps, and adds its offset through
+    the compressor's columns: a constant-true wire goes in front of column w
+    for each set bit w of the offset. A count bit that is always 0 is a
     constant-false wire, made as a wire XOR itself if the circuit has none.
     A class costs at most 5 gates per counted bit, plus about one per set
     offset bit, and ceil(log2(G+1)) counter wires for its full group of G
@@ -615,6 +643,8 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
     gsz = circuit.group_size
     if gsz == 0:
         raise ValueError("circuit has no output wires to aggregate")
+    fold = _counted(circuit)
+    base = fold.base
     new_src: list[np.ndarray] = []
     new_ops: list[np.ndarray] = []
     added = 0
@@ -622,13 +652,12 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
     def gate(opcode: int, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         nonlocal added
         new_src.append(np.stack([a.ravel(), b.ravel()], axis=1))  # before ``out`` may overwrite a
-        first, added = circuit.num_wires + added, added + a.size
+        first, added = base.num_wires + added, added + a.size
         out[...] = np.arange(first, first + a.size).reshape(out.shape)
         new_ops.append(np.full(a.size, opcode, dtype=np.uint8))
 
     xor, and_ = partial(gate, 6), partial(gate, 1)
-    fold = _counted(circuit)
-    k, width = circuit.readout.k, gsz.bit_length()
+    k, width = base.readout.k, gsz.bit_length()
     wires = fold.circuit.output_wires.astype(np.int64).reshape(k, -1)
     planes = np.empty((k, width, 1, 1), dtype=np.int64)
     for c, (counted, ones) in enumerate(zip(fold.counted.tolist(), fold.ones.tolist())):
@@ -640,17 +669,17 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
         false = np.empty(1, dtype=np.int64)
         xor(fold.true, fold.true, out=false)
     planes[unset] = false[:1]
-    max_probs = circuit.max_probs
+    max_probs = base.max_probs
     if max_probs is not None:
         max_probs = np.concatenate([max_probs, np.ones(added)])
     return Circuit(
-        input_width=circuit.input_width,
-        layer_sizes=circuit.layer_sizes + (added,),
-        sources=np.concatenate([circuit.sources, *new_src]),
-        opcodes=np.concatenate([circuit.opcodes, *new_ops]),
+        input_width=base.input_width,
+        layer_sizes=base.layer_sizes + (added,),
+        sources=np.concatenate([base.sources, *new_src]),
+        opcodes=np.concatenate([base.opcodes, *new_ops]),
         output_wires=planes.ravel(),
-        readout=circuit.readout,
-        seed=circuit.seed,
+        readout=base.readout,
+        seed=base.seed,
         max_probs=max_probs,
     )
 
@@ -681,12 +710,15 @@ def benchmark(
     blocks; with several threads, a stage's time is the largest of the
     threads' sums. ``samples_per_sec`` counts execution plus readout;
     ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the stages' medians.
+    ``gates`` is the gate count of the pruned circuit that runs, which
+    ``gate_ops_per_sec`` credits.
     """
     rows = unpack(batch)
+    gates = _counted(circuit).base.num_gates
     report = {
         "samples": batch.sample_count,
         "lanes": batch.lanes,
-        "gates": circuit.num_gates,
+        "gates": gates,
         "cpu": _cpu_model(),
         "per_thread": {},
     }
@@ -700,7 +732,7 @@ def benchmark(
         report["per_thread"][threads] = {
             "seconds_median": med,
             "samples_per_sec": samples_per_sec,
-            "gate_ops_per_sec": samples_per_sec * circuit.num_gates,
+            "gate_ops_per_sec": samples_per_sec * gates,
             "pack_ms": float(pack_s) * 1e3,
             "execute_ms": float(execute_s) * 1e3,
             "readout_ms": float(readout_s) * 1e3,

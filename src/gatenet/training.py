@@ -247,7 +247,8 @@ def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:
 
     A LogicNet is scored in relaxed mode, in batches whose ForwardCache fits
     in ``RELAXED_EVAL_BYTES`` where one row allows; a Circuit runs packed
-    Boolean inference with the popcount readout.
+    Boolean inference with the popcount readout through ``circuit_scores``,
+    which executes its pruned form.
     """
     if int(dataset.width) != model.input_width:
         raise ValueError(

@@ -289,16 +289,20 @@ class TestTransforms:
         assert int(after) <= int(before) == 16
         assert load_model(str(pruned_file)).num_gates == int(after)
 
-        source_file = workdir / "m1.c"
-        assert main(["compile", "--in", str(pruned_file), "--out", str(source_file)]) == EXIT_OK
-        text = source_file.read_text()
-        assert "int circuit_eval" in text
-        out = capsys.readouterr().out
-        gates = out.splitlines()[0].removeprefix("gates: ").removesuffix(" with counters")
+        # compile prints the file's gates, the pruned gates that run, and those with counters
         counted = build_adder_aggregation(load_model(str(pruned_file)))
-        assert gates == f"{after} -> {counted.num_gates}"
-        assert int(gates.split(" -> ")[1]) > int(after)
-        assert "mean max-probability: 0." in out
+        texts = []
+        for given, count in ((pruned_file, after), (circuit_file, before)):
+            source_file = workdir / "m1.c"
+            assert main(["compile", "--in", str(given), "--out", str(source_file)]) == EXIT_OK
+            texts.append(source_file.read_text())
+            assert "int circuit_eval" in texts[-1]
+            out = capsys.readouterr().out
+            gates = out.splitlines()[0].removeprefix("gates: ").removesuffix(" with counters")
+            assert gates == f"{count} -> {after} -> {counted.num_gates}"
+            assert counted.num_gates > int(after)
+            assert "mean max-probability: 0." in out
+        assert texts[0] == texts[1]  # the file and its pruned form emit the same C
 
     def test_kind_mismatch_exit_codes(self, ckpt, circuit_file):
         assert main(["prune", "--in", str(ckpt)]) == EXIT_USAGE

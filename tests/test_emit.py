@@ -195,6 +195,12 @@ class TestCompiled:
             with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
                 score(np.zeros(12, dtype=np.uint8))
 
+    def test_batch_claiming_more_samples_than_lanes_rejected(self, rng):
+        # words of one lane cannot hold 100 samples: the kernel never reads past them
+        handle = compile_and_load(random_layered_circuit(rng, 12, [16, 8], k=2))
+        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
+            handle.scores(PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
+
     def test_empty_packed_batch_of_the_wrong_width(self, rng):
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)

@@ -17,12 +17,13 @@ from conftest import (
     oracle_pack,
     random_layered_circuit,
     random_netlist,
+    structurally_equal,
 )
 from gatenet import gates, packed
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
+from gatenet.emit import emit_source
 from gatenet.packed import (
-    BUDGET,
     PackedBatch,
     _counted,
     _decode_counts,
@@ -47,6 +48,16 @@ def single_gate_circuit(op: int, k: int = 1) -> Circuit:
         output_wires=np.array([2], dtype=np.uint32),
         readout=ReadoutConfig(k=k),
     )
+
+
+def scored_rows(circuit: Circuit) -> int:
+    """Plane rows of the plan ``circuit_scores`` runs for ``circuit``: its pruned fold's."""
+    return _plan_for(_counted(circuit).circuit).rows
+
+
+def counter_gates(circuit: Circuit, adder: Circuit) -> slice:
+    """The gates ``build_adder_aggregation(circuit)`` appended to the pruned base."""
+    return slice(_counted(circuit).base.num_gates, adder.num_gates)
 
 
 def passthrough_circuit(width: int, k: int, op: int = 3) -> Circuit:
@@ -86,6 +97,26 @@ class TestPack:
             assert batch.words.dtype == np.uint64
             assert batch.lanes == -(-n // 64)
             np.testing.assert_array_equal(unpack(batch), x)
+
+    def test_zero_rows_round_trip(self):
+        rows = np.zeros((0, 12), dtype=np.uint8)
+        empty = PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)
+        for batch in (empty, packed._batch_or_rows(rows)):
+            got = unpack(batch)
+            assert got.shape == (0, 12) and got.dtype == np.uint8
+            np.testing.assert_array_equal(got, rows)
+
+    @pytest.mark.parametrize("lanes, samples", [(1, 100), (2, 64), (0, 1), (2, 0), (1, -1)])
+    def test_lanes_must_hold_exactly_the_samples(self, lanes, samples):
+        need = max(-(-samples // 64), 0)
+        message = f"^{samples} samples need {need} lanes, words have {lanes}$"
+        with pytest.raises(ValueError, match=message):
+            PackedBatch(np.zeros((12, lanes), dtype=np.uint64), samples)
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 1, 1), ()])
+    def test_words_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=f"words must be 2-d .*, got {len(shape)}-d"):
+            PackedBatch(np.zeros(shape, dtype=np.uint64), 0)
 
     def test_padding_bits_are_zero(self):
         for n in SAMPLE_COUNTS:
@@ -179,6 +210,14 @@ class TestExecutePacked:
             alone = unpack(execute_packed(circ, pack(x[:n])))
             np.testing.assert_array_equal(alone, whole[:n])
 
+    def test_batch_claiming_more_samples_than_lanes_rejected(self):
+        # words of one lane cannot hold 100 samples: nothing reads past them
+        circ = passthrough_circuit(12, 2)
+        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
+            execute_packed(circ, PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
+        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
+            circuit_scores(circ, PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
+
     def test_width_mismatch_rejected(self, rng):
         circ = random_layered_circuit(rng, 9, [12], 3)
         with pytest.raises(ValueError):
@@ -207,11 +246,14 @@ class TestGeneralNetlists:
             counts = circuit_scores(circ, x, threads=threads)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
-    def test_whole_batch_execute_and_blocked_scores_with_a_partial_last_lane(self, rng):
+    def test_whole_batch_execute_and_blocked_scores_with_a_partial_last_lane(
+        self, rng, monkeypatch
+    ):
         # execute_packed runs all the lanes as one block; circuit_scores
         # splits them into four lane blocks
         circ = random_netlist(rng, 8, 3000, 4, 500)
-        step = BUDGET // (8 * _plan_for(circ).rows)  # lanes per block
+        step = 40  # lanes per block
+        monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
         lanes = 3 * step + step // 3
         x = (rng.uniform(size=(64 * lanes - 5, 8)) < 0.5).astype(np.uint8)
         batch = pack(x)
@@ -248,7 +290,7 @@ class TestChunkedScores:
     def test_matches_whole_batch_readout_and_oracle(self, rng, monkeypatch, n, threads, adder):
         circ = random_layered_circuit(rng, 12, [20, 20], 4)
         scored = build_adder_aggregation(circ) if adder else circ
-        monkeypatch.setattr(packed, "BUDGET", 8 * _plan_for(scored).rows * 3)
+        monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * 3)
         x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
         whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
@@ -261,7 +303,7 @@ class TestChunkedScores:
 
     def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
         circ = random_layered_circuit(rng, 6, [8], 2)
-        monkeypatch.setattr(packed, "BUDGET", 8 * _plan_for(circ).rows)  # 1 lane per block
+        monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ))  # 1 lane per block
         late = np.zeros((200, 6), dtype=np.uint8)
         late[-1, 0] = 2  # only the last chunk holds the bad value
         cases = [
@@ -432,7 +474,7 @@ class TestAdderAggregation:
     def test_counter_uses_only_xor_and_and(self, rng):
         circ = random_layered_circuit(rng, 8, [16, 16], 2)
         agg = build_adder_aggregation(circ)
-        new = agg.opcodes[circ.num_gates :]
+        new = agg.opcodes[counter_gates(circ, agg)]
         assert set(np.unique(new)) <= {1, 6}
 
     def test_counter_width(self, rng):
@@ -461,7 +503,7 @@ class TestAdderAggregation:
         agg = build_adder_aggregation(circ)
         g = 512 // 8
         bound = int(2 * 512 * (np.log2(g) + 1))
-        assert agg.num_gates - circ.num_gates <= bound
+        assert len(agg.opcodes[counter_gates(circ, agg)]) <= bound
 
     @pytest.mark.parametrize("group", [7, 8, 63, 64, 800])
     def test_counter_size_and_depth(self, group):
@@ -478,12 +520,13 @@ class TestAdderAggregation:
         x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
         for circ in (plain, folded):
             agg = build_adder_aggregation(circ)
-            added = agg.opcodes[circ.num_gates :]
+            added = agg.opcodes[counter_gates(circ, agg)]
             ops = circ.opcodes.reshape(k, group)
             widest = np.count_nonzero((ops != 0) & (ops != 15), axis=1).max()
             ones = np.count_nonzero(ops == 15, axis=1)
             assert len(added) <= 5 * k * widest + sum(bin(n).count("1") for n in ones)
-            depth = agg.levels()[circ.num_gates :].max() - 1  # the band it reads is level 1
+            levels = agg.levels()[counter_gates(circ, agg)]
+            depth = levels.max() - levels.min() + 1
             assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
             assert set(np.unique(added)) <= {1, 6}
             want = oracle_circuit_counts(circ, x)
@@ -511,7 +554,7 @@ class TestConstantFold:
         x = np.random.default_rng(n).integers(0, 2, size=(n, circ.input_width), dtype=np.uint8)
         want = oracle_circuit_counts(circ, x)
         adder = build_adder_aggregation(circ)
-        assert set(np.unique(adder.opcodes[circ.num_gates :])) <= {1, 6}
+        assert set(np.unique(adder.opcodes[counter_gates(circ, adder)])) <= {1, 6}
         group = len(FOLD_CASES[case][0])
         assert adder.group_size == group.bit_length()
         for scores in (circuit_scores(circ, x), circuit_scores(circ, pack(x), threads=3),
@@ -542,7 +585,8 @@ class TestConstantFold:
         np.testing.assert_array_equal(fold.offset, offset)
         wires = fold.circuit.output_wires.astype(np.int64).reshape(circ.readout.k, -1)
         assert wires.shape[1] == max(counted)
-        ops = np.append(np.full(circ.input_width, 3), circ.opcodes)[wires]
+        # the wires are the pruned base's, so its opcodes name their gates
+        ops = np.append(np.full(circ.input_width, 3), fold.base.opcodes)[wires]
         for row, kept, kinds in zip(ops, counted, FOLD_CASES[case]):
             assert not np.isin(row[:kept], (0, 15)).any()
             assert np.all(row[kept:] == pad)
@@ -550,9 +594,12 @@ class TestConstantFold:
 
     def test_nothing_folds_without_constant_outputs(self):
         circ = fold_circuit(FOLD_CASES["no_constants"])
-        assert _counted(circ).circuit is circ
         adder = build_adder_aggregation(circ)
-        assert _counted(adder).circuit is adder
+        for c in (circ, adder):
+            fold = _counted(c)
+            assert fold.circuit is fold.base
+            assert structurally_equal(fold.base, prune(c))
+            np.testing.assert_array_equal(fold.offset, 0)
 
     def test_scoring_gathers_only_counted_outputs(self, monkeypatch):
         # circuit_scores calls execute_packed through the module, on the fold's circuit
@@ -581,18 +628,97 @@ class TestConstantFold:
         np.testing.assert_array_equal(adder_counts(build_adder_aggregation(pruned), x), want)
 
 
+def dead_passthrough_constant_circuit() -> Circuit:
+    """Two bands over 4 inputs with a dead gate, pass-throughs, negations and constants.
+
+    Outputs, two classes of three: AND(i0, i1), OR(i2 copied, AND), true;
+    NOT(NOT i0) through a copy, XOR(true, AND) (a NOT of the AND), false.
+    """
+    table = [  # (opcode, source, source); gate g is wire 4 + g
+        (1, 0, 1),  # 4: i0 & i1
+        (3, 2, 0),  # 5: a copy of i2
+        (15, 0, 1),  # 6: true
+        (6, 1, 3),  # 7: dead
+        (12, 0, 3),  # 8: ~i0
+        (7, 4, 5),  # 9: (i0 & i1) | i2
+        (3, 8, 4),  # 10: a copy of ~i0
+        (6, 6, 4),  # 11: true ^ (i0 & i1)
+        (0, 9, 10),  # 12: false
+        (12, 10, 9),  # 13: ~~i0
+    ]
+    t = np.array(table)
+    return Circuit(
+        input_width=4,
+        layer_sizes=(5, 5),
+        sources=t[:, 1:],
+        opcodes=t[:, 0],
+        output_wires=np.array([4, 9, 6, 13, 11, 12]),
+        readout=ReadoutConfig(k=2),
+    )
+
+
+def scoring_cases() -> dict:
+    """Circuits to score through their pruned form: random, general and constant-output ones."""
+    rng = np.random.default_rng(18)
+    cases = {f"fold_{name}": fold_circuit(classes) for name, classes in FOLD_CASES.items()}
+    for i in range(4):
+        k = int(rng.choice([1, 2, 3, 4]))
+        cases[f"layered{i}"] = random_layered_circuit(rng, 10, [24, 24, 12], k)
+        cases[f"netlist{i}"] = random_netlist(rng, 9, 150, int(rng.integers(1, 4)), 5)
+    cases["dead_passthrough_constant"] = dead_passthrough_constant_circuit()
+    return cases
+
+
+SCORING_CASES = scoring_cases()
+
+
+class TestPrunedScoring:
+    """Scoring and emission run a circuit's ``prune`` form, so a circuit and that form agree."""
+
+    @pytest.mark.parametrize("case", sorted(SCORING_CASES))
+    def test_circuit_and_its_pruned_form_fold_alike(self, case):
+        circ = SCORING_CASES[case]
+        fold, pruned_fold = _counted(circ), _counted(prune(circ))
+        np.testing.assert_array_equal(fold.counted, pruned_fold.counted)
+        np.testing.assert_array_equal(fold.offset, pruned_fold.offset)
+        assert structurally_equal(fold.circuit, pruned_fold.circuit)
+        assert structurally_equal(fold.base, prune(circ))
+        assert emit_source(circ) == emit_source(prune(circ))
+
+    def test_scoring_runs_the_pruned_gates(self, monkeypatch):
+        # circuit_scores calls execute_packed through the module
+        circ = dead_passthrough_constant_circuit()
+        ran = []
+
+        def spy(circuit, batch):
+            ran.append(circuit.num_gates)
+            return execute_packed(circuit, batch)
+
+        monkeypatch.setattr(packed, "execute_packed", spy)
+        x = np.random.default_rng(6).integers(0, 2, size=(100, 4), dtype=np.uint8)
+        np.testing.assert_array_equal(circuit_scores(circ, x), oracle_circuit_counts(circ, x))
+        # AND, OR, the shared true and false and the NOT of the AND; not the 10 given
+        assert ran == [prune(circ).num_gates] == [5]
+
+    def test_execute_packed_runs_the_circuit_as_given(self):
+        circ = dead_passthrough_constant_circuit()
+        x = np.random.default_rng(7).integers(0, 2, size=(70, 4), dtype=np.uint8)
+        got = unpack(execute_packed(circ, pack(x)))
+        np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
+        assert _plan_for(circ).group_op.tolist().count(3) == 2  # its two copies ran
+
+
 class TestBenchmark:
     def test_report_shape(self, rng):
         circ = random_layered_circuit(rng, 16, [64, 64], 4)
         batch = pack((rng.uniform(size=(2000, 16)) < 0.5).astype(np.uint8))
         rep = benchmark(circ, batch, repetitions=3, threads_list=(1, 2))
-        assert rep["gates"] == circ.num_gates
+        gates = prune(circ).num_gates  # the gates that run, not the file's
+        assert rep["gates"] == gates < circ.num_gates
         assert set(rep["per_thread"]) == {1, 2}
         one = rep["per_thread"][1]
         assert one["samples_per_sec"] > 0
-        assert one["gate_ops_per_sec"] == pytest.approx(
-            one["samples_per_sec"] * circ.num_gates
-        )
+        assert one["gate_ops_per_sec"] == pytest.approx(one["samples_per_sec"] * gates)
         for stage in ("pack_ms", "execute_ms", "readout_ms"):
             assert one[stage] > 0, stage
         assert isinstance(rep["cpu"], str) and rep["cpu"]
