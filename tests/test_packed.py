@@ -20,9 +20,9 @@ from conftest import (
     structurally_equal,
 )
 from gatenet import gates, packed
+from gatenet.emit import emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
-from gatenet.emit import emit_source
 from gatenet.packed import (
     PackedBatch,
     _counted,
