@@ -18,9 +18,11 @@ acceptance criterion 8 with its pruned form. An adder form's scores are its
 counter wires read as binary by the test suite's ``adder_counts``, under
 both thread labels, and its ``emit_source`` line is that of the circuit it
 was built from, since ``emit_source`` builds the adder itself.
-Training is covered by two short seeded ``train`` runs on small random data:
-the saved ``.gnet`` bytes of the final net and of the best snapshot, and the
-history rows with their losses and eval accuracies. The package is imported
+Training is covered by three short seeded ``train`` runs on small random
+data: the saved ``.gnet`` bytes of the final net and of the best snapshot,
+and the history rows with their losses and eval accuracies. The third run is
+wide enough that its relaxed passes and its Adam steps each run in several
+blocks of ``relaxed.BLOCK_BYTES``. The package is imported
 from ``src/`` beside this directory, so running the script in two checkouts
 and diffing the outputs shows whether a change altered any result.
 """
@@ -55,12 +57,15 @@ SAMPLE_COUNTS = (1, 63, 64, 65, 16384)
 PACK_FEATURES = (1, 9, 784)
 PACK_DTYPES = (np.uint8, np.bool_, np.float64)
 THREADS = (1, 3)
-# Two short runs: two classes near the defaults, and three classes with tau,
-# beta, learning rate and gate mask of their own; both end epochs on a partial batch.
+# Three short runs: two classes near the defaults; three classes with tau,
+# beta, learning rate and gate mask of their own; and four classes over
+# 13000-wide layers, which at batch 100 run 13 neuron blocks per relaxed pass
+# and 3 row blocks per Adam step. All end epochs on a partial batch.
 TRAIN_RUNS = (
     dict(layers=2, width=16, max_epochs=4, batch_size=32, seed=1),
     dict(layers=4, width=24, classes=3, tau=2.5, beta=0.25, learning_rate=0.05,
          max_epochs=3, batch_size=100, seed=2, allowed_gates=0x7FF6),
+    dict(layers=2, width=13000, classes=4, tau=10.0, max_epochs=1, batch_size=100, seed=3),
 )
 
 

@@ -70,30 +70,6 @@ COEFFS: np.ndarray = _bilinear_coeffs()
 COEFFS.setflags(write=False)
 
 
-def eval_hard(gate: int | np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean gate output for 0/1 inputs. Broadcasts over all arguments."""
-    gate = np.asarray(gate)
-    a = np.asarray(a).astype(np.uint8)
-    b = np.asarray(b).astype(np.uint8)
-    if np.any((gate < 0) | (gate >= NUM_GATES)):
-        raise ValueError("gate id out of range [0, 16)")
-    return TRUTH_TABLES[gate, 2 * a + b]
-
-
-def eval_relaxed(gate: int, a, b):
-    """Relaxed gate output for inputs in [0, 1].
-
-    Exact at the Boolean corners; returns values in [0, 1] for inputs in
-    [0, 1] (bilinear surfaces take their extrema at corners).
-    """
-    if not 0 <= gate < NUM_GATES:
-        raise ValueError("gate id out of range [0, 16)")
-    c0, c1, c2, c3 = COEFFS[gate]
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return c0 + c1 * a + c2 * b + c3 * (a * b)
-
-
 def _table_transform(remap) -> np.ndarray:
     """Opcode lookup table for a truth-table column permutation/restriction.
 

@@ -199,6 +199,11 @@ class Circuit:
     into bands (the training layers, plus one band of counter gates in an
     adder aggregation). ``output_wires`` lists the wires the readout
     counts, group-major.
+
+    The circuit keeps its own read-only copies of ``sources``, ``opcodes``,
+    ``output_wires`` and ``max_probs``: scoring caches a plan and a pruned
+    form on the instance, so an edit in place would be scored stale. Build a
+    new circuit (``dataclasses.replace``) to change one.
     """
 
     input_width: int
@@ -211,9 +216,11 @@ class Circuit:
     max_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.sources = np.ascontiguousarray(self.sources, dtype=np.uint32)
-        self.opcodes = np.ascontiguousarray(self.opcodes, dtype=np.uint8)
-        self.output_wires = np.ascontiguousarray(self.output_wires, dtype=np.uint32)
+        self.sources = _read_only(self.sources, np.uint32)
+        self.opcodes = _read_only(self.opcodes, np.uint8)
+        self.output_wires = _read_only(self.output_wires, np.uint32)
+        if self.max_probs is not None:
+            self.max_probs = _read_only(self.max_probs)
         g = self.num_gates
         if self.input_width < 1:
             raise ValueError("circuit needs at least one input")
@@ -268,6 +275,13 @@ class Circuit:
             if np.array_equal(nxt, gates):
                 return nxt
             gates[:] = nxt
+
+
+def _read_only(array, dtype=None) -> np.ndarray:
+    """A C-contiguous read-only copy of ``array``."""
+    out = np.array(array, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
 
 
 def discretize(net: LogicNet) -> Circuit:

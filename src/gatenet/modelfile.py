@@ -177,10 +177,10 @@ def load_model(path: str) -> LogicNet | Circuit:
             input_width, n_bands = r.unpack("<II")
             layer_sizes = tuple(int(s) for s in r.array("<u4", n_bands))
             n_gates = sum(layer_sizes)
-            sources = r.array("<u4", 2 * n_gates).reshape(n_gates, 2).copy()
+            sources = r.array("<u4", 2 * n_gates).reshape(n_gates, 2)
             opcodes = unpack_opcodes(r.take((n_gates + 1) // 2), n_gates)
             (n_out,) = r.unpack("<I")
-            output_wires = r.array("<u4", n_out).copy()
+            output_wires = r.array("<u4", n_out)
             readout = _read_readout(r)
             max_probs = None
             (flag,) = r.take(1)

@@ -23,7 +23,17 @@ The sums over the batch are einsums, which run in numpy's own loops and give
 the same bits however many BLAS threads there are. da1 and da2 are never
 formed: two sparse matrices built from the wiring, whose values are the q3
 and the q1 | q2 of each wire's consumers, scatter-add t2 | t1 and d into the
-previous layer's gradient rows.
+previous layer's gradient rows. scipy, whose CSR kernel does the scatter, is
+imported by the first backward pass, so inference never loads it.
+
+Both passes run their gathers and element-wise work over blocks of neurons
+of ``block_rows`` rows, ``BLOCK_BYTES`` of (rows, batch) operands, so each
+block stays in L2 between the passes over it. Every element sees the same
+arithmetic in any block, so the results do not depend on the block size.
+The forward operands a1 and a2 are one block each. The backward keeps t2 |
+t1 and its two output-gradient buffers full width: the einsums and the
+scatter read them whole, the scatter because its per-row order of adds sets
+the bits, the einsums because split per block they ran slower.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score
@@ -34,7 +44,7 @@ softmax included: training builds float32 nets, the gradient checks float64
 ones.
 
 A :class:`ForwardCache` owns every array of a step: the activations, the
-gate distributions, the operand and gradient buffers and the returned
+gate distributions, the operand block and gradient buffers and the returned
 gradients. ``forward_relaxed(net, x, out=cache)`` overwrites a cache made by
 the same net for the same batch shape and dtype instead of allocating a new
 one, so a training loop that passes its last cache back allocates no
@@ -46,10 +56,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from . import gates
 from .model import LogicNet, gate_probs
+
+# Bytes of one block of rows: the (rows, batch) forward and backward operands
+# here and the (rows, 16) Adam scratch in ``training``. The forward keeps three
+# such blocks live (a1, a2 and the activations it writes). One 8000 x 100
+# float32 forward layer took 3.69 ms whole and 3.72, 2.95, 2.51, 2.77 and
+# 3.11 ms in blocks of 250 to 4000 rows (100 KB to 1.6 MB) on a 2-core Xeon
+# with 2 MB of L2 per core.
+BLOCK_BYTES = 400 << 10
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes in one block: as many as fit in ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 @dataclass(eq=False)
@@ -58,6 +80,8 @@ class ForwardCache:
 
     ``forward_relaxed(net, x, out=cache)`` and ``backward(net, cache, ...)``
     overwrite every array here, the gradients ``backward`` returned included.
+    The activations and scores are full width, since ``backward`` reads them
+    all; the forward operands in ``work`` are one block of neurons.
     """
 
     net: LogicNet
@@ -81,12 +105,19 @@ class ForwardCache:
 
     @staticmethod
     def nbytes(net: LogicNet, batch: int) -> int:
-        """Bytes that ``empty(net, batch)`` allocates, before any ``backward``."""
+        """Bytes that ``empty(net, batch)`` allocates, before any ``backward``.
+
+        Per row of the batch: every layer's activation, the k sums and scores,
+        and the rows of the two operand blocks, which are full width only
+        while a whole layer fits in one block. Per net: the gate
+        distributions and coefficients, the wiring and the coefficient table.
+        """
         widths, item = net.topology.layer_widths, net.dtype.itemsize
-        gates_total, most = sum(widths[1:]), max(widths[1:])
-        per_row = item * (sum(widths) + 2 * most + net.readout.k * 2)
+        gates_total = sum(widths[1:])
+        block = _Work.rows_for(net, batch)
+        per_row = item * (sum(widths) + 2 * block + net.readout.k * 2)
         per_net = gates_total * (item * (gates.NUM_GATES + 4) + 2 * np.dtype(np.intp).itemsize)
-        return per_net + batch * per_row
+        return per_net + item * gates.COEFFS.size + batch * per_row
 
     def fits(self, net: LogicNet, batch: int) -> bool:
         """Whether a forward pass of ``net`` on ``batch`` rows can reuse this cache."""
@@ -96,30 +127,38 @@ class ForwardCache:
 
 
 class _Work:
-    """Scratch shared by all layers of one cache, sized by its widest gate layer.
+    """Scratch shared by all layers of one cache.
 
-    The backward-only buffers are allocated by the first ``backward`` call, so
-    a cache used only for inference never holds them.
+    The forward operands ``a1`` and ``a2`` are one block of ``rows`` neurons
+    each. The backward-only buffers are full width, sized by the widest gate
+    layer, and are allocated by the first ``backward`` call, so a cache used
+    only for inference never holds them.
     """
 
     def __init__(self, net: LogicNet, batch: int):
         widths, dtype = net.topology.layer_widths, net.dtype
-        most = max(widths[1:])
+        self.most, self.batch = max(widths[1:]), batch
+        self.rows = self.rows_for(net, batch)
         self.sources = [np.ascontiguousarray(c.T, dtype=np.intp) for c in net.topology.connections]
         self.coeffs = gates.COEFFS.astype(dtype)
-        self.a1 = np.empty((most, batch), dtype)  # forward operands
-        self.a2 = np.empty((most, batch), dtype)
+        self.a1 = np.empty((self.rows, batch), dtype)  # forward operands, one block
+        self.a2 = np.empty((self.rows, batch), dtype)
         self.sums = np.empty((net.readout.k, batch), dtype)
         self.halves = None  # (2 * most, batch): t2 | t1
+
+    @staticmethod
+    def rows_for(net: LogicNet, batch: int) -> int:
+        """Neurons per block at this batch, never more than the widest layer."""
+        return min(max(net.topology.layer_widths[1:]), block_rows(batch * net.dtype.itemsize))
 
     def backward_buffers(self, net: LogicNet) -> None:
         if self.halves is not None:
             return
         widths, dtype = net.topology.layer_widths, net.dtype
-        most, batch = self.a1.shape
+        most, batch = self.most, self.batch
         self.halves = np.empty((2 * most, batch), dtype)
-        # output gradients, alternating by layer; the backward never reads a1
-        self.d = [np.empty((most, batch), dtype), self.a1]
+        # output gradients, alternating by layer
+        self.d = [np.empty((most, batch), dtype), np.empty((most, batch), dtype)]
         self.dq = np.empty((most, 4), dtype)
         self.dp = np.empty((most, gates.NUM_GATES), dtype)
         self.rowsum = np.empty((most, 1), dtype)
@@ -143,10 +182,14 @@ class _Scatter:
     scatter-add of t2 | t1 and one of d give the previous layer's gradient
     without forming da1 and da2. The scatter-adds are scipy's CSR kernel,
     called with this cache's output buffer, since ``csr_matrix @`` would
-    allocate a new one each call.
+    allocate a new one each call. scipy is imported here, by the first
+    backward pass, since importing it loads all of ``scipy.sparse``.
     """
 
     def __init__(self, conn: np.ndarray, prev: int, dtype):
+        from scipy.sparse import _sparsetools
+
+        self.matvecs = _sparsetools.csr_matvecs
         width = conn.shape[0]
         rows = np.concatenate([conn[:, 0], conn[:, 1]])
         order = np.argsort(rows, kind="stable")
@@ -166,10 +209,10 @@ class _Scatter:
         np.take(q.ravel(), self.q3_at, out=self.halves_vals)
         np.take(q.ravel(), self.q12_at, out=self.d_vals)
         out.fill(0)
-        _sparsetools.csr_matvecs(prev, halves.shape[0], batch, self.indptr, self.halves_cols,
-                                 self.halves_vals, halves.ravel(), out.ravel())
-        _sparsetools.csr_matvecs(prev, d.shape[0], batch, self.indptr, self.d_cols,
-                                 self.d_vals, d.ravel(), out.ravel())
+        self.matvecs(prev, halves.shape[0], batch, self.indptr, self.halves_cols,
+                     self.halves_vals, halves.ravel(), out.ravel())
+        self.matvecs(prev, d.shape[0], batch, self.indptr, self.d_cols,
+                     self.d_vals, d.ravel(), out.ravel())
 
 
 def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = None) -> ForwardCache:
@@ -188,19 +231,21 @@ def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = Non
     work = cache.work
     np.copyto(cache.acts[0], x.T, casting="unsafe")
     for li, mat in enumerate(net.logits):
-        prev, act = cache.acts[li], cache.acts[li + 1]
-        width = act.shape[0]
-        a1, a2 = work.a1[:width], work.a2[:width]
-        np.take(prev, work.sources[li][0], axis=0, out=a1, mode="clip")
-        np.take(prev, work.sources[li][1], axis=0, out=a2, mode="clip")
+        prev, first, second = cache.acts[li], *work.sources[li]
         p = gate_probs(mat, net.gate_mask, out=cache.probs[li])
         q = np.matmul(p, work.coeffs, out=cache.mix[li])
-        np.multiply(a2, q[:, 3:4], out=act)
-        act += q[:, 1:2]
-        act *= a1
-        np.multiply(a2, q[:, 2:3], out=a1)
-        a1 += q[:, 0:1]
-        act += a1
+        for lo in range(0, len(q), work.rows):
+            block = slice(lo, lo + work.rows)
+            act, qb = cache.acts[li + 1][block], q[block]
+            a1, a2 = work.a1[: len(qb)], work.a2[: len(qb)]
+            np.take(prev, first[block], axis=0, out=a1, mode="clip")
+            np.take(prev, second[block], axis=0, out=a2, mode="clip")
+            np.multiply(a2, qb[:, 3:4], out=act)
+            act += qb[:, 1:2]
+            act *= a1
+            np.multiply(a2, qb[:, 2:3], out=a1)
+            a1 += qb[:, 0:1]
+            act += a1
     k = net.readout.k
     groups = cache.acts[-1].reshape(k, -1, batch)
     if batch == 1:  # np.sum adds one contiguous row pairwise; add it in order, as for more rows
@@ -232,13 +277,15 @@ def backward(net: LogicNet, cache: ForwardCache, dscores: np.ndarray) -> list[np
     np.divide(dscores.T[:, None, :], net.readout.tau, out=d.reshape(k, -1, batch))
     for li in range(len(net.logits) - 1, -1, -1):
         width = widths[li + 1]
-        prev = cache.acts[li]
+        prev, first, second = cache.acts[li], *work.sources[li]
         p, q = cache.probs[li], cache.mix[li]
         halves = work.halves[: 2 * width]
         t2, t1 = halves[:width], halves[width:]
-        np.take(prev, work.sources[li][1], axis=0, out=t2, mode="clip")
-        t2 *= d
-        np.take(prev, work.sources[li][0], axis=0, out=t1, mode="clip")
+        for lo in range(0, width, work.rows):
+            block = slice(lo, lo + work.rows)
+            np.take(prev, second[block], axis=0, out=t2[block], mode="clip")
+            t2[block] *= d[block]
+            np.take(prev, first[block], axis=0, out=t1[block], mode="clip")
         dq = work.dq[:width]
         np.einsum("ij,ij->i", t2, t1, out=dq[:, 3])
         t1 *= d

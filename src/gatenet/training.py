@@ -24,7 +24,7 @@ from .model import (
     init_params,
     mask_to_bools,
 )
-from .relaxed import ForwardCache, backward, forward_relaxed
+from .relaxed import ForwardCache, backward, block_rows, forward_relaxed
 
 
 # Relaxed evaluation keeps each batch's ForwardCache within this many bytes;
@@ -102,22 +102,27 @@ class TrainConfig:
 class AdamState:
     """Bias-corrected Adam moments, one pair of arrays per logit matrix.
 
-    ``scratch`` holds one (2, rows, 16) work array per logit matrix, so that a
-    step allocates no temporaries.
+    ``scratch`` is one (2, rows, 16) work array that every logit matrix
+    shares: ``adam_step`` updates each matrix a block of ``rows`` rows at a
+    time (``relaxed.block_rows``), so a step allocates no temporaries and its
+    scratch stays within ``relaxed.BLOCK_BYTES`` however wide the net is.
+    Every matrix must have the first one's dtype.
     """
 
     t: int
     m: list[np.ndarray]
     v: list[np.ndarray]
-    scratch: list[np.ndarray]
+    scratch: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
+        first = params[0]
+        rows = min(max(len(p) for p in params), block_rows(first[:1].nbytes))
         return cls(
             t=0,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            scratch=[np.empty((2,) + p.shape, p.dtype) for p in params],
+            scratch=np.empty((2, rows) + first.shape[1:], first.dtype),
         )
 
 
@@ -136,21 +141,26 @@ def adam_step(
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     lr = config.learning_rate
+    rows = state.scratch.shape[1]
     # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon), one rounding step at a time
-    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
-        m *= b1
-        m += np.multiply(g, 1 - b1, out=step)
-        v *= b2
-        np.multiply(g, g, out=step)
-        step *= 1 - b2
-        v += step
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        np.divide(m, c1, out=step)
-        step *= lr
-        step /= denom
-        p -= step
+    for p_all, g_all, m_all, v_all in zip(params, grads, state.m, state.v):
+        for lo in range(0, len(p_all), rows):
+            block = slice(lo, lo + rows)
+            p, g, m, v = p_all[block], g_all[block], m_all[block], v_all[block]
+            step, denom = state.scratch[:, : len(p)]
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=step)
+            v *= b2
+            np.multiply(g, g, out=step)
+            step *= 1 - b2
+            v += step
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            np.divide(m, c1, out=step)
+            step *= lr
+            step /= denom
+            p -= step
 
 
 @dataclass
@@ -182,6 +192,11 @@ def train(
     highest-accuracy snapshot is kept alongside the final model. History rows
     carry (epoch, step, split, loss, accuracy); ``on_record`` sees each row as
     it is produced.
+
+    The rows stay in the dataset's own dtype: each batch is cast into its
+    ForwardCache's first activation, so the memory a run adds grows with the
+    batch and the net, not with the dataset. The caches, one per batch
+    length, and the Adam state are the only arrays kept between steps.
     """
     n_samples = len(train_ds.labels)
     if n_samples == 0:
@@ -197,7 +212,7 @@ def train(
         ReadoutConfig(k=k, tau=config.tau, beta=config.beta),
         allowed_gates=config.allowed_gates,
     )
-    x_all = np.ascontiguousarray(train_ds.features, dtype=np.float32)
+    x_all = np.asarray(train_ds.features)
     y_all = np.asarray(train_ds.labels, dtype=np.int64)
     state = AdamState.zeros_like(net.logits)
     shuffle_rng = np.random.default_rng([2, config.seed])

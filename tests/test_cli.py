@@ -424,6 +424,30 @@ class TestEntryPoints:
         unused = [n for n in names if n != "__init__" and f"gatenet.{n}" not in loaded]
         assert unused == []
 
+    def test_only_a_backward_pass_loads_scipy(self):
+        # scipy.sparse, which the backward's scatter needs, is slow to import
+        # and large; inference and the relaxed forward pass do without it
+        code = (
+            "import sys, numpy as np, gatenet.cli\n"
+            "from gatenet.model import LogicNet, ReadoutConfig, build_topology, discretize, "
+            "init_params\n"
+            "from gatenet.packed import circuit_scores\n"
+            "from gatenet.relaxed import backward, forward_relaxed\n"
+            "topo = build_topology(1, [8, 16, 16])\n"
+            "net = LogicNet(topo, init_params(topo, 1), ReadoutConfig(k=2))\n"
+            "x = np.eye(8, dtype=np.uint8)\n"
+            "circuit_scores(discretize(net), x)\n"
+            "cache = forward_relaxed(net, x)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "backward(net, cache, np.ones((8, 2), np.float32))\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=MODULE_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
     def test_no_subcommand_exits_one(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gatenet"], capture_output=True, text=True, env=MODULE_ENV

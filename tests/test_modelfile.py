@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,8 +235,9 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25, 1.5])
     def test_max_probs_not_finite_or_outside_unit_interval_rejected(self, rng, tmp_path, value):
         c = random_layered_circuit(rng, 6, [8, 8], k=2)
-        c.max_probs = np.full(c.num_gates, 0.5)
-        c.max_probs[8 + 2] = value  # the third gate of layer 1
+        max_probs = np.full(c.num_gates, 0.5)
+        max_probs[8 + 2] = value  # the third gate of layer 1
+        c = replace(c, max_probs=max_probs)
         path = str(tmp_path / "c.gnet")
         save_model(c, path)
         with pytest.raises(ModelFileError, match=f"max probs of layer 1 holds {value}"):

@@ -16,7 +16,8 @@ from gatenet.model import (
     init_params,
     mask_to_bools,
 )
-from gatenet.relaxed import backward, forward_relaxed
+from gatenet import relaxed
+from gatenet.relaxed import ForwardCache, backward, forward_relaxed
 
 
 class TestTopology:
@@ -319,6 +320,52 @@ class TestCacheReuse:
         finally:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak} B >= one activation array, {bound} B"
+
+
+def cache_bytes(cache: ForwardCache) -> int:
+    """Bytes of every array a cache and its scratch hold."""
+    arrays = [*vars(cache).values(), *vars(cache.work).values()]
+    flat = [a for v in arrays for a in (v if isinstance(v, list) else [v])]
+    return sum(a.nbytes for a in flat if isinstance(a, np.ndarray))
+
+
+class TestNeuronBlocks:
+    """Both passes run their neurons in blocks of ``relaxed.BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, dtype):
+        # 12 -> 50, 50, 40 at batch 9: blocks of 7 rows leave a last block of
+        # 1 row in the 50-wide layers and of 5 in the 40-wide one
+        topo = build_topology(11, [12, 50, 50, 40])
+        net = LogicNet(topo, init_params(topo, 11, dtype=dtype), ReadoutConfig(k=4, tau=2.0))
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0, 1, size=(9, 12))
+        dscores = rng.standard_normal((9, 4))
+        runs = []
+        for budget in (7 * 9 * np.dtype(dtype).itemsize, 1 << 30):
+            monkeypatch.setattr(relaxed, "BLOCK_BYTES", budget)
+            cache = forward_relaxed(net, x)
+            assert cache.work.rows == (7 if budget < 1 << 30 else 50)
+            runs.append((cache.scores.copy(), [g.copy() for g in backward(net, cache, dscores)]))
+        (blocked_scores, blocked_grads), (whole_scores, whole_grads) = runs
+        np.testing.assert_array_equal(blocked_scores, whole_scores)
+        for got, want in zip(blocked_grads, whole_grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [64, 2000])
+    @pytest.mark.parametrize("batch", [0, 1, 7, 100, 250])
+    def test_nbytes_is_what_empty_allocates(self, width, batch):
+        # at the real budget a float32 block is 1024 rows at batch 100 and 409 at 250
+        topo = build_topology(5, [784, width, width])
+        net = LogicNet(topo, init_params(topo, 5), ReadoutConfig(k=4))
+        cache = ForwardCache.empty(net, batch)
+        assert cache_bytes(cache) == ForwardCache.nbytes(net, batch)
+
+    def test_operands_are_one_block(self):
+        topo = build_topology(6, [784, 5000, 5000])
+        net = LogicNet(topo, init_params(topo, 6), ReadoutConfig(k=10))
+        work = ForwardCache.empty(net, 100).work
+        assert work.a1.shape == work.a2.shape == (relaxed.BLOCK_BYTES // 400, 100)
 
 
 class TestGateMask:

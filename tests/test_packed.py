@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     FOLD_CASES,
     SAMPLE_COUNTS,
     adder_counts,
+    eval_hard,
     fold_circuit,
     oracle_circuit_counts,
     oracle_circuit_outputs,
@@ -19,7 +21,7 @@ from conftest import (
     random_netlist,
     structurally_equal,
 )
-from gatenet import gates, packed
+from gatenet import packed
 from gatenet.emit import emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
@@ -198,7 +200,7 @@ class TestExecutePacked:
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         for op in range(16):
             out = unpack(execute_packed(single_gate_circuit(op), pack(x)))[:, 0]
-            want = [gates.eval_hard(op, a, b) for a, b in x]
+            want = [eval_hard(op, a, b) for a, b in x]
             np.testing.assert_array_equal(out, want)
 
     def test_padding_lane_count_does_not_change_results(self, rng):
@@ -513,10 +515,11 @@ class TestAdderAggregation:
         # bound; constant outputs are added, not counted
         k = 2
         plain = passthrough_circuit(group * k, k)
-        folded = passthrough_circuit(group * k, k)
-        folded.opcodes[::3] = 15  # every third output true, every fifth false,
-        folded.opcodes[1::5] = 0  # and in class 1 every seventh false too
-        folded.opcodes[group + 2 :: 7] = 0
+        ops = plain.opcodes.copy()
+        ops[::3] = 15  # every third output true, every fifth false,
+        ops[1::5] = 0  # and in class 1 every seventh false too
+        ops[group + 2 :: 7] = 0
+        folded = replace(plain, opcodes=ops)
         x = np.random.default_rng(group).integers(0, 2, size=(65, group * k), dtype=np.uint8)
         for circ in (plain, folded):
             agg = build_adder_aggregation(circ)
@@ -706,6 +709,25 @@ class TestPrunedScoring:
         got = unpack(execute_packed(circ, pack(x)))
         np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
         assert _plan_for(circ).group_op.tolist().count(3) == 2  # its two copies ran
+
+    def test_a_scored_circuit_cannot_be_edited_in_place(self, rng):
+        # scoring caches a plan and a pruned form on the circuit, which an
+        # edit in place would leave stale
+        circ = random_layered_circuit(rng, 8, [16, 16], 2)
+        x = rng.integers(0, 2, size=(20, 8), dtype=np.uint8)
+        want = circuit_scores(circ, x)
+        for name in ("opcodes", "sources", "output_wires", "max_probs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(circ, name)[:] = 15 if name == "opcodes" else 0
+        np.testing.assert_array_equal(circuit_scores(circ, x), want)
+        edited = replace(circ, opcodes=np.full(circ.num_gates, 15))
+        np.testing.assert_array_equal(circuit_scores(edited, x), np.full((20, 2), 8))
+
+    def test_a_circuit_keeps_its_own_arrays(self):
+        ops = np.full(4, 3, dtype=np.uint8)
+        circ = replace(passthrough_circuit(4, 2), opcodes=ops)
+        ops[:] = 0
+        assert circ.opcodes.tolist() == [3, 3, 3, 3]
 
 
 class TestBenchmark:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ToyData, random_small_net
+from gatenet import relaxed
 from gatenet.model import LogicNet, ReadoutConfig, build_topology, discretize, init_params
 from gatenet.packed import circuit_scores
 from gatenet.relaxed import forward_relaxed
@@ -114,6 +115,54 @@ class TestAdam:
                 p -= cfg.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + ADAM_EPSILON)
             for got, ref in zip(params, want):
                 np.testing.assert_array_equal(got, ref)
+
+
+class TestBlocks:
+    """Adam and the relaxed passes run in blocks of ``relaxed.BLOCK_BYTES``."""
+
+    def test_adam_scratch_is_one_block_shared_by_every_layer(self):
+        # a row of 16 float32 logits is 64 bytes
+        params = [np.zeros((50_000, 16), np.float32), np.zeros((30, 16), np.float32)]
+        assert AdamState.zeros_like(params).scratch.shape == (2, relaxed.BLOCK_BYTES // 64, 16)
+        assert AdamState.zeros_like(params[1:]).scratch.shape == (2, 30, 16)
+
+    def test_training_does_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 2, size=(70, 10), dtype=np.uint8)
+        data = ToyData(x, x[:, 0] ^ x[:, 3], class_count=2)
+        config = TrainConfig(layers=3, width=30, max_epochs=2, batch_size=16, seed=12)
+        runs = []
+        # 64 bytes: one neuron of a 16-row float32 batch, and one row of
+        # Adam's 16 float32 logits, per block
+        for budget in (64, 1 << 30):
+            monkeypatch.setattr(relaxed, "BLOCK_BYTES", budget)
+            scratch = AdamState.zeros_like([np.zeros((30, 16), np.float32)]).scratch
+            assert scratch.shape == (2, 1 if budget == 64 else 30, 16)
+            result = train(config, data)
+            runs.append((result.final.logits, result.history))
+        (blocked, blocked_history), (whole, whole_history) = runs
+        assert blocked_history == whole_history
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_memory_does_not_grow_with_a_float_copy_of_the_rows(self):
+        # one epoch over n and 4n rows: a float32 copy of the rows would add
+        # 3n x 784 x 4 bytes, about 9.4 MB at n = 1000
+        rng = np.random.default_rng(13)
+        n, width = 1000, 784
+        x = rng.integers(0, 2, size=(4 * n, width), dtype=np.uint8)
+        sets = [ToyData(x[:rows], x[:rows, 0], class_count=2) for rows in (n, 4 * n)]
+        config = TrainConfig(layers=2, width=16, max_epochs=1, batch_size=100, seed=13)
+        peaks = []
+        for data in sets:
+            tracemalloc.start()
+            try:
+                train(config, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        grown = peaks[1] - peaks[0]
+        assert grown < 3 * n * width * 4 // 10, f"peak grew by {grown} B over {3 * n} more rows"
 
 
 class TestTrainConfigValidation:
