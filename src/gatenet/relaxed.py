@@ -26,14 +26,15 @@ and the q1 | q2 of each wire's consumers, scatter-add t2 | t1 and d into the
 previous layer's gradient rows. scipy, whose CSR kernel does the scatter, is
 imported by the first backward pass, so inference never loads it.
 
-Both passes run their gathers and element-wise work over blocks of neurons
-of ``block_rows`` rows, ``BLOCK_BYTES`` of (rows, batch) operands, so each
-block stays in L2 between the passes over it. Every element sees the same
-arithmetic in any block, so the results do not depend on the block size.
-The forward operands a1 and a2 are one block each. The backward keeps t2 |
-t1 and its two output-gradient buffers full width: the einsums and the
-scatter read them whole, the scatter because its per-row order of adds sets
-the bits, the einsums because split per block they ran slower.
+The forward pass runs its gathers and multiply-adds, and the backward pass
+its gathers and t2 *= d, over blocks of ``block_rows`` neurons, about
+``BLOCK_BYTES`` of (rows, batch) operands, so each block stays in L2 between
+the passes over it. Every element sees the same arithmetic in any block, so
+the results do not depend on the block size. The forward operands a1 and a2
+are one block each. The backward keeps t2 | t1 and its two output-gradient
+buffers full width: the einsums and the scatter read them whole, the
+scatter because its per-row order of adds sets the bits, the einsums
+because split per block they ran slower.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_net_forward, random_small_net
+from gatenet import relaxed
 from gatenet.model import (
     LogicNet,
     NetworkTopology,
@@ -16,7 +17,6 @@ from gatenet.model import (
     init_params,
     mask_to_bools,
 )
-from gatenet import relaxed
 from gatenet.relaxed import ForwardCache, backward, forward_relaxed
 
 
