@@ -189,7 +189,7 @@ class LogicNet:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Circuit:
     """A pure Boolean gate netlist over global wire ids.
 
@@ -200,10 +200,11 @@ class Circuit:
     adder aggregation). ``output_wires`` lists the wires the readout
     counts, group-major.
 
-    The circuit keeps its own read-only copies of ``sources``, ``opcodes``,
-    ``output_wires`` and ``max_probs``: scoring caches a plan and a pruned
-    form on the instance, so an edit in place would be scored stale. Build a
-    new circuit (``dataclasses.replace``) to change one.
+    The circuit is frozen and keeps its own read-only copies of
+    ``sources``, ``opcodes``, ``output_wires`` and ``max_probs``: scoring
+    caches a plan and a pruned form on the instance, so an edit, in place or
+    by assignment, would be scored stale. Build a new circuit
+    (``dataclasses.replace``, which validates it again) to change one.
     """
 
     input_width: int
@@ -216,11 +217,11 @@ class Circuit:
     max_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.sources = _read_only(self.sources, np.uint32)
-        self.opcodes = _read_only(self.opcodes, np.uint8)
-        self.output_wires = _read_only(self.output_wires, np.uint32)
-        if self.max_probs is not None:
-            self.max_probs = _read_only(self.max_probs)
+        dtypes = {"sources": np.uint32, "opcodes": np.uint8, "output_wires": np.uint32,
+                  "max_probs": None}
+        for name, dtype in dtypes.items():
+            if getattr(self, name) is not None:  # frozen: set through object
+                object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         g = self.num_gates
         if self.input_width < 1:
             raise ValueError("circuit needs at least one input")

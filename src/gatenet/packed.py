@@ -358,7 +358,7 @@ def _plan_for(circuit: Circuit) -> _ExecPlan:
     plan = getattr(circuit, "_exec_plan", None)
     if plan is None:
         plan = _ExecPlan(circuit)
-        circuit._exec_plan = plan
+        object.__setattr__(circuit, "_exec_plan", plan)  # Circuit is frozen
     return plan
 
 
@@ -616,7 +616,7 @@ def _counted(circuit: Circuit) -> _Fold:
             offset = ones - (width - counted) * (len(false) == 0)
             scored = replace(base, output_wires=padded.ravel())
             fold = fold._replace(circuit=scored, offset=offset)
-        circuit._fold = fold
+        object.__setattr__(circuit, "_fold", fold)
     return fold
 
 

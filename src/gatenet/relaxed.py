@@ -31,25 +31,37 @@ its gathers and t2 *= d, over blocks of ``block_rows`` neurons, about
 ``BLOCK_BYTES`` of (rows, batch) operands, so each block stays in L2 between
 the passes over it. Every element sees the same arithmetic in any block, so
 the results do not depend on the block size. The forward operands a1 and a2
-are one block each. The backward keeps t2 | t1 and its two output-gradient
-buffers full width: the einsums and the scatter read them whole, the
-scatter because its per-row order of adds sets the bits, the einsums
-because split per block they ran slower.
+are one block each. The backward keeps t2 | t1 full width: the einsums and
+the scatter read it whole, the scatter because its per-row order of adds
+sets the bits, the einsums because split per block they ran slower.
+
+The backward allocates no (width, batch) array besides t2 | t1. It writes
+its gradients over the forward results it has finished with: the last
+layer's output gradient d over the network's output activations, each
+layer's scatter (the previous layer's d) over that layer's input
+activations, which only the layer's own gathers read, and each layer's
+logit gradient over its gate distribution. The input activations acts[0],
+the coefficients and the scores are left as the forward wrote them.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score
 gradient divided by tau. A group's sum adds its neurons in order for any
-batch size, so a row scores the same bits alone as in any batch. Activations are stored feature-major (width, batch)
-so gathers are row slices. Everything runs in the net's dtype, the gate
+batch size, so a row scores the same bits alone as in any batch.
+Activations are stored feature-major (width, batch) so gathers are row
+slices. Everything runs in the net's dtype, the gate
 softmax included: training builds float32 nets, the gradient checks float64
 ones.
 
 A :class:`ForwardCache` owns every array of a step: the activations, the
-gate distributions, the operand block and gradient buffers and the returned
-gradients. ``forward_relaxed(net, x, out=cache)`` overwrites a cache made by
-the same net for the same batch shape and dtype instead of allocating a new
-one, so a training loop that passes its last cache back allocates no
-(width, batch) array per step, only a few (width, 8) or smaller temporaries.
+gate distributions, which ``backward`` returns as the gradients, and the
+operand block and t2 | t1 buffers. ``forward_relaxed(net, x, out=cache)``
+overwrites a cache made by the same net for the same batch shape and dtype
+instead of allocating a new one, so a training loop that passes its last
+cache back allocates no (width, batch) array per step, only a few (width, 8)
+or smaller temporaries. The gradients ``backward`` returns last until that
+next ``forward_relaxed`` on the cache. A cache whose backward has run is
+spent: its activations are gradients, and ``backward`` refuses it until
+``forward_relaxed`` refills it.
 """
 
 from __future__ import annotations
@@ -79,10 +91,14 @@ def block_rows(row_bytes: int) -> int:
 class ForwardCache:
     """One forward call's results for ``backward``, plus the buffers both passes reuse.
 
-    ``forward_relaxed(net, x, out=cache)`` and ``backward(net, cache, ...)``
-    overwrite every array here, the gradients ``backward`` returned included.
-    The activations and scores are full width, since ``backward`` reads them
-    all; the forward operands in ``work`` are one block of neurons.
+    ``forward_relaxed(net, x, out=cache)`` overwrites every array here and
+    makes the cache fresh. ``backward(net, cache, ...)`` overwrites
+    ``acts[1:]`` with output gradients and ``probs`` with the logit
+    gradients it returns, which therefore last until the next
+    ``forward_relaxed`` on the cache, and marks the cache ``spent``. It
+    leaves ``acts[0]``, ``mix`` and ``scores`` as they were. The activations
+    and scores are full width, since ``backward`` reads them all; the
+    forward operands in ``work`` are one block of neurons.
     """
 
     net: LogicNet
@@ -91,6 +107,7 @@ class ForwardCache:
     mix: list[np.ndarray]  # (width, 4) collapsed bilinear coefficients
     scores: np.ndarray  # (batch, k)
     work: "_Work"
+    spent: bool = False  # backward has overwritten acts[1:] and probs
 
     @classmethod
     def empty(cls, net: LogicNet, batch: int) -> "ForwardCache":
@@ -131,9 +148,12 @@ class _Work:
     """Scratch shared by all layers of one cache.
 
     The forward operands ``a1`` and ``a2`` are one block of ``rows`` neurons
-    each. The backward-only buffers are full width, sized by the widest gate
-    layer, and are allocated by the first ``backward`` call, so a cache used
-    only for inference never holds them.
+    each. The backward-only buffers are sized by the widest gate layer and
+    are allocated by the first ``backward`` call, so a cache used only for
+    inference never holds them: t2 | t1 (``halves``), the only
+    (width, batch) one, and per-neuron (width, 16) or narrower scratch. The
+    output and logit gradients need no buffer here, since ``backward``
+    writes them over the cache's activations and gate distributions.
     """
 
     def __init__(self, net: LogicNet, batch: int):
@@ -158,13 +178,11 @@ class _Work:
         widths, dtype = net.topology.layer_widths, net.dtype
         most, batch = self.most, self.batch
         self.halves = np.empty((2 * most, batch), dtype)
-        # output gradients, alternating by layer
-        self.d = [np.empty((most, batch), dtype), np.empty((most, batch), dtype)]
         self.dq = np.empty((most, 4), dtype)
         self.dp = np.empty((most, gates.NUM_GATES), dtype)
+        self.weighted = np.empty((most, gates.NUM_GATES), dtype)  # dp * p
         self.rowsum = np.empty((most, 1), dtype)
         self.coeffs_t = np.ascontiguousarray(self.coeffs.T)
-        self.grads = [np.empty((w, gates.NUM_GATES), dtype) for w in widths[1:]]
         self.scatter = [None] + [
             _Scatter(conn, prev, dtype)
             for conn, prev in zip(net.topology.connections[1:], widths[1:])
@@ -230,6 +248,7 @@ def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = Non
     batch = x.shape[0]
     cache = out if out is not None and out.fits(net, batch) else ForwardCache.empty(net, batch)
     work = cache.work
+    cache.spent = False
     np.copyto(cache.acts[0], x.T, casting="unsafe")
     for li, mat in enumerate(net.logits):
         prev, first, second = cache.acts[li], *work.sources[li]
@@ -262,19 +281,26 @@ def backward(net: LogicNet, cache: ForwardCache, dscores: np.ndarray) -> list[np
     """Gradient of the loss w.r.t. every logit, given d(loss)/d(scores).
 
     dscores is sample-major (batch, k), matching ForwardCache.scores. The
-    returned arrays belong to the cache: the next ``backward`` on it
-    overwrites them.
+    gradients are written over the cache's gate distributions and returned
+    as ``cache.probs``, and each layer's output gradient over its
+    activations ``acts[1:]``, so they last until the next
+    ``forward_relaxed`` on the cache. That marks the cache spent: a second
+    ``backward`` on it raises until ``forward_relaxed`` refills it.
     """
     if cache.net is not net:
         raise ValueError("cache does not match this network (stale or from another net)")
+    if cache.spent:
+        raise ValueError("this cache's backward has run and overwrote its activations; "
+                         "run forward_relaxed on it again first")
     dscores = np.asarray(dscores, dtype=net.dtype)
     if dscores.shape != cache.scores.shape:
         raise ValueError(f"dscores shape {dscores.shape} != scores shape {cache.scores.shape}")
     work = cache.work
     work.backward_buffers(net)
+    cache.spent = True
     widths = net.topology.layer_widths
     batch, k = dscores.shape
-    d = work.d[0][: widths[-1]]
+    d = cache.acts[-1]
     np.divide(dscores.T[:, None, :], net.readout.tau, out=d.reshape(k, -1, batch))
     for li in range(len(net.logits) - 1, -1, -1):
         width = widths[li + 1]
@@ -294,12 +320,10 @@ def backward(net: LogicNet, cache: ForwardCache, dscores: np.ndarray) -> list[np
         np.einsum("ij->i", t1, out=dq[:, 1])
         np.einsum("ij->i", t2, out=dq[:, 2])
         dp = np.matmul(dq, work.coeffs_t, out=work.dp[:width])
-        grad = work.grads[li]
-        np.multiply(dp, p, out=grad)
-        dp -= np.sum(grad, axis=1, keepdims=True, out=work.rowsum[:width])
-        np.multiply(p, dp, out=grad)
-        if li > 0:
-            d_prev = work.d[(len(net.logits) - li) % 2][: widths[li]]
-            work.scatter[li](q, halves, d, d_prev)
-            d = d_prev
-    return list(work.grads)
+        weighted = np.multiply(dp, p, out=work.weighted[:width])
+        dp -= np.sum(weighted, axis=1, keepdims=True, out=work.rowsum[:width])
+        np.multiply(p, dp, out=p)
+        if li > 0:  # the gathers above were the last reads of prev
+            work.scatter[li](q, halves, d, prev)
+            d = prev
+    return cache.probs

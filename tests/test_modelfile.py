@@ -264,7 +264,7 @@ class TestNonFiniteValues:
 
     def test_bounds_of_the_unit_interval_load(self, rng, tmp_path):
         c = random_layered_circuit(rng, 6, [8, 8], k=2)
-        c.max_probs = np.tile([0.0, 1.0], c.num_gates // 2)
+        c = replace(c, max_probs=np.tile([0.0, 1.0], c.num_gates // 2))
         path = str(tmp_path / "c.gnet")
         save_model(c, path)
         np.testing.assert_array_equal(load_model(path).max_probs, c.max_probs)

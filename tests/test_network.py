@@ -322,6 +322,53 @@ class TestCacheReuse:
         assert peak < bound, f"peak {peak} B >= one activation array, {bound} B"
 
 
+class TestBackwardInPlace:
+    """``backward`` writes its gradients over the cache arrays it has consumed."""
+
+    def test_first_backward_holds_t2_t1_and_less_than_one_activation(self, rng):
+        # 784 -> 3x2000 at batch 128: a (2000, 128) float32 array is 1 MB, and
+        # the scatter wiring and the (2000, 16) scratch stay well below it
+        topo = build_topology(int(rng.integers(2**31)), [784, 2000, 2000, 2000])
+        net = LogicNet(topo, init_params(topo, int(rng.integers(2**31))), ReadoutConfig(k=10))
+        x = (rng.uniform(size=(128, 784)) < 0.5).astype(np.float32)
+        c = rng.standard_normal((128, 10)).astype(np.float32)
+        backward(net, forward_relaxed(net, x), c)  # imports scipy outside the trace
+        cache = forward_relaxed(net, x)
+        activation = 2000 * 128 * np.dtype(np.float32).itemsize
+        bound = 2 * activation + activation  # t2 | t1, plus one (width, batch) array
+        tracemalloc.start()
+        try:
+            backward(net, cache, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak} B >= t2 | t1 plus one activation, {bound} B"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_spent_cache_must_run_forward_again(self, rng, dtype):
+        net = random_small_net(rng, dtype=dtype)
+        x = rng.uniform(0, 1, size=(6, net.input_width))
+        c = rng.standard_normal((6, net.readout.k))
+        want = [g.copy() for g in backward(net, forward_relaxed(net, x), c)]
+        cache = forward_relaxed(net, x)
+        backward(net, cache, c)
+        with pytest.raises(ValueError, match="run forward_relaxed"):
+            backward(net, cache, c)
+        assert forward_relaxed(net, x, out=cache) is cache
+        for got, expected in zip(backward(net, cache, c), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_gradients_replace_only_what_backward_consumed(self, rng):
+        net = random_small_net(rng)
+        x = rng.uniform(0, 1, size=(5, net.input_width))
+        cache = forward_relaxed(net, x)
+        kept = [cache.acts[0].copy(), *(q.copy() for q in cache.mix), cache.scores.copy()]
+        grads = backward(net, cache, rng.standard_normal((5, net.readout.k)))
+        assert all(g is p for g, p in zip(grads, cache.probs))
+        for got, want in zip([cache.acts[0], *cache.mix, cache.scores], kept):
+            np.testing.assert_array_equal(got, want)
+
+
 def cache_bytes(cache: ForwardCache) -> int:
     """Bytes of every array a cache and its scratch hold."""
     arrays = [*vars(cache).values(), *vars(cache.work).values()]

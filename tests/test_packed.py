@@ -2,7 +2,7 @@
 
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -722,6 +722,23 @@ class TestPrunedScoring:
         np.testing.assert_array_equal(circuit_scores(circ, x), want)
         edited = replace(circ, opcodes=np.full(circ.num_gates, 15))
         np.testing.assert_array_equal(circuit_scores(edited, x), np.full((20, 2), 8))
+
+    def test_a_scored_circuit_cannot_be_assigned_new_arrays(self, rng):
+        # the cached plan and pruned form belong to the arrays the circuit was
+        # built with, so a new array comes in only through replace
+        circ = random_layered_circuit(rng, 8, [16, 16], 2)
+        x = rng.integers(0, 2, size=(20, 8), dtype=np.uint8)
+        want = circuit_scores(circ, x)
+        ones = np.full(circ.num_gates, 15, dtype=np.uint8)
+        for name, value in (("opcodes", ones), ("max_probs", None), ("input_width", 9)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(circ, name, value)
+        np.testing.assert_array_equal(circuit_scores(circ, x), want)
+        ops = rng.integers(0, 16, size=circ.num_gates, dtype=np.uint8)
+        edited = replace(circ, opcodes=ops)
+        np.testing.assert_array_equal(circuit_scores(edited, x), oracle_circuit_counts(edited, x))
+        with pytest.raises(ValueError, match="opcodes"):
+            replace(circ, opcodes=np.full(circ.num_gates, 16, dtype=np.uint8))
 
     def test_a_circuit_keeps_its_own_arrays(self):
         ops = np.full(4, 3, dtype=np.uint8)
