@@ -37,20 +37,19 @@ sets the bits, the einsums because split per block they ran slower.
 
 The backward allocates no (width, batch) array besides t2 | t1. It writes
 its gradients over the forward results it has finished with: the last
-layer's output gradient d over the network's output activations, each
-layer's scatter (the previous layer's d) over that layer's input
-activations, which only the layer's own gathers read, and each layer's
-logit gradient over its gate distribution. The input activations acts[0],
-the coefficients and the scores are left as the forward wrote them.
+layer's output gradient d over the net's output activations, each layer's
+scatter (the previous layer's d) over that layer's input activations,
+which only the layer's own gathers read, and each layer's logit gradient
+over its gate distribution. The input activations acts[0], the
+coefficients and the scores keep what the forward wrote.
 
 The readout scores each of the k contiguous groups of output neurons as
 sum/tau + beta, so every output neuron's gradient is its group's score
 gradient divided by tau. A group's sum adds its neurons in order for any
 batch size, so a row scores the same bits alone as in any batch.
 Activations are stored feature-major (width, batch) so gathers are row
-slices. Everything runs in the net's dtype, the gate
-softmax included: training builds float32 nets, the gradient checks float64
-ones.
+slices. Everything runs in the net's dtype, the gate softmax included:
+training builds float32 nets, the gradient checks float64 ones.
 
 A :class:`ForwardCache` owns every array of a step: the activations, the
 gate distributions, which ``backward`` returns as the gradients, and the
@@ -200,8 +199,8 @@ class _Scatter:
     gathered from the layer's (width, 4) coefficients on every call, so one
     scatter-add of t2 | t1 and one of d give the previous layer's gradient
     without forming da1 and da2. The scatter-adds are scipy's CSR kernel,
-    called with this cache's output buffer, since ``csr_matrix @`` would
-    allocate a new one each call. scipy is imported here, by the first
+    writing into the cache's activations of the previous layer, since
+    ``csr_matrix @`` would allocate a new array each call. scipy is imported here, by the first
     backward pass, since importing it loads all of ``scipy.sparse``.
     """
 
