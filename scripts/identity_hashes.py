@@ -4,7 +4,7 @@
     python3 scripts/identity_hashes.py > hashes.txt
 
 Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
-of ``circuit_scores`` at threads 1 and 3 and the output bits
+of ``circuit_scores``, which runs on one thread, and the output bits
 ``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 random rows
 seeded by the circuit's label, so a circuit whose gates change, as a new
 counter's do, is still scored on the same rows; plus the ``emit_source`` text
@@ -15,9 +15,9 @@ adder-aggregated and pruned-then-aggregated forms, a small hand-built
 circuit whose classes are all constant-true, all constant-false and mixed,
 with its adder form, and the 48000-gate 784 -> 6x8000, k=10 circuit of
 acceptance criterion 8 with its pruned form. An adder form's scores are its
-counter wires read as binary by the test suite's ``adder_counts``, under
-both thread labels, and its ``emit_source`` line is that of the circuit it
-was built from, since ``emit_source`` builds the adder itself.
+counter wires read as binary by the test suite's ``adder_counts``, and its
+``emit_source`` line is that of the circuit it was built from, since
+``emit_source`` builds the adder itself.
 Training is covered by three short seeded ``train`` runs on small random
 data: the saved ``.gnet`` bytes of the final net and of the best snapshot,
 and the history rows with their losses and eval accuracies. The third run is
@@ -56,7 +56,6 @@ from gatenet.training import TrainConfig, train
 SAMPLE_COUNTS = (1, 63, 64, 65, 16384)
 PACK_FEATURES = (1, 9, 784)
 PACK_DTYPES = (np.uint8, np.bool_, np.float64)
-THREADS = (1, 3)
 # Three short runs: two classes near the defaults; three classes with tau,
 # beta, learning rate and gate mask of their own; and four classes over
 # 13000-wide layers, which at batch 100 run 13 neuron blocks per relaxed pass
@@ -152,12 +151,11 @@ def main() -> None:
             for n in SAMPLE_COUNTS:
                 x = rng.integers(0, 2, size=(n, circuit.input_width), dtype=np.uint8)
                 batch = pack(x)
-                for t in THREADS:
-                    if base is None:
-                        scores = circuit_scores(circuit, batch, threads=t)
-                    else:
-                        scores = adder_counts(circuit, batch)
-                    print(f"{label}.n{n}.threads{t}.scores {digest(scores)}")
+                if base is None:
+                    scores = circuit_scores(circuit, batch)
+                else:
+                    scores = adder_counts(circuit, batch)
+                print(f"{label}.n{n}.scores {digest(scores)}")
                 bits = unpack(execute_packed(circuit, batch))
                 print(f"{label}.n{n}.outputs {digest(bits)}")
     for f in PACK_FEATURES:

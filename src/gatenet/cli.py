@@ -21,7 +21,7 @@ from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import _counted, benchmark, build_adder_aggregation, circuit_scores, pack
+from .packed import _counted, benchmark, build_adder_aggregation, pack
 from .presets import get_preset, preset_names
 from .training import NumericsError, TrainConfig, evaluate, train
 
@@ -59,15 +59,12 @@ _DEFAULTS = {
     "batch_size": 100,
     "epochs": 200,
     "seed": 0,
-    "threads": 1,
-    "deterministic": False,
     "gate_mask": 0xFFFF,
     "eval_every": 1,
 }
 
-_INT_KEYS = {"layers", "width", "classes", "batch_size", "epochs", "seed", "threads", "eval_every"}
+_INT_KEYS = {"layers", "width", "classes", "batch_size", "epochs", "seed", "eval_every"}
 _FLOAT_KEYS = {"tau", "beta", "lr"}
-_BOOL_KEYS = {"deterministic"}
 
 
 def _real(text: str) -> float:
@@ -86,13 +83,6 @@ def _mask(text: str) -> int:
 
 def _convert(key: str, value: str, where: str):
     try:
-        if key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
         if key == "gate_mask":
             return _mask(value)
         if key in _INT_KEYS:
@@ -144,8 +134,6 @@ def merge_settings(args: argparse.Namespace) -> dict:
         if flag is not None:
             settings[key] = flag
     settings["preset"] = preset_name or ""
-    if settings["deterministic"]:
-        settings["threads"] = 1
     return settings
 
 
@@ -158,11 +146,8 @@ def _add_data_flags(p) -> None:
     p.add_argument("--data-dir", dest="data_dir", help="dataset directory (default: $GATENET_DATA or ./data)")
 
 
-def _add_run_flags(p) -> None:
+def _add_seed_flag(p) -> None:
     p.add_argument("--seed", type=int, help="run seed (default 0)")
-    p.add_argument("--threads", type=int, help="worker threads for packed inference")
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="force single-threaded, byte-reproducible outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--gate-mask", dest="gate_mask", type=_mask,
                    help="16-bit mask of allowed gate ids, e.g. 0xFFFF")
-    _add_run_flags(p)
+    _add_seed_flag(p)
     p.add_argument("--out", help="checkpoint path (default <dataset>_s<seed>.gnet)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model file on a dataset")
     p.add_argument("--in", dest="in_path", required=True, help="model file (.gnet)")
     _add_data_flags(p)
-    _add_run_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("discretize", help="snap a checkpoint to a circuit")
@@ -212,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure packed-inference throughput")
     p.add_argument("--in", dest="in_path", required=True, help="circuit file")
     _add_data_flags(p)
-    _add_run_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="write a per-layer gate histogram")
@@ -251,8 +236,6 @@ def _print_max_probs(circ: Circuit) -> None:
 
 
 def _format_setting(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if value is None:
@@ -353,21 +336,11 @@ def cmd_eval(args) -> int:
             f"model expects {model.input_width} input bits, "
             f"dataset {settings['dataset']} provides {test_ds.width}"
         )
-    if isinstance(model, Circuit):
-        scores = circuit_scores(model, test_ds.features, threads=settings["threads"])
-        preds = scores.argmax(axis=1)
-        y = np.asarray(test_ds.labels, dtype=np.int64)
-        confusion = np.zeros((model.readout.k, model.readout.k), dtype=np.int64)
-        np.add.at(confusion, (y, preds), 1)
-        accuracy = float((preds == y).mean())
-        count = len(y)
-    else:
-        res = evaluate(model, test_ds)
-        accuracy, confusion, count = res.accuracy, res.confusion, res.count
-    correct = int(np.trace(confusion))
-    print(f"accuracy: {accuracy:.4f} ({correct}/{count})")
+    res = evaluate(model, test_ds)
+    correct = int(np.trace(res.confusion))
+    print(f"accuracy: {res.accuracy:.4f} ({correct}/{res.count})")
     print("confusion matrix (rows true, columns predicted):")
-    for line in _confusion_lines(confusion):
+    for line in _confusion_lines(res.confusion):
         print(f"  {line}")
     return EXIT_OK
 
@@ -421,18 +394,13 @@ def cmd_bench(args) -> int:
     else:
         rng = np.random.default_rng([5, settings["seed"]])
         samples = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)
-    batch = pack(samples)
-    multi = settings["threads"] if settings["threads"] > 1 else max(os.cpu_count() or 2, 2)
-    threads_list = (1,) if settings["deterministic"] else (1, multi)
-    report = benchmark(circuit, batch, threads_list=threads_list)
+    report = benchmark(circuit, pack(samples))
     print(f"cpu: {report['cpu']}")
     print(f"gates: {report['gates']}, samples: {report['samples']}, word bits: 64")
-    for threads, entry in report["per_thread"].items():
-        label = "single thread" if threads == 1 else f"{threads} threads"
-        print(f"{label}: {entry['samples_per_sec']:,.0f} samples/s "
-              f"({entry['gate_ops_per_sec']:.3g} gate-ops/s); "
-              f"pack {entry['pack_ms']:.2f} ms, execute {entry['execute_ms']:.2f} ms, "
-              f"readout {entry['readout_ms']:.2f} ms")
+    print(f"single thread: {report['samples_per_sec']:,.0f} samples/s "
+          f"({report['gate_ops_per_sec']:.3g} gate-ops/s); "
+          f"pack {report['pack_ms']:.2f} ms, execute {report['execute_ms']:.2f} ms, "
+          f"readout {report['readout_ms']:.2f} ms")
     return EXIT_OK
 
 

@@ -47,14 +47,15 @@ as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
 size give or take one lane. It runs them one at a time: it packs a block's
 rows, executes the pruned circuit with only the counted wires as outputs
 and counts those while they are still in cache, adds the offsets, then
-joins the blocks' scores. Extra threads share out the blocks.
+joins the blocks' scores. Scoring runs on one thread, as the paper's
+single-core throughput claim does; a second thread over the blocks ran no
+faster on two cores.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -511,14 +512,18 @@ def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     class's offset for its constant-true outputs. The scores are those of
     ``circuit`` itself, since pruning keeps every output bit. An empty
     PackedBatch, or zero raw rows, of the circuit's width scores as (0, k).
-    Threads take turns over the blocks, so results are identical for any
-    thread count.
+    Scoring runs on one thread: ``threads`` accepts only 1.
     """
-    return _score_batch(circuit, samples, threads)[0]
+    if threads != 1:
+        raise ValueError(f"scoring runs on one thread, got threads={threads}")
+    return _score_batch(circuit, samples)[0]
 
 
-def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, list]:
-    """``circuit_scores`` and, per thread, the seconds of its pack, execute and readout."""
+def _score_batch(circuit: Circuit, samples) -> tuple[np.ndarray, np.ndarray]:
+    """``circuit_scores`` and the seconds of its pack, execute and readout.
+
+    The stage times are summed over the lane blocks.
+    """
     samples = _batch_or_rows(samples)
     if isinstance(samples, PackedBatch):
         n, lanes, features = samples.sample_count, samples.lanes, samples.feature_count
@@ -527,26 +532,9 @@ def _score_batch(circuit: Circuit, samples, threads: int) -> tuple[np.ndarray, l
     _require_width(features, circuit.input_width)  # also when no lane block runs
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
     fold = _counted(circuit)
-    chunks = _lane_blocks(lanes, _plan_for(fold.circuit).rows)
-    run = partial(_score_chunks, fold.circuit, fold.offset, samples, scores)
-    workers = max(1, min(threads, len(chunks)))
-    if workers == 1:
-        return scores, [run(chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # threads take turns over the chunks
-        return scores, list(pool.map(run, (chunks[t::workers] for t in range(workers))))
-
-
-def _score_chunks(
-    circuit: Circuit, offset: np.ndarray, samples, scores: np.ndarray, chunks: list
-) -> np.ndarray:
-    """Score the lanes ``lo .. hi`` of ``samples`` for each (lo, hi) in ``chunks``.
-
-    Writes the chunks' rows of ``scores``: the counts of ``circuit``'s
-    outputs plus ``offset``. Returns the seconds spent in pack, execute and
-    readout, summed over the chunks.
-    """
+    scored, offset = fold.circuit, fold.offset
     stages = np.zeros(3)
-    for lo, hi in chunks:
+    for lo, hi in _lane_blocks(lanes, _plan_for(scored).rows):
         t0 = time.perf_counter()
         if isinstance(samples, PackedBatch):
             count = min(64 * hi, samples.sample_count) - 64 * lo
@@ -554,15 +542,15 @@ def _score_chunks(
         else:
             batch = pack(samples[64 * lo : 64 * hi])
         t1 = time.perf_counter()
-        outputs = execute_packed(circuit, batch)
+        outputs = execute_packed(scored, batch)
         t2 = time.perf_counter()
         block = scores[64 * lo : 64 * lo + batch.sample_count]
-        np.add(popcount_scores(outputs, circuit.readout), offset, out=block)
+        np.add(popcount_scores(outputs, scored.readout), offset, out=block)
         stages += (t1 - t0, t2 - t1, time.perf_counter() - t2)
-        # free before the next chunk allocates: otherwise the heap shrinks and
-        # regrows every chunk, about 1900 page faults per 16384-row call
+        # free before the next block allocates: otherwise the heap shrinks and
+        # regrows every block, about 1900 page faults per 16384-row call
         del batch, outputs
-    return stages
+    return scores, stages
 
 
 class _Fold(NamedTuple):
@@ -697,44 +685,32 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def benchmark(
-    circuit: Circuit,
-    batch: PackedBatch,
-    repetitions: int = 5,
-    threads_list: tuple[int, ...] = (1,),
-) -> dict:
-    """Median-of-repetitions inference throughput and time per stage.
+def benchmark(circuit: Circuit, batch: PackedBatch, repetitions: int = 5) -> dict:
+    """Median-of-repetitions inference throughput and time per stage, on one thread.
 
     Each repetition scores the batch's rows, recovered once by ``unpack``,
     on the path ``circuit_scores`` runs, and sums each stage over the lane
-    blocks; with several threads, a stage's time is the largest of the
-    threads' sums. ``samples_per_sec`` counts execution plus readout;
-    ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the stages' medians.
-    ``gates`` is the gate count of the pruned circuit that runs, which
+    blocks. ``samples_per_sec`` counts execution plus readout; ``pack_ms``,
+    ``execute_ms`` and ``readout_ms`` are the stages' medians. ``gates`` is
+    the gate count of the pruned circuit that runs, which
     ``gate_ops_per_sec`` credits.
     """
     rows = unpack(batch)
     gates = _counted(circuit).base.num_gates
-    report = {
+    circuit_scores(circuit, batch)  # warmup + plan build
+    stages = [_score_batch(circuit, rows)[1] for _ in range(repetitions)]
+    pack_s, execute_s, readout_s = np.median(stages, axis=0)
+    med = float(np.median([e + r for _, e, r in stages]))
+    samples_per_sec = batch.sample_count / med
+    return {
         "samples": batch.sample_count,
         "lanes": batch.lanes,
         "gates": gates,
         "cpu": _cpu_model(),
-        "per_thread": {},
+        "seconds_median": med,
+        "samples_per_sec": samples_per_sec,
+        "gate_ops_per_sec": samples_per_sec * gates,
+        "pack_ms": float(pack_s) * 1e3,
+        "execute_ms": float(execute_s) * 1e3,
+        "readout_ms": float(readout_s) * 1e3,
     }
-    for threads in threads_list:
-        circuit_scores(circuit, batch, threads=threads)  # warmup + plan build
-        stages = [np.max(_score_batch(circuit, rows, threads)[1], axis=0)
-                  for _ in range(repetitions)]
-        pack_s, execute_s, readout_s = np.median(stages, axis=0)
-        med = float(np.median([e + r for _, e, r in stages]))
-        samples_per_sec = batch.sample_count / med
-        report["per_thread"][threads] = {
-            "seconds_median": med,
-            "samples_per_sec": samples_per_sec,
-            "gate_ops_per_sec": samples_per_sec * gates,
-            "pack_ms": float(pack_s) * 1e3,
-            "execute_ms": float(execute_s) * 1e3,
-            "readout_ms": float(readout_s) * 1e3,
-        }
-    return report

@@ -202,6 +202,8 @@ def train(
     if n_samples == 0:
         raise ValueError("training dataset is empty")
     k = config.classes if config.classes is not None else int(train_ds.class_count)
+    if k < train_ds.class_count:
+        raise ValueError(f"classes={k} is fewer than the dataset's {train_ds.class_count} classes")
     if config.width % k:
         raise ValueError(f"layer width {config.width} not divisible by {k} classes")
     widths = [int(train_ds.width)] + [config.width] * config.layers
@@ -263,7 +265,8 @@ def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:
     A LogicNet is scored in relaxed mode, in batches whose ForwardCache fits
     in ``RELAXED_EVAL_BYTES`` where one row allows; a Circuit runs packed
     Boolean inference with the popcount readout through ``circuit_scores``,
-    which executes its pruned form.
+    which executes its pruned form. A model with fewer classes than the
+    dataset is rejected.
     """
     if int(dataset.width) != model.input_width:
         raise ValueError(
@@ -271,6 +274,8 @@ def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:
         )
     y = np.asarray(dataset.labels, dtype=np.int64)
     k = model.readout.k
+    if k < dataset.class_count:
+        raise ValueError(f"model's class count {k} is below the dataset's {dataset.class_count}")
     if isinstance(model, Circuit):
         from .packed import circuit_scores
 

@@ -317,7 +317,7 @@ def test_criterion_08_throughput(report, big_circuit):
     rng = np.random.default_rng(88)
     batch = pack(rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8))
     result = benchmark(circuit, batch, repetitions=5)
-    rate = result["per_thread"][1]["samples_per_sec"]
+    rate = result["samples_per_sec"]
     cpu = result["cpu"]
     report(8, "throughput", rate >= 1e5,
            f"{origin}: {rate:,.0f} samples/s single thread >= 100,000 "

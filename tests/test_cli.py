@@ -97,8 +97,7 @@ class TestSettingsMerge:
 
         ns = argparse.Namespace(config=None, preset=None)
         for key in ("dataset", "data_dir", "layers", "width", "tau", "beta",
-                    "classes", "lr", "batch_size", "epochs", "seed", "threads",
-                    "deterministic", "gate_mask"):
+                    "classes", "lr", "batch_size", "epochs", "seed", "gate_mask"):
             setattr(ns, key, None)
         for key, value in kw.items():
             setattr(ns, key, value)
@@ -123,17 +122,13 @@ class TestSettingsMerge:
     def test_config_file_syntax(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "# comment\n\ntau = 1/0.075\ngate-mask = 0x00F7\ndeterministic = yes\nseed=9\n"
+            "# comment\n\ntau = 1/0.075\ngate-mask = 0x00F7\nseed=9\n"
         )
         parsed = read_config_file(str(cfg))
-        assert parsed == {
-            "tau": "1/0.075", "gate_mask": "0x00F7", "deterministic": "yes", "seed": "9",
-        }
+        assert parsed == {"tau": "1/0.075", "gate_mask": "0x00F7", "seed": "9"}
         s = merge_settings(self._args(config=str(cfg)))
         assert s["tau"] == 1 / 0.075
         assert s["gate_mask"] == 0x00F7
-        assert s["deterministic"] is True
-        assert s["threads"] == 1
         assert s["seed"] == 9
 
     def test_bad_config_lines(self, tmp_path):
@@ -141,9 +136,10 @@ class TestSettingsMerge:
         cfg.write_text("just a bare line\n")
         with pytest.raises(UsageError, match="key=value"):
             merge_settings(self._args(config=str(cfg)))
-        cfg.write_text("not_a_key = 3\n")
-        with pytest.raises(UsageError, match="unknown config key"):
-            merge_settings(self._args(config=str(cfg)))
+        for line in ("not_a_key = 3", "threads = 1", "deterministic = true"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(UsageError, match="unknown config key"):
+                merge_settings(self._args(config=str(cfg)))
         cfg.write_text("epochs = many\n")
         with pytest.raises(UsageError, match="bad value"):
             merge_settings(self._args(config=str(cfg)))
@@ -175,7 +171,7 @@ class TestTrain:
         for name in ("da.gnet", "db.gnet"):
             rc = main([
                 "train", "--dataset", "monk1", "--layers", "2", "--width", "6",
-                "--epochs", "2", "--seed", "7", "--deterministic",
+                "--epochs", "2", "--seed", "7",
                 "--data-dir", data_dir, "--out", str(workdir / name),
             ])
             assert rc == EXIT_OK
@@ -249,6 +245,16 @@ class TestTrain:
             main(["train", "--dataset", "monk1", "--tau", "1/0", "--data-dir", data_dir])
         assert exc.value.code == EXIT_USAGE
         assert "argument --tau: invalid _real value: '1/0'" in capsys.readouterr().err
+
+    def test_fewer_classes_than_the_dataset_is_usage_error(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "m.gnet"
+        rc = main([
+            "train", "--dataset", "monk1", "--classes", "1", "--layers", "2", "--width", "6",
+            "--epochs", "1", "--data-dir", data_dir, "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert "classes=1 is fewer than the dataset's 2 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["loss = mse", "dtype = float64"], ids=["loss", "dtype"])
     def test_removed_objective_keys_rejected(self, line, tmp_path, data_dir, capsys):
@@ -354,6 +360,22 @@ class TestEval:
         rc = main(["eval", "--in", str(path), "--dataset", "monk1", "--data-dir", data_dir])
         assert rc == EXIT_USAGE
 
+    def test_fewer_classes_than_the_dataset(self, tmp_path, data_dir, capsys):
+        circuit = Circuit(
+            input_width=17,
+            layer_sizes=(1,),
+            opcodes=np.array([6], dtype=np.uint8),
+            sources=np.array([[0, 1]], dtype=np.uint32),
+            output_wires=np.array([17], dtype=np.uint32),
+            readout=ReadoutConfig(k=1),
+            seed=0,
+        )
+        path = tmp_path / "k1.gnet"
+        save_model(circuit, str(path))
+        rc = main(["eval", "--in", str(path), "--dataset", "monk1", "--data-dir", data_dir])
+        assert rc == EXIT_USAGE
+        assert "model's class count 1 is below the dataset's 2" in capsys.readouterr().err
+
     def test_missing_data_file(self, circuit_file, tmp_path):
         rc = main([
             "eval", "--in", str(circuit_file), "--dataset", "adult",
@@ -369,16 +391,10 @@ class TestEval:
 
 
 class TestBenchInspect:
-    def test_bench_reports_both_thread_counts(self, circuit_file, capsys):
+    def test_bench_reports_one_thread(self, circuit_file, capsys):
         assert main(["bench", "--in", str(circuit_file)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "single thread:" in out and "samples/s" in out
-        assert "threads:" in out
-
-    def test_bench_deterministic_single_thread_only(self, circuit_file, capsys):
-        assert main(["bench", "--in", str(circuit_file), "--deterministic"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "single thread:" in out
         assert "threads:" not in out
 
     def test_inspect_histogram_rows_sum_to_widths(self, ckpt, workdir, capsys):
@@ -410,6 +426,16 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_USAGE
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"]],
+                             ids=["threads", "deterministic"])
+    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
+    def test_removed_thread_flags_exit_one(self, command, flags, capsys):
+        model = [] if command == "train" else ["--in", "m.gnet"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *model, "--dataset", "monk1", *flags])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_cli_imports_every_module(self):
         # a module the command never imports is code that no pipeline runs

@@ -183,8 +183,8 @@ class TestExecutePacked:
             assert int(out.words[0, -1]) == (1 << (n % 64 or 64)) - 1, n
 
     @pytest.mark.parametrize("n", SAMPLE_COUNTS)
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_matches_oracle_on_random_circuits(self, rng, n, threads):
+    @pytest.mark.parametrize("step", [1, 3])  # lanes per block of circuit_scores
+    def test_matches_oracle_on_random_circuits(self, rng, monkeypatch, n, step):
         for _ in range(6):
             depth = int(rng.integers(1, 5))
             width = int(rng.integers(2, 40))
@@ -193,7 +193,8 @@ class TestExecutePacked:
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
             got = unpack(execute_packed(circ, pack(x)))
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
-            counts = circuit_scores(circ, x, threads=threads)
+            monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
+            counts = circuit_scores(circ, x)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
     def test_all_sixteen_opcodes_exhaustive(self):
@@ -225,19 +226,20 @@ class TestExecutePacked:
         with pytest.raises(ValueError):
             execute_packed(circ, pack(np.zeros((4, 8), dtype=np.uint8)))
 
-    def test_thread_counts_agree(self, rng):
+    def test_scoring_runs_on_one_thread(self, rng):
         circ = random_layered_circuit(rng, 16, [32, 32], 4)
-        x = (rng.uniform(size=(500, 16)) < 0.5).astype(np.uint8)
-        batch = pack(x)
-        a = circuit_scores(circ, batch, threads=1)
-        b = circuit_scores(circ, batch, threads=4)
-        np.testing.assert_array_equal(a, b)
+        x = (rng.uniform(size=(70, 16)) < 0.5).astype(np.uint8)
+        np.testing.assert_array_equal(circuit_scores(circ, x, threads=1), circuit_scores(circ, x))
+        for threads in (0, 2):
+            message = f"^scoring runs on one thread, got threads={threads}$"
+            with pytest.raises(ValueError, match=message):
+                circuit_scores(circ, x, threads=threads)
 
 
 class TestGeneralNetlists:
     @pytest.mark.parametrize("n", SAMPLE_COUNTS)
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_matches_oracle(self, rng, n, threads):
+    @pytest.mark.parametrize("step", [1, 3])  # lanes per block of circuit_scores
+    def test_matches_oracle(self, rng, monkeypatch, n, step):
         for _ in range(6):
             k, group = int(rng.integers(1, 4)), int(rng.integers(1, 9))
             width, gate_count = int(rng.integers(1, 20)), int(rng.integers(0, 200))
@@ -245,7 +247,8 @@ class TestGeneralNetlists:
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
             got = unpack(execute_packed(circ, pack(x)))
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
-            counts = circuit_scores(circ, x, threads=threads)
+            monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
+            counts = circuit_scores(circ, x)
             np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
 
     def test_whole_batch_execute_and_blocked_scores_with_a_partial_last_lane(
@@ -265,14 +268,15 @@ class TestGeneralNetlists:
             want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
             np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
         want = popcount_scores(got, circ.readout)
-        np.testing.assert_array_equal(circuit_scores(circ, batch, threads=3), want)
+        np.testing.assert_array_equal(circuit_scores(circ, batch), want)
 
 
 class TestChunkedScores:
     """``circuit_scores`` packs, executes and counts one execution block at a time.
 
-    ``BUDGET`` is lowered to 3 lanes per block, so 453 samples (8 lanes, the
-    last one partial) run as chunks of 2, 3 and 3 lanes.
+    ``BUDGET`` is lowered to 1 or 3 lanes per block, so 453 samples (8 lanes,
+    the last one partial) run as 8 chunks of 1 lane, or as chunks of 2, 3 and
+    3 lanes.
     """
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 7, 8, 64, 257])
@@ -287,12 +291,12 @@ class TestChunkedScores:
         assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 7 * 64 + 5])
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("step", [1, 3])  # lanes per block
     @pytest.mark.parametrize("adder", [False, True])
-    def test_matches_whole_batch_readout_and_oracle(self, rng, monkeypatch, n, threads, adder):
+    def test_matches_whole_batch_readout_and_oracle(self, rng, monkeypatch, n, step, adder):
         circ = random_layered_circuit(rng, 12, [20, 20], 4)
         scored = build_adder_aggregation(circ) if adder else circ
-        monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * 3)
+        monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
         x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
         whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
@@ -300,7 +304,7 @@ class TestChunkedScores:
             if adder:
                 got = adder_counts(scored, samples)
             else:
-                got = circuit_scores(scored, samples, threads=threads)
+                got = circuit_scores(scored, samples)
             np.testing.assert_array_equal(got, whole)
 
     def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
@@ -321,12 +325,12 @@ class TestChunkedScores:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 circuit_scores(circ, samples)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_zero_rows_score_as_an_empty_batch(self, rng, threads):
-        circ = random_layered_circuit(rng, 6, [8], 2)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_rows_score_as_an_empty_batch(self, rng, k):
+        circ = random_layered_circuit(rng, 6, [6], k)
         for dtype in (np.uint8, bool, np.float64):
-            got = circuit_scores(circ, np.zeros((0, 6), dtype=dtype), threads=threads)
-            assert got.shape == (0, 2) and got.dtype == np.int64
+            got = circuit_scores(circ, np.zeros((0, 6), dtype=dtype))
+            assert got.shape == (0, k) and got.dtype == np.int64
 
 
 class TestPlaneRows:
@@ -560,7 +564,7 @@ class TestConstantFold:
         assert set(np.unique(adder.opcodes[counter_gates(circ, adder)])) <= {1, 6}
         group = len(FOLD_CASES[case][0])
         assert adder.group_size == group.bit_length()
-        for scores in (circuit_scores(circ, x), circuit_scores(circ, pack(x), threads=3),
+        for scores in (circuit_scores(circ, x), circuit_scores(circ, pack(x)),
                        adder_counts(adder, x)):
             np.testing.assert_array_equal(scores, want)
 
@@ -751,13 +755,11 @@ class TestBenchmark:
     def test_report_shape(self, rng):
         circ = random_layered_circuit(rng, 16, [64, 64], 4)
         batch = pack((rng.uniform(size=(2000, 16)) < 0.5).astype(np.uint8))
-        rep = benchmark(circ, batch, repetitions=3, threads_list=(1, 2))
+        rep = benchmark(circ, batch, repetitions=3)
         gates = prune(circ).num_gates  # the gates that run, not the file's
         assert rep["gates"] == gates < circ.num_gates
-        assert set(rep["per_thread"]) == {1, 2}
-        one = rep["per_thread"][1]
-        assert one["samples_per_sec"] > 0
-        assert one["gate_ops_per_sec"] == pytest.approx(one["samples_per_sec"] * gates)
+        assert rep["samples_per_sec"] > 0
+        assert rep["gate_ops_per_sec"] == pytest.approx(rep["samples_per_sec"] * gates)
         for stage in ("pack_ms", "execute_ms", "readout_ms"):
-            assert one[stage] > 0, stage
+            assert rep[stage] > 0, stage
         assert isinstance(rep["cpu"], str) and rep["cpu"]

@@ -238,6 +238,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(TrainConfig(layers=1, width=4), empty)
 
+    def test_fewer_classes_than_the_dataset_rejected(self):
+        data = planted_rule_data(np.random.default_rng(7), n=32)
+        with pytest.raises(ValueError, match="^classes=1 is fewer than the dataset's 2 classes$"):
+            train(TrainConfig(layers=1, width=4, classes=1), data)
+
     def test_width_not_divisible_by_classes_rejected(self):
         rng = np.random.default_rng(7)
         data = planted_rule_data(rng, n=32)
@@ -288,6 +293,14 @@ class TestEvaluate:
         data = ToyData(np.zeros((3, net.input_width + 2), dtype=np.uint8), np.zeros(3), 2)
         with pytest.raises(ValueError):
             evaluate(net, data)
+
+    def test_fewer_model_classes_than_the_dataset_rejected(self, rng):
+        topo = build_topology(1, [6, 4, 4])
+        net = LogicNet(topo, init_params(topo, 1), ReadoutConfig(k=1))
+        data = planted_rule_data(rng, n=32)
+        for model in (net, discretize(net)):
+            with pytest.raises(ValueError, match="^model's class count 1 is below the dataset's 2$"):
+                evaluate(model, data)
 
     def test_empty_dataset_counts_zero_for_net_and_circuit(self, rng):
         net = random_small_net(rng)
