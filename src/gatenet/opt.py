@@ -39,9 +39,24 @@ def prune(circuit: Circuit) -> Circuit:
 
     Output semantics are preserved exactly: the returned circuit produces the
     same output bits as the original for every input assignment, in the same
-    order. Idempotent up to structural equality. Per-gate max-probability
-    diagnostics survive for the kept gates (materialized gates get 1.0).
+    order. Per-gate max-probability diagnostics survive for the kept gates
+    (materialized gates get 1.0). The result is kept on ``circuit``, which
+    is frozen, and is marked as its own pruned form, so ``prune(prune(c))
+    is prune(c)`` and scoring a pruned circuit does not prune it again. The
+    mark is a flag, not a reference to itself, so that a dropped circuit is
+    freed at once, not by a later garbage collection.
     """
+    if getattr(circuit, "_is_pruned", False):
+        return circuit
+    pruned = getattr(circuit, "_pruned", None)
+    if pruned is None:
+        pruned = _prune(circuit)
+        object.__setattr__(pruned, "_is_pruned", True)  # Circuit is frozen
+        object.__setattr__(circuit, "_pruned", pruned)
+    return pruned
+
+
+def _prune(circuit: Circuit) -> Circuit:
     w_in = circuit.input_width
     n = circuit.num_gates
     nw = circuit.num_wires

@@ -583,6 +583,10 @@ def _counted(circuit: Circuit) -> _Fold:
     constant-true outputs less its constant-true pads. The fold's circuit
     is ``base`` with the padded wires, class after class, as its outputs,
     or ``base`` itself when no output is constant.
+
+    A pruned circuit is its own base. The fold cached on it holds None in
+    place of the circuit, so that the circuit and its fold make no
+    reference cycle, which only a garbage collection would free.
     """
     fold = getattr(circuit, "_fold", None)
     if fold is None:
@@ -604,7 +608,11 @@ def _counted(circuit: Circuit) -> _Fold:
             offset = ones - (width - counted) * (len(false) == 0)
             scored = replace(base, output_wires=padded.ravel())
             fold = fold._replace(circuit=scored, offset=offset)
+        if base is circuit:  # cached with None for the circuit itself: see above
+            fold = fold._replace(base=None, circuit=None if fold.circuit is base else fold.circuit)
         object.__setattr__(circuit, "_fold", fold)
+    if fold.base is None:
+        fold = fold._replace(base=circuit, circuit=fold.circuit or circuit)
     return fold
 
 

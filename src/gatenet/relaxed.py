@@ -23,8 +23,10 @@ The sums over the batch are einsums, which run in numpy's own loops and give
 the same bits however many BLAS threads there are. da1 and da2 are never
 formed: two sparse matrices built from the wiring, whose values are the q3
 and the q1 | q2 of each wire's consumers, scatter-add t2 | t1 and d into the
-previous layer's gradient rows. scipy, whose CSR kernel does the scatter, is
-imported by the first backward pass, so inference never loads it.
+previous layer's gradient rows. The scatter-adds are scipy's CSR kernel,
+which the first backward pass loads from its extension file alone
+(``_csr_matvecs``), not with all of ``scipy.sparse``; inference never loads
+it.
 
 The forward pass runs its gathers and multiply-adds, and the backward pass
 its gathers and t2 *= d, over blocks of ``block_rows`` neurons, about
@@ -53,18 +55,24 @@ training builds float32 nets, the gradient checks float64 ones.
 
 A :class:`ForwardCache` owns every array of a step: the activations, the
 gate distributions, which ``backward`` returns as the gradients, and the
-operand block and t2 | t1 buffers. ``forward_relaxed(net, x, out=cache)``
-overwrites a cache made by the same net for the same batch shape and dtype
-instead of allocating a new one, so a training loop that passes its last
-cache back allocates no (width, batch) array per step, only a few (width, 8)
-or smaller temporaries. The gradients ``backward`` returns last until that
-next ``forward_relaxed`` on the cache. A cache whose backward has run is
+operand block and t2 | t1 buffers. The forward's arrays are views of one
+allocation and the backward's scratch of another (``carve``).
+``forward_relaxed(net, x, out=cache)`` overwrites a cache made by the same
+net for the same batch shape and dtype instead of allocating a new one, so
+a training loop that passes its last cache back allocates no (width, batch)
+array per step, only a few (width, 8) or smaller temporaries. The gradients
+``backward`` returns last until that next ``forward_relaxed`` on the cache. A cache whose backward has run is
 spent: its activations are gradients, and ``backward`` refuses it until
 ``forward_relaxed`` refills it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +94,21 @@ def block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
+def carve(shapes, dtype, alloc=np.empty) -> list[np.ndarray]:
+    """C-contiguous arrays of these shapes, cut one after another from one ``alloc`` call.
+
+    Training's arrays come from a few such allocations, not one each. In
+    the benchmark's repeated ``train`` set-ups at the mnist_small shape,
+    glibc then kept its heap between runs instead of trimming and growing it
+    again: 0 minor page faults per set-up after the second, against about
+    9,600 with one allocation per array. numpy also advises huge pages for
+    an allocation of 4 MB or more, which the activations' one is.
+    """
+    ends = np.cumsum([0, *(math.prod(s) for s in shapes)])
+    buffer = alloc(int(ends[-1]), dtype)
+    return [buffer[lo:hi].reshape(s) for lo, hi, s in zip(ends[:-1], ends[1:], shapes)]
+
+
 @dataclass(eq=False)
 class ForwardCache:
     """One forward call's results for ``backward``, plus the buffers both passes reuse.
@@ -97,7 +120,8 @@ class ForwardCache:
     ``forward_relaxed`` on the cache, and marks the cache ``spent``. It
     leaves ``acts[0]``, ``mix`` and ``scores`` as they were. The activations
     and scores are full width, since ``backward`` reads them all; the
-    forward operands in ``work`` are one block of neurons.
+    forward operands in ``work`` are one block of neurons. All but ``work``
+    are views of one allocation.
     """
 
     net: LogicNet
@@ -110,13 +134,16 @@ class ForwardCache:
 
     @classmethod
     def empty(cls, net: LogicNet, batch: int) -> "ForwardCache":
-        widths, dtype = net.topology.layer_widths, net.dtype
+        widths = net.topology.layer_widths
+        n = len(widths) - 1  # gate layers
+        arrays = carve([(w, batch) for w in widths] + [(w, gates.NUM_GATES) for w in widths[1:]]
+                       + [(w, 4) for w in widths[1:]] + [(batch, net.readout.k)], net.dtype)
         return cls(
             net=net,
-            acts=[np.empty((w, batch), dtype) for w in widths],
-            probs=[np.empty((w, gates.NUM_GATES), dtype) for w in widths[1:]],
-            mix=[np.empty((w, 4), dtype) for w in widths[1:]],
-            scores=np.empty((batch, net.readout.k), dtype),
+            acts=arrays[: n + 1],
+            probs=arrays[n + 1 : 2 * n + 1],
+            mix=arrays[2 * n + 1 : 3 * n + 1],
+            scores=arrays[-1],
             work=_Work(net, batch),
         )
 
@@ -150,9 +177,10 @@ class _Work:
     each. The backward-only buffers are sized by the widest gate layer and
     are allocated by the first ``backward`` call, so a cache used only for
     inference never holds them: t2 | t1 (``halves``), the only
-    (width, batch) one, and per-neuron (width, 16) or narrower scratch. The
-    output and logit gradients need no buffer here, since ``backward``
-    writes them over the cache's activations and gate distributions.
+    (width, batch) one, and per-neuron (width, 16) or narrower scratch, all
+    views of one allocation. The output and logit gradients need no buffer
+    here, since ``backward`` writes them over the cache's activations and
+    gate distributions.
     """
 
     def __init__(self, net: LogicNet, batch: int):
@@ -176,11 +204,10 @@ class _Work:
             return
         widths, dtype = net.topology.layer_widths, net.dtype
         most, batch = self.most, self.batch
-        self.halves = np.empty((2 * most, batch), dtype)
-        self.dq = np.empty((most, 4), dtype)
-        self.dp = np.empty((most, gates.NUM_GATES), dtype)
-        self.weighted = np.empty((most, gates.NUM_GATES), dtype)  # dp * p
-        self.rowsum = np.empty((most, 1), dtype)
+        # t2 | t1, dq, dp, dp * p and its row sums
+        self.halves, self.dq, self.dp, self.weighted, self.rowsum = carve(
+            [(2 * most, batch), (most, 4), (most, gates.NUM_GATES), (most, gates.NUM_GATES),
+             (most, 1)], dtype)
         self.coeffs_t = np.ascontiguousarray(self.coeffs.T)
         self.scatter = [None] + [
             _Scatter(conn, prev, dtype)
@@ -198,19 +225,21 @@ class _Scatter:
     ascending order. Their values are the q3 and the q1 | q2 of those entries,
     gathered from the layer's (width, 4) coefficients on every call, so one
     scatter-add of t2 | t1 and one of d give the previous layer's gradient
-    without forming da1 and da2. The scatter-adds are scipy's CSR kernel,
-    writing into the cache's activations of the previous layer, since
-    ``csr_matrix @`` would allocate a new array each call. scipy is imported here, by the first
-    backward pass, since importing it loads all of ``scipy.sparse``.
+    without forming da1 and da2. The scatter-adds are scipy's CSR kernel
+    ``csr_matvecs`` (see ``_csr_matvecs``), writing into the cache's
+    activations of the previous layer, since ``csr_matrix @`` would allocate
+    a new array each call.
+
+    Entry e's place in the pattern is the rank of its unique key
+    ``rows[e] * 2*width + e``, which orders the entries as a stable sort of
+    ``rows`` does: 0.32 ms against 1.61 ms for 16,000 entries.
     """
 
     def __init__(self, conn: np.ndarray, prev: int, dtype):
-        from scipy.sparse import _sparsetools
-
-        self.matvecs = _sparsetools.csr_matvecs
+        self.matvecs = _csr_matvecs()
         width = conn.shape[0]
-        rows = np.concatenate([conn[:, 0], conn[:, 1]])
-        order = np.argsort(rows, kind="stable")
+        rows = np.concatenate([conn[:, 0], conn[:, 1]]).astype(np.int64)
+        order = np.argsort(rows * len(rows) + np.arange(len(rows)))
         neuron, second = order % width, order >= width
         self.indptr = np.zeros(prev + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=prev), out=self.indptr[1:])
@@ -231,6 +260,47 @@ class _Scatter:
                      self.halves_vals, halves.ravel(), out.ravel())
         self.matvecs(prev, d.shape[0], batch, self.indptr, self.d_cols,
                      self.d_vals, d.ravel(), out.ravel())
+
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+_matvecs = None  # scipy's csr_matvecs, once loaded
+
+
+def _sparsetools_file() -> str | None:
+    """Path of scipy's ``sparse/_sparsetools`` extension, or None; imports nothing."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _csr_matvecs():
+    """scipy's C kernel ``csr_matvecs``, loaded once per process by the first backward.
+
+    ``from scipy.sparse import _sparsetools`` imports all of ``scipy.sparse``:
+    after ``import gatenet.cli`` it took 0.23 s and 15.6 MB of peak RSS,
+    against under 1 ms and 0.1 MB for the extension alone. So the extension
+    file is loaded alone, and left out of ``sys.modules``, so that a later
+    ``import scipy.sparse`` still sets up the package as usual. The kernel
+    is the same either way; only when that file cannot be found, or the
+    package is loaded already, is it taken from ``scipy.sparse``.
+    """
+    global _matvecs
+    if _matvecs is None:
+        path = None if _SPARSETOOLS in sys.modules else _sparsetools_file()
+        if path is None:
+            from scipy.sparse import _sparsetools
+        else:
+            loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+            _sparsetools = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+            loader.exec_module(_sparsetools)
+            sys.modules.pop(_SPARSETOOLS, None)  # where single-phase init put it
+        _matvecs = _sparsetools.csr_matvecs
+    return _matvecs
 
 
 def forward_relaxed(net: LogicNet, x: np.ndarray, out: ForwardCache | None = None) -> ForwardCache:

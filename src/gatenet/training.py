@@ -24,7 +24,7 @@ from .model import (
     init_params,
     mask_to_bools,
 )
-from .relaxed import ForwardCache, backward, block_rows, forward_relaxed
+from .relaxed import ForwardCache, backward, block_rows, carve, forward_relaxed
 
 
 # Relaxed evaluation keeps each batch's ForwardCache within this many bytes;
@@ -102,11 +102,14 @@ class TrainConfig:
 class AdamState:
     """Bias-corrected Adam moments, one pair of arrays per logit matrix.
 
-    ``scratch`` is one (2, rows, 16) work array that every logit matrix
-    shares: ``adam_step`` updates each matrix a block of ``rows`` rows at a
-    time (``relaxed.block_rows``), so a step allocates no temporaries and its
-    scratch stays within ``relaxed.BLOCK_BYTES`` however wide the net is.
-    Every matrix must have the first one's dtype.
+    The moments of all matrices are views of one zeroed allocation
+    (``relaxed.carve``). ``scratch`` is one (2, rows, 16) work array that
+    every logit matrix shares: ``adam_step`` updates each matrix a block of
+    ``rows`` rows at a time (``relaxed.block_rows``), so a step allocates no
+    temporaries and its scratch stays within ``relaxed.BLOCK_BYTES`` however
+    wide the net is. Its finiteness check reads each gradient's minimum and
+    maximum, which allocates nothing. Every matrix must have the first one's
+    dtype.
     """
 
     t: int
@@ -118,10 +121,11 @@ class AdamState:
     def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
         first = params[0]
         rows = min(max(len(p) for p in params), block_rows(first[:1].nbytes))
+        moments = carve([p.shape for p in params] * 2, first.dtype, np.zeros)
         return cls(
             t=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=moments[: len(params)],
+            v=moments[len(params) :],
             scratch=np.empty((2, rows) + first.shape[1:], first.dtype),
         )
 
@@ -133,7 +137,8 @@ def adam_step(
     if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
         raise ValueError("parameter/gradient shape mismatch")
     for li, g in enumerate(grads):
-        if not np.isfinite(g).all():
+        # a NaN anywhere makes min and max NaN, and an infinity is one of them
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             bad = int((~np.isfinite(g)).sum())
             raise NumericsError(f"non-finite gradient: layer {li}, {bad} of {g.size} entries")
     state.t += 1

@@ -1,5 +1,6 @@
 """Topology, relaxed forward/backward, readout, and discretization."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,43 @@ def cache_bytes(cache: ForwardCache) -> int:
     arrays = [*vars(cache).values(), *vars(cache.work).values()]
     flat = [a for v in arrays for a in (v if isinstance(v, list) else [v])]
     return sum(a.nbytes for a in flat if isinstance(a, np.ndarray))
+
+
+class TestScatter:
+    """The tables and the kernel of the backward's scatter-add."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_equal_those_of_a_stable_sort(self, seed):
+        # few previous rows, so most rows are read by many entries and their
+        # order within a row is the stable sort's tie-breaking
+        rng = np.random.default_rng(seed)
+        prev, width = int(rng.integers(2, 40)), int(rng.integers(1, 500))
+        conn = rng.integers(0, prev, (width, 2)).astype(np.int32)
+        scatter = relaxed._Scatter(conn, prev, np.float32)
+        rows = np.concatenate([conn[:, 0], conn[:, 1]])
+        order = np.argsort(rows, kind="stable")
+        neuron = order % width
+        np.testing.assert_array_equal(scatter.halves_cols, order)
+        np.testing.assert_array_equal(scatter.d_cols, neuron)
+        np.testing.assert_array_equal(scatter.q3_at, 4 * neuron + 3)
+        np.testing.assert_array_equal(scatter.q12_at, 4 * neuron + 1 + (order >= width))
+        np.testing.assert_array_equal(
+            scatter.indptr, np.searchsorted(rows[order], np.arange(prev + 1)))
+
+    def test_kernel_falls_back_to_importing_scipy_sparse(self, rng, monkeypatch):
+        topo = build_topology(3, [12, 40, 40, 40])
+        net = LogicNet(topo, init_params(topo, 3, dtype=np.float64), ReadoutConfig(k=4))
+        x = rng.uniform(0, 1, size=(9, 12))
+        c = rng.standard_normal((9, 4))
+        runs = []
+        for locate in (relaxed._sparsetools_file, lambda: None):  # the file, then no file
+            monkeypatch.setattr(relaxed, "_matvecs", None)
+            monkeypatch.setattr(relaxed, "_sparsetools_file", locate)
+            monkeypatch.delitem(sys.modules, relaxed._SPARSETOOLS, raising=False)
+            runs.append([g.copy() for g in backward(net, forward_relaxed(net, x), c)])
+        assert "scipy.sparse" in sys.modules
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestNeuronBlocks:

@@ -5,12 +5,17 @@ conftest, exercised on every input assignment for small circuits.
 """
 
 import csv
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    FOLD_CASES,
     check_equivalence,
+    fold_circuit,
     oracle_circuit_outputs,
     random_layered_circuit,
     random_netlist,
@@ -26,7 +31,13 @@ from gatenet.opt import (
     prune,
     write_histogram_csv,
 )
-from gatenet.packed import build_adder_aggregation, execute_packed, pack, unpack
+from gatenet.packed import (
+    build_adder_aggregation,
+    circuit_scores,
+    execute_packed,
+    pack,
+    unpack,
+)
 
 
 def circ(w_in, layer_sizes, sources, opcodes, outputs, k=1):
@@ -208,7 +219,27 @@ class TestPrune:
         for _ in range(8):
             c = random_layered_circuit(rng, 7, [10, 10], k=2)
             p = prune(c)
-            assert structurally_equal(prune(p), p)
+            assert prune(p) is p and prune(c) is p
+            # what prune(p) would build if it ran again: the result it stands for
+            assert structurally_equal(prune(replace(p)), p)
+
+    @pytest.mark.parametrize("constant_outputs", [False, True])
+    def test_scored_circuits_are_freed_without_a_collection(self, rng, constant_outputs):
+        # prune's mark and the fold that scoring caches make no reference
+        # cycle, with or without constant outputs to pad
+        c = fold_circuit(FOLD_CASES["mixed"]) if constant_outputs else (
+            random_layered_circuit(rng, 7, [10, 10], k=2))
+        x = (rng.uniform(size=(5, c.input_width)) < 0.5).astype(np.uint8)
+        p = prune(c)
+        circuit_scores(c, x)
+        circuit_scores(p, x)
+        refs = [weakref.ref(c), weakref.ref(p)]
+        gc.disable()
+        try:
+            del c, p
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_max_probs_follow_kept_gates(self, rng):
         c = random_layered_circuit(rng, 6, [8, 8], k=2)

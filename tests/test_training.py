@@ -90,6 +90,30 @@ class TestAdam:
         with pytest.raises(NumericsError, match="layer 1"):
             adam_step(state, params, grads, TrainConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_each_kind_of_nonfinite_gradient_is_counted(self, value):
+        params = [np.zeros((4, 16), np.float32)]
+        grads = [np.zeros((4, 16), np.float32)]
+        grads[0][1, 2] = grads[0][3, 15] = value
+        grads[0][2, 0] = 1e30
+        with pytest.raises(NumericsError, match="layer 0, 2 of 64 entries"):
+            adam_step(AdamState.zeros_like(params), params, grads, TrainConfig())
+
+    def test_steady_state_step_allocates_no_per_entry_mask(self, rng):
+        # at width 64000 a bool mask of the gradient is 1 MB; the step's own
+        # scratch is preallocated, so only small Python objects remain
+        params = [rng.standard_normal((64000, 16)).astype(np.float32)]
+        grads = [rng.standard_normal((64000, 16)).astype(np.float32)]
+        state = AdamState.zeros_like(params)
+        adam_step(state, params, grads, TrainConfig())
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grads, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, f"peak {peak} B"
+
     def test_shape_mismatch_rejected(self):
         params = [np.zeros((2, 16))]
         with pytest.raises(ValueError):
