@@ -61,9 +61,9 @@ allocation and the backward's scratch of another (``carve``).
 net for the same batch shape and dtype instead of allocating a new one, so
 a training loop that passes its last cache back allocates no (width, batch)
 array per step, only a few (width, 8) or smaller temporaries. The gradients
-``backward`` returns last until that next ``forward_relaxed`` on the cache. A cache whose backward has run is
-spent: its activations are gradients, and ``backward`` refuses it until
-``forward_relaxed`` refills it.
+``backward`` returns last until that next ``forward_relaxed`` on the cache.
+A cache whose backward has run is spent: its activations are gradients, and
+``backward`` refuses it until ``forward_relaxed`` refills it.
 """
 
 from __future__ import annotations
