@@ -4,9 +4,9 @@
     python3 scripts/identity_hashes.py > hashes.txt
 
 Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
-of ``circuit_scores``, which runs on one thread, and the output bits
-``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 random rows
-seeded by the circuit's label, so a circuit whose gates change, as a new
+of ``circuit_scores`` on raw rows, which runs on one thread, and the output
+bits ``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 random
+rows seeded by the circuit's label, so a circuit whose gates change, as a new
 counter's do, is still scored on the same rows; plus the ``emit_source`` text
 and the saved ``.gnet`` bytes of every circuit, and the words ``pack`` makes
 of seeded uint8, bool and float64 rows at those n and 1, 9 and 784 features.
@@ -150,13 +150,12 @@ def main() -> None:
             rng = np.random.default_rng(list(label.encode()))
             for n in SAMPLE_COUNTS:
                 x = rng.integers(0, 2, size=(n, circuit.input_width), dtype=np.uint8)
-                batch = pack(x)
                 if base is None:
-                    scores = circuit_scores(circuit, batch)
+                    scores = circuit_scores(circuit, x)
                 else:
-                    scores = adder_counts(circuit, batch)
+                    scores = adder_counts(circuit, x)
                 print(f"{label}.n{n}.scores {digest(scores)}")
-                bits = unpack(execute_packed(circuit, batch))
+                bits = unpack(execute_packed(circuit, pack(x)))
                 print(f"{label}.n{n}.outputs {digest(bits)}")
     for f in PACK_FEATURES:
         rng = np.random.default_rng([10, f])

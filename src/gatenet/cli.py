@@ -21,7 +21,7 @@ from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import _counted, benchmark, build_adder_aggregation, pack
+from .packed import benchmark, build_adder_aggregation
 from .presets import get_preset, preset_names
 from .training import NumericsError, TrainConfig, evaluate, train
 
@@ -373,7 +373,7 @@ def cmd_compile(args) -> int:
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
         fh.write(_emit(adder, "circuit_eval"))
-    pruned = _counted(circuit).base.num_gates
+    pruned = prune(circuit).num_gates
     print(f"gates: {circuit.num_gates} -> {pruned} -> {adder.num_gates} with counters")
     _print_max_probs(circuit)
     print(f"source: {out_path}")
@@ -394,7 +394,7 @@ def cmd_bench(args) -> int:
     else:
         rng = np.random.default_rng([5, settings["seed"]])
         samples = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)
-    report = benchmark(circuit, pack(samples))
+    report = benchmark(circuit, samples)
     print(f"cpu: {report['cpu']}")
     print(f"gates: {report['gates']}, samples: {report['samples']}, word bits: 64")
     print(f"single thread: {report['samples_per_sec']:,.0f} samples/s "

@@ -25,12 +25,10 @@ from numpy import ctypeslib as npct
 
 from .model import Circuit
 from .packed import (
-    PackedBatch,
-    _batch_or_rows,
     _block_lanes,
     _lane_blocks,
     _plan_for,
-    _require_width,
+    _rows,
     build_adder_aggregation,
     pack,
 )
@@ -185,14 +183,19 @@ class CompiledCircuit:
     _keepalive: object = field(repr=False)
 
     def scores(self, samples) -> np.ndarray:
-        """(samples, k) int64 class scores for raw 0/1 rows or a PackedBatch."""
-        batch = _batch_or_rows(samples)
-        if not isinstance(batch, PackedBatch):
-            batch = pack(batch)
-        _require_width(batch.feature_count, self.input_width)
-        out = np.empty((batch.sample_count, self.classes), dtype=np.int64)
-        words = np.ascontiguousarray(batch.words)
-        if self._fn(words, batch.lanes, out, batch.sample_count):
+        """(samples, k) int64 class scores for a 2-d matrix of raw 0/1 rows.
+
+        As in ``circuit_scores``, zero rows of the circuit's width score as
+        (0, k), and anything but a 2-d matrix, a ``PackedBatch`` too, is a
+        ValueError.
+        """
+        samples = _rows(samples, self.input_width)
+        n = len(samples)
+        out = np.empty((n, self.classes), dtype=np.int64)
+        if n == 0:
+            return out
+        batch = pack(samples)
+        if self._fn(batch.words, batch.lanes, out, n):
             lanes = max(hi - lo for lo, hi in _lane_blocks(batch.lanes, self.plane_rows))
             raise MemoryError(
                 f"cannot allocate the {self.plane_rows} x {lanes}-word plane "

@@ -40,16 +40,18 @@ is given at once. Scoring and emission never run a circuit as it is given:
 ``_counted`` prunes it (``opt.prune``), so constant, pass-through, negation
 and dead gates do not run, and leaves the outputs of the pruned circuit's
 constant gates uncounted, adding each class's constant-true outputs as an
-offset. The numpy readout and ``build_adder_aggregation`` both follow it.
+offset. Its fold is cached on the pruned circuit, so a circuit and its
+pruned form share one fold and one plan. The numpy readout and
+``build_adder_aggregation`` both follow it.
 
-``circuit_scores`` is the one place that splits a batch into lane blocks:
-as few blocks as keep each block's plane within ``BUDGET`` bytes, of equal
-size give or take one lane. It runs them one at a time: it packs a block's
-rows, executes the pruned circuit with only the counted wires as outputs
-and counts those while they are still in cache, adds the offsets, then
-joins the blocks' scores. Scoring runs on one thread, as the paper's
-single-core throughput claim does; a second thread over the blocks ran no
-faster on two cores.
+``circuit_scores`` takes raw 0/1 rows, as the paper's images come, and is
+the one place that splits them into lane blocks: as few blocks as keep
+each block's plane within ``BUDGET`` bytes, of equal size give or take one
+lane. It runs them one at a time: it packs a block's rows, executes the
+pruned circuit with only the counted wires as outputs and counts those
+while they are still in cache, adds the offsets, then joins the blocks'
+scores. Scoring runs on one thread, as the paper's single-core throughput
+claim does; a second thread over the blocks ran no faster on two cores.
 """
 
 from __future__ import annotations
@@ -140,14 +142,13 @@ def _sample_matrix(samples) -> np.ndarray:
     return samples
 
 
-def _batch_or_rows(samples) -> PackedBatch | np.ndarray:
-    """A PackedBatch as it is, zero raw rows as an empty one of their width, else the rows."""
-    if isinstance(samples, PackedBatch):
-        return samples
+def _rows(samples, input_width: int) -> np.ndarray:
+    """Raw rows to score: a sample matrix, or zero rows, of ``input_width`` features."""
     samples = np.asarray(samples)
-    if samples.ndim == 2 and len(samples) == 0:
-        return PackedBatch(np.zeros((samples.shape[1], 0), dtype=np.uint64), 0)
-    return _sample_matrix(samples)
+    if samples.ndim != 2 or len(samples):
+        samples = _sample_matrix(samples)
+    _require_width(samples.shape[1], input_width)  # also when no lane block runs
+    return samples
 
 
 def unpack(batch: PackedBatch) -> np.ndarray:
@@ -501,18 +502,19 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
 
 
 def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
-    """(samples, k) integer class scores for raw 0/1 samples or a PackedBatch.
+    """(samples, k) integer class scores for a 2-d matrix of raw 0/1 rows.
 
     A class's score is the set-bit count of its output wires. What runs is
     ``_counted``'s scoring circuit, the pruned form of ``circuit``, in the
     lane blocks of ``_lane_blocks`` over its plan's plane rows, one at a
-    time: each block is packed (or sliced from the PackedBatch), executed,
-    and its counted wires, the outputs of the pruned circuit's non-constant
-    gates and inputs, are counted into its rows of the scores, plus each
-    class's offset for its constant-true outputs. The scores are those of
-    ``circuit`` itself, since pruning keeps every output bit. An empty
-    PackedBatch, or zero raw rows, of the circuit's width scores as (0, k).
-    Scoring runs on one thread: ``threads`` accepts only 1.
+    time: each block's rows are packed, executed, and its counted wires, the
+    outputs of the pruned circuit's non-constant gates and inputs, are
+    counted into its rows of the scores, plus each class's offset for its
+    constant-true outputs. The scores are those of ``circuit`` itself, since
+    pruning keeps every output bit. Zero raw rows of the circuit's width
+    score as (0, k). Anything but a 2-d matrix, a ``PackedBatch`` too, is a
+    ValueError: packing is part of scoring. Scoring runs on one thread:
+    ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"scoring runs on one thread, got threads={threads}")
@@ -524,23 +526,15 @@ def _score_batch(circuit: Circuit, samples) -> tuple[np.ndarray, np.ndarray]:
 
     The stage times are summed over the lane blocks.
     """
-    samples = _batch_or_rows(samples)
-    if isinstance(samples, PackedBatch):
-        n, lanes, features = samples.sample_count, samples.lanes, samples.feature_count
-    else:
-        n, lanes, features = len(samples), -(-len(samples) // 64), samples.shape[1]
-    _require_width(features, circuit.input_width)  # also when no lane block runs
+    samples = _rows(samples, circuit.input_width)
+    n = len(samples)
     scores = np.empty((n, circuit.readout.k), dtype=np.int64)
     fold = _counted(circuit)
     scored, offset = fold.circuit, fold.offset
     stages = np.zeros(3)
-    for lo, hi in _lane_blocks(lanes, _plan_for(scored).rows):
+    for lo, hi in _lane_blocks(-(-n // 64), _plan_for(scored).rows):
         t0 = time.perf_counter()
-        if isinstance(samples, PackedBatch):
-            count = min(64 * hi, samples.sample_count) - 64 * lo
-            batch = PackedBatch(words=samples.words[:, lo:hi], sample_count=count)
-        else:
-            batch = pack(samples[64 * lo : 64 * hi])
+        batch = pack(samples[64 * lo : 64 * hi])
         t1 = time.perf_counter()
         outputs = execute_packed(scored, batch)
         t2 = time.perf_counter()
@@ -556,11 +550,11 @@ def _score_batch(circuit: Circuit, samples) -> tuple[np.ndarray, np.ndarray]:
 class _Fold(NamedTuple):
     """Which outputs each class counts, and what it adds: see ``_counted``.
 
-    Every wire named here is a wire of ``base``.
+    Every wire named here is a wire of the pruned circuit the fold is cached
+    on, which the fold does not reference.
     """
 
-    base: Circuit  # the pruned circuit that scoring and emission run
-    circuit: Circuit  # base, its outputs each class's counted wires, then pads
+    circuit: Circuit  # the pruned circuit, its outputs each class's counted wires, then pads
     offset: np.ndarray  # (k,) added to each class's count of those outputs
     counted: np.ndarray  # (k,) each class's counted wires, ahead of its pads
     ones: np.ndarray  # (k,) each class's constant-true outputs
@@ -569,28 +563,28 @@ class _Fold(NamedTuple):
 
 
 def _counted(circuit: Circuit) -> _Fold:
-    """Which output wires each class counts, and its offset (cached on the circuit).
+    """Which output wires each class counts, and its offset (cached on ``prune(circuit)``).
 
-    The fold's ``base`` is ``prune(circuit)``, which gives every output bit
-    of ``circuit`` with no constant, pass-through, negation or dead gate;
-    its wires are the ones the fold names. A class's score is the set-bit
-    count of its counted wires plus its constant-true outputs. An output
-    wire is not counted when it is the output of an opcode-0 or opcode-15
-    gate, the shared constants ``prune`` makes for outputs that resolve to
-    a constant; an input wire is always counted. Every class is padded to
-    the widest class's count with one constant output wire, a
-    constant-false one where there is one, and the offset is the class's
-    constant-true outputs less its constant-true pads. The fold's circuit
-    is ``base`` with the padded wires, class after class, as its outputs,
-    or ``base`` itself when no output is constant.
+    The fold names wires of ``prune(circuit)``, which gives every output bit
+    of ``circuit`` with no constant, pass-through, negation or dead gate. A
+    class's score is the set-bit count of its counted wires plus its
+    constant-true outputs. An output wire is not counted when it is the
+    output of an opcode-0 or opcode-15 gate, the shared constants ``prune``
+    makes for outputs that resolve to a constant; an input wire is always
+    counted. Every class is padded to the widest class's count with one
+    constant output wire, a constant-false one where there is one, and the
+    offset is the class's constant-true outputs less its constant-true pads.
+    The fold's circuit is a copy of the pruned circuit with the padded
+    wires, class after class, as its outputs.
 
-    A pruned circuit is its own base. The fold cached on it holds None in
-    place of the circuit, so that the circuit and its fold make no
+    The fold is cached on the pruned circuit, so ``_counted(c) is
+    _counted(prune(c))`` and both score with one plan. Its circuit is a new
+    one, never the pruned circuit it is cached on, so the two make no
     reference cycle, which only a garbage collection would free.
     """
-    fold = getattr(circuit, "_fold", None)
+    base = prune(circuit)
+    fold = getattr(base, "_fold", None)
     if fold is None:
-        base = prune(circuit)
         k, w_in = base.readout.k, base.input_width
         wires = base.output_wires.astype(np.int64).reshape(k, -1)
         op = np.full(wires.shape, 3, dtype=np.uint8)  # inputs count as a pass-through
@@ -600,26 +594,20 @@ def _counted(circuit: Circuit) -> _Fold:
         true, false = (wires[op == value][:1] for value in (15, 0))
         counted = np.count_nonzero(~const, axis=1)
         width = int(counted.max())
-        fold = _Fold(base, base, ones, counted, ones, true, false)
-        if const.any():
-            padded = np.take_along_axis(wires, np.argsort(const, axis=1, kind="stable"), 1)
-            padded = padded[:, :width]
-            padded[np.arange(width) >= counted[:, None]] = false[0] if len(false) else true[0]
-            offset = ones - (width - counted) * (len(false) == 0)
-            scored = replace(base, output_wires=padded.ravel())
-            fold = fold._replace(circuit=scored, offset=offset)
-        if base is circuit:  # cached with None for the circuit itself: see above
-            fold = fold._replace(base=None, circuit=None if fold.circuit is base else fold.circuit)
-        object.__setattr__(circuit, "_fold", fold)
-    if fold.base is None:
-        fold = fold._replace(base=circuit, circuit=fold.circuit or circuit)
+        padded = np.take_along_axis(wires, np.argsort(const, axis=1, kind="stable"), 1)
+        padded = padded[:, :width]
+        padded[np.arange(width) >= counted[:, None]] = false if len(false) else true
+        offset = ones - (width - counted) * (len(false) == 0)
+        scored = replace(base, output_wires=padded.ravel())
+        fold = _Fold(scored, offset, counted, ones, true, false)
+        object.__setattr__(base, "_fold", fold)  # Circuit is frozen
     return fold
 
 
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
     """The pruned circuit with XOR/AND counters, so class counts come out as binary wires.
 
-    The counters are appended to ``_counted``'s pruned base, not to
+    The counters are appended to ``prune(circuit)``, not to
     ``circuit``, so the adder of a circuit and that of its ``prune`` form
     are the same. They are the readout's column compressor run over wire
     ids: each word operation appends gates instead of computing words. Each
@@ -639,8 +627,7 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
     gsz = circuit.group_size
     if gsz == 0:
         raise ValueError("circuit has no output wires to aggregate")
-    fold = _counted(circuit)
-    base = fold.base
+    fold, base = _counted(circuit), prune(circuit)
     new_src: list[np.ndarray] = []
     new_ops: list[np.ndarray] = []
     added = 0
@@ -693,26 +680,25 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def benchmark(circuit: Circuit, batch: PackedBatch, repetitions: int = 5) -> dict:
+def benchmark(circuit: Circuit, samples, repetitions: int = 5) -> dict:
     """Median-of-repetitions inference throughput and time per stage, on one thread.
 
-    Each repetition scores the batch's rows, recovered once by ``unpack``,
-    on the path ``circuit_scores`` runs, and sums each stage over the lane
-    blocks. ``samples_per_sec`` counts execution plus readout; ``pack_ms``,
+    Each repetition scores the raw 0/1 rows ``samples`` on the path
+    ``circuit_scores`` runs, and sums each stage over the lane blocks.
+    ``samples_per_sec`` counts execution plus readout; ``pack_ms``,
     ``execute_ms`` and ``readout_ms`` are the stages' medians. ``gates`` is
     the gate count of the pruned circuit that runs, which
     ``gate_ops_per_sec`` credits.
     """
-    rows = unpack(batch)
-    gates = _counted(circuit).base.num_gates
-    circuit_scores(circuit, batch)  # warmup + plan build
-    stages = [_score_batch(circuit, rows)[1] for _ in range(repetitions)]
+    n = len(circuit_scores(circuit, samples))  # warmup + plan build
+    gates = prune(circuit).num_gates
+    stages = [_score_batch(circuit, samples)[1] for _ in range(repetitions)]
     pack_s, execute_s, readout_s = np.median(stages, axis=0)
     med = float(np.median([e + r for _, e, r in stages]))
-    samples_per_sec = batch.sample_count / med
+    samples_per_sec = n / med
     return {
-        "samples": batch.sample_count,
-        "lanes": batch.lanes,
+        "samples": n,
+        "lanes": -(-n // 64),
         "gates": gates,
         "cpu": _cpu_model(),
         "seconds_median": med,

@@ -29,7 +29,7 @@ from gatenet.model import (
     discretize,
     init_params,
 )
-from gatenet.packed import PackedBatch, execute_packed, pack, unpack
+from gatenet.packed import execute_packed, pack, unpack
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -122,13 +122,12 @@ def oracle_circuit_counts(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
 
 
 def adder_counts(adder: Circuit, samples) -> np.ndarray:
-    """(samples, k) counts an adder aggregation's output wires spell, for rows or a PackedBatch.
+    """(samples, k) counts an adder aggregation's output wires spell, for raw 0/1 rows.
 
     The outputs are k runs of ``bits`` counter wires, class after class,
     LSB first: bit b of a class's run is worth 1 << b.
     """
-    batch = samples if isinstance(samples, PackedBatch) else pack(samples)
-    wires = unpack(execute_packed(adder, batch)).astype(np.int64)
+    wires = unpack(execute_packed(adder, pack(samples))).astype(np.int64)
     k = adder.readout.k
     bits = wires.shape[1] // k
     return (wires.reshape(-1, k, bits) << np.arange(bits)).sum(axis=2)

@@ -315,8 +315,8 @@ def test_criterion_08_throughput(report, big_circuit):
     else:
         circuit, origin = big_circuit, "random circuit of MNIST-small shape (no MNIST files)"
     rng = np.random.default_rng(88)
-    batch = pack(rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8))
-    result = benchmark(circuit, batch, repetitions=5)
+    rows = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)
+    result = benchmark(circuit, rows, repetitions=5)
     rate = result["samples_per_sec"]
     cpu = result["cpu"]
     report(8, "throughput", rate >= 1e5,

@@ -21,7 +21,7 @@ from gatenet import packed
 from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
-from gatenet.packed import PackedBatch, _plan_for, build_adder_aggregation, circuit_scores
+from gatenet.packed import PackedBatch, _plan_for, build_adder_aggregation, circuit_scores, pack
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -184,31 +184,51 @@ class TestCompiled:
         assert handle._fn(empty, 0, np.zeros(1, dtype=np.int64), 0) == 0
 
     def test_empty_packed_batch(self, rng):
+        # zero raw rows score as (0, k) without packing
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)
-        for empty in (PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0),
-                      np.zeros((0, 12), dtype=np.uint8)):
-            got = circuit_scores(c, empty)
-            assert got.shape == (0, 2) and got.dtype == np.int64
-            np.testing.assert_array_equal(got, handle.scores(empty))
+        empty = np.zeros((0, 12), dtype=np.uint8)
+        got = circuit_scores(c, empty)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, handle.scores(empty))
         for score in (lambda rows: circuit_scores(c, rows), handle.scores):
             with pytest.raises(ValueError, match="non-empty 2-d sample matrix"):
                 score(np.zeros(12, dtype=np.uint8))
 
-    def test_batch_claiming_more_samples_than_lanes_rejected(self, rng):
-        # words of one lane cannot hold 100 samples: the kernel never reads past them
-        handle = compile_and_load(random_layered_circuit(rng, 12, [16, 8], k=2))
-        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
-            handle.scores(PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
-
-    def test_empty_packed_batch_of_the_wrong_width(self, rng):
+    def test_a_packed_batch_is_rejected(self, rng):
+        # both scorers take raw rows only: packing is part of scoring
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)
-        for empty in (PackedBatch(np.zeros((5, 0), dtype=np.uint64), 0),
-                      np.zeros((0, 5), dtype=np.uint8)):
-            for score in (lambda batch: circuit_scores(c, batch), handle.scores):
-                with pytest.raises(ValueError, match="batch has 5 features, circuit wants 12"):
-                    score(empty)
+        x = rng.integers(0, 2, size=(70, 12), dtype=np.uint8)
+        for batch in (pack(x), PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)):
+            for score in (lambda b: circuit_scores(c, b), handle.scores):
+                with pytest.raises(ValueError, match="^need a non-empty 2-d sample matrix$"):
+                    score(batch)
+
+    def test_batch_claiming_more_samples_than_lanes_rejected(self, rng):
+        # the kernel gets the lanes and sample count of one pack of the rows,
+        # so it never reads past the words
+        handle = compile_and_load(random_layered_circuit(rng, 12, [16, 8], k=2))
+        calls = []
+
+        def kernel(words, lanes, out, samples):
+            calls.append((words.shape, lanes, out.shape, samples))
+            return handle._fn(words, lanes, out, samples)
+
+        spied = dataclasses.replace(handle, _fn=kernel)
+        for n in (1, 64, 100):
+            x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+            np.testing.assert_array_equal(spied.scores(x), handle.scores(x))
+            lanes = -(-n // 64)
+            assert calls.pop() == ((12, lanes), lanes, (n, 2), n)
+
+    def test_empty_packed_batch_of_the_wrong_width(self, rng):
+        # zero raw rows of the wrong width are rejected, though nothing runs
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        handle = compile_and_load(c)
+        for score in (lambda rows: circuit_scores(c, rows), handle.scores):
+            with pytest.raises(ValueError, match="batch has 5 features, circuit wants 12"):
+                score(np.zeros((0, 5), dtype=np.uint8))
 
     def test_mnist_preset(self):
         rng = np.random.default_rng(64000)

@@ -58,8 +58,8 @@ def scored_rows(circuit: Circuit) -> int:
 
 
 def counter_gates(circuit: Circuit, adder: Circuit) -> slice:
-    """The gates ``build_adder_aggregation(circuit)`` appended to the pruned base."""
-    return slice(_counted(circuit).base.num_gates, adder.num_gates)
+    """The gates ``build_adder_aggregation(circuit)`` appended to the pruned circuit."""
+    return slice(prune(circuit).num_gates, adder.num_gates)
 
 
 def passthrough_circuit(width: int, k: int, op: int = 3) -> Circuit:
@@ -101,12 +101,8 @@ class TestPack:
             np.testing.assert_array_equal(unpack(batch), x)
 
     def test_zero_rows_round_trip(self):
-        rows = np.zeros((0, 12), dtype=np.uint8)
-        empty = PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)
-        for batch in (empty, packed._batch_or_rows(rows)):
-            got = unpack(batch)
-            assert got.shape == (0, 12) and got.dtype == np.uint8
-            np.testing.assert_array_equal(got, rows)
+        got = unpack(PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0))
+        assert got.shape == (0, 12) and got.dtype == np.uint8
 
     @pytest.mark.parametrize("lanes, samples", [(1, 100), (2, 64), (0, 1), (2, 0), (1, -1)])
     def test_lanes_must_hold_exactly_the_samples(self, lanes, samples):
@@ -218,8 +214,6 @@ class TestExecutePacked:
         circ = passthrough_circuit(12, 2)
         with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
             execute_packed(circ, PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
-        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
-            circuit_scores(circ, PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
 
     def test_width_mismatch_rejected(self, rng):
         circ = random_layered_circuit(rng, 9, [12], 3)
@@ -268,7 +262,7 @@ class TestGeneralNetlists:
             want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
             np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
         want = popcount_scores(got, circ.readout)
-        np.testing.assert_array_equal(circuit_scores(circ, batch), want)
+        np.testing.assert_array_equal(circuit_scores(circ, x), want)
 
 
 class TestChunkedScores:
@@ -300,12 +294,8 @@ class TestChunkedScores:
         x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
         whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
-        for samples in (x, pack(x)):
-            if adder:
-                got = adder_counts(scored, samples)
-            else:
-                got = circuit_scores(scored, samples)
-            np.testing.assert_array_equal(got, whole)
+        got = adder_counts(scored, x) if adder else circuit_scores(scored, x)
+        np.testing.assert_array_equal(got, whole)
 
     def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
         circ = random_layered_circuit(rng, 6, [8], 2)
@@ -318,7 +308,6 @@ class TestChunkedScores:
             (np.full((3, 6), 0.5), "samples must be Boolean (each value exactly 0 or 1)"),
             (late, "samples must be Boolean (each value exactly 0 or 1)"),
             (np.zeros((3, 5), dtype=np.uint8), "batch has 5 features, circuit wants 6"),
-            (pack(np.zeros((3, 5), dtype=np.uint8)), "batch has 5 features, circuit wants 6"),
             (np.zeros((0, 5), dtype=np.uint8), "batch has 5 features, circuit wants 6"),
         ]
         for samples, message in cases:
@@ -564,8 +553,7 @@ class TestConstantFold:
         assert set(np.unique(adder.opcodes[counter_gates(circ, adder)])) <= {1, 6}
         group = len(FOLD_CASES[case][0])
         assert adder.group_size == group.bit_length()
-        for scores in (circuit_scores(circ, x), circuit_scores(circ, pack(x)),
-                       adder_counts(adder, x)):
+        for scores in (circuit_scores(circ, x), adder_counts(adder, x)):
             np.testing.assert_array_equal(scores, want)
 
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
@@ -587,13 +575,13 @@ class TestConstantFold:
     def test_counted_wires_and_offsets(self, case, counted, offset, pad):
         circ = fold_circuit(FOLD_CASES[case])
         fold = _counted(circ)
-        assert _counted(circ) is fold  # cached on the circuit
+        assert _counted(circ) is fold is _counted(prune(circ))  # cached on the pruned form
         np.testing.assert_array_equal(fold.counted, counted)
         np.testing.assert_array_equal(fold.offset, offset)
         wires = fold.circuit.output_wires.astype(np.int64).reshape(circ.readout.k, -1)
         assert wires.shape[1] == max(counted)
-        # the wires are the pruned base's, so its opcodes name their gates
-        ops = np.append(np.full(circ.input_width, 3), fold.base.opcodes)[wires]
+        # the wires are the pruned circuit's, so its opcodes name their gates
+        ops = np.append(np.full(circ.input_width, 3), prune(circ).opcodes)[wires]
         for row, kept, kinds in zip(ops, counted, FOLD_CASES[case]):
             assert not np.isin(row[:kept], (0, 15)).any()
             assert np.all(row[kept:] == pad)
@@ -604,8 +592,9 @@ class TestConstantFold:
         adder = build_adder_aggregation(circ)
         for c in (circ, adder):
             fold = _counted(c)
-            assert fold.circuit is fold.base
-            assert structurally_equal(fold.base, prune(c))
+            # a copy of the pruned circuit, which it does not reference
+            assert fold.circuit is not prune(c)
+            assert structurally_equal(fold.circuit, prune(c))
             np.testing.assert_array_equal(fold.offset, 0)
 
     def test_scoring_gathers_only_counted_outputs(self, monkeypatch):
@@ -689,8 +678,26 @@ class TestPrunedScoring:
         np.testing.assert_array_equal(fold.counted, pruned_fold.counted)
         np.testing.assert_array_equal(fold.offset, pruned_fold.offset)
         assert structurally_equal(fold.circuit, pruned_fold.circuit)
-        assert structurally_equal(fold.base, prune(circ))
         assert emit_source(circ) == emit_source(prune(circ))
+
+    @pytest.mark.parametrize("case", sorted(SCORING_CASES))
+    def test_circuit_and_its_pruned_form_share_one_fold_and_plan(self, case, monkeypatch):
+        circ = replace(SCORING_CASES[case])  # a fresh copy: nothing cached on it yet
+        built = []
+
+        class Spy(packed._ExecPlan):  # _plan_for builds plans through the module
+            def __init__(self, circuit):
+                built.append(circuit)
+                super().__init__(circuit)
+
+        monkeypatch.setattr(packed, "_ExecPlan", Spy)
+        x = np.random.default_rng(8).integers(0, 2, size=(70, circ.input_width), dtype=np.uint8)
+        pruned = prune(circ)
+        assert _counted(circ) is _counted(pruned)
+        want = circuit_scores(pruned, x)
+        assert built == [_counted(circ).circuit]
+        np.testing.assert_array_equal(circuit_scores(circ, x), want)
+        assert len(built) == 1  # no second plan for the same pruned circuit
 
     def test_scoring_runs_the_pruned_gates(self, monkeypatch):
         # circuit_scores calls execute_packed through the module
@@ -754,8 +761,9 @@ class TestPrunedScoring:
 class TestBenchmark:
     def test_report_shape(self, rng):
         circ = random_layered_circuit(rng, 16, [64, 64], 4)
-        batch = pack((rng.uniform(size=(2000, 16)) < 0.5).astype(np.uint8))
-        rep = benchmark(circ, batch, repetitions=3)
+        rows = (rng.uniform(size=(2000, 16)) < 0.5).astype(np.uint8)
+        rep = benchmark(circ, rows, repetitions=3)
+        assert (rep["samples"], rep["lanes"]) == (2000, 32)
         gates = prune(circ).num_gates  # the gates that run, not the file's
         assert rep["gates"] == gates < circ.num_gates
         assert rep["samples_per_sec"] > 0
