@@ -14,10 +14,10 @@ The circuits are 8 seeded random layered circuits, each with its pruned,
 adder-aggregated and pruned-then-aggregated forms, a small hand-built
 circuit whose classes are all constant-true, all constant-false and mixed,
 with its adder form, and the 48000-gate 784 -> 6x8000, k=10 circuit of
-acceptance criterion 8 with its pruned form. An adder form's scores are its
-counter wires read as binary by the test suite's ``adder_counts``, and its
-``emit_source`` line is that of the circuit it was built from, since
-``emit_source`` builds the adder itself.
+acceptance criterion 8 with its pruned form. ``unpack`` is the test
+suite's. An adder form's scores are its counter wires read as binary by the
+test suite's ``adder_counts``, and its ``emit_source`` line is that of the
+circuit it was built from, since ``emit_source`` builds the adder itself.
 Training is covered by three short seeded ``train`` runs on small random
 data: the saved ``.gnet`` bytes of the final net and of the best snapshot,
 and the history rows with their losses and eval accuracies. The third run is
@@ -37,7 +37,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import numpy as np
 
-from conftest import adder_counts
+from conftest import adder_counts, unpack
 from gatenet.datasets import BinaryDataset
 from gatenet.emit import emit_source
 from gatenet.model import (
@@ -50,7 +50,7 @@ from gatenet.model import (
 )
 from gatenet.modelfile import save_model
 from gatenet.opt import prune
-from gatenet.packed import build_adder_aggregation, circuit_scores, execute_packed, pack, unpack
+from gatenet.packed import build_adder_aggregation, circuit_scores, execute_packed, pack
 from gatenet.training import TrainConfig, train
 
 SAMPLE_COUNTS = (1, 63, 64, 65, 16384)

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Train presets across seeds and tabulate relaxed vs discretized accuracy.
 
-Each run writes a metrics CSV next to the summary; presets whose dataset
-files are absent are skipped with a note. The summary is written twice, as
+Each run writes a metrics CSV next to the summary, in the format that
+``gatenet train`` writes (its settings as ``# key=value`` lines, then its
+history rows); presets whose dataset files are absent are skipped with a
+note. The summary is written twice, as
 summary.csv and as summary.json (a list of one object per run: preset, seed,
 relaxed_acc, discretized_acc, seconds). With no arguments this reproduces
 the three MONK experiments (the only datasets that need no external files).
@@ -21,24 +23,14 @@ import numpy as np
 
 from gatenet.datasets import DataError, load_dataset, resolve_data_dir
 from gatenet.model import discretize
-from gatenet.presets import get_preset, preset_names
-from gatenet.training import TrainConfig, evaluate, train
+from gatenet.presets import get_preset, preset_names, train_config, write_metrics
+from gatenet.training import evaluate, train
 
 
-def run_one(preset: dict, seed: int, data_dir: str, epochs: int | None):
-    train_ds, test_ds = load_dataset(preset["dataset"], data_dir, seed=seed)
-    config = TrainConfig(
-        layers=preset["layers"],
-        width=preset["width"],
-        classes=preset["classes"],
-        tau=preset["tau"],
-        learning_rate=preset["lr"],
-        batch_size=preset["batch_size"],
-        beta=preset["beta"],
-        max_epochs=epochs or preset["epochs"],
-        seed=seed,
-    )
-    result = train(config, train_ds, eval_ds=test_ds)
+def run_one(settings: dict):
+    seed = settings["seed"]
+    train_ds, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=seed)
+    result = train(train_config(settings), train_ds, eval_ds=test_ds)
     relaxed = evaluate(result.final, test_ds).accuracy
     disc = evaluate(discretize(result.final), test_ds).accuracy
     return result, relaxed, disc
@@ -62,20 +54,17 @@ def main(argv=None) -> int:
         preset = get_preset(name)
         accs = []
         for seed in args.seeds:
+            settings = {**preset, "preset": name, "data_dir": data_dir, "seed": seed,
+                        "epochs": args.epochs or preset["epochs"]}
             t0 = time.perf_counter()
             try:
-                result, relaxed, disc = run_one(preset, seed, data_dir, args.epochs)
+                result, relaxed, disc = run_one(settings)
             except DataError as exc:
                 print(f"{name}: skipped ({exc})")
                 break
             seconds = time.perf_counter() - t0
             metrics = os.path.join(args.out_dir, f"{name}_s{seed}.metrics.csv")
-            with open(metrics, "w", newline="") as fh:
-                writer = csv.DictWriter(
-                    fh, fieldnames=["epoch", "step", "split", "loss", "accuracy"]
-                )
-                writer.writeheader()
-                writer.writerows(result.history)
+            write_metrics(metrics, settings, result.history)
             rows.append((name, seed, relaxed, disc, seconds))
             accs.append(disc)
             print(f"{name} seed {seed}: relaxed {relaxed:.4f}  "

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -22,8 +21,8 @@ from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
 from .packed import benchmark, build_adder_aggregation
-from .presets import get_preset, preset_names
-from .training import NumericsError, TrainConfig, evaluate, train
+from .presets import DEFAULTS, get_preset, preset_names, train_config, write_metrics
+from .training import NumericsError, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,26 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Settings: defaults, config-file parsing, and the three-layer merge.
-
-_DEFAULTS = {
-    "dataset": None,
-    "data_dir": None,
-    "layers": 2,
-    "width": 16,
-    "tau": 1.0,
-    "beta": 0.0,
-    "classes": None,
-    "lr": 0.01,
-    "batch_size": 100,
-    "epochs": 200,
-    "seed": 0,
-    "gate_mask": 0xFFFF,
-    "eval_every": 1,
-}
-
-_INT_KEYS = {"layers", "width", "classes", "batch_size", "epochs", "seed", "eval_every"}
-_FLOAT_KEYS = {"tau", "beta", "lr"}
+# Settings: how each one parses, config-file parsing, and the three-layer merge.
 
 
 def _real(text: str) -> float:
@@ -81,15 +61,28 @@ def _mask(text: str) -> int:
     return int(text, 0)
 
 
+# Each key of presets.DEFAULTS: the parser of its text, as a flag and as a
+# config-file value alike, and its flag's help. eval_every has no flag.
+_SETTINGS = {
+    "dataset": (str, "dataset name (monk1/2/3, adult, breast_cancer, mnist)"),
+    "data_dir": (str, "dataset directory (default: $GATENET_DATA or ./data)"),
+    "layers": (int, "number of gate layers (>= 2)"),
+    "width": (int, "gates per layer"),
+    "tau": (_real, "readout temperature (accepts fractions, e.g. 1/0.075)"),
+    "beta": (_real, "readout offset"),
+    "classes": (int, "class count (default: from the dataset)"),
+    "lr": (_real, "Adam learning rate"),
+    "batch_size": (int, None),
+    "epochs": (int, None),
+    "gate_mask": (_mask, "16-bit mask of allowed gate ids, e.g. 0xFFFF"),
+    "seed": (int, "run seed (default 0)"),
+    "eval_every": (int, None),
+}
+
+
 def _convert(key: str, value: str, where: str):
     try:
-        if key == "gate_mask":
-            return _mask(value)
-        if key in _INT_KEYS:
-            return int(value, 0)
-        if key in _FLOAT_KEYS:
-            return _real(value)
-        return value
+        return _SETTINGS[key][0](value)
     except ValueError as exc:
         raise UsageError(f"{where}: bad value for {key}: {exc}") from None
 
@@ -119,17 +112,15 @@ def merge_settings(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         file_cfg = read_config_file(args.config)
     preset_name = getattr(args, "preset", None) or file_cfg.pop("preset", None)
-    settings = dict(_DEFAULTS)
-    if preset_name:
-        try:
-            settings.update(get_preset(preset_name))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    try:
+        settings = get_preset(preset_name) if preset_name else dict(DEFAULTS)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for key, raw in file_cfg.items():
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
         settings[key] = _convert(key, raw, args.config)
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -141,13 +132,10 @@ def merge_settings(args: argparse.Namespace) -> dict:
 # Flag wiring.
 
 
-def _add_data_flags(p) -> None:
-    p.add_argument("--dataset", help="dataset name (monk1/2/3, adult, breast_cancer, mnist)")
-    p.add_argument("--data-dir", dest="data_dir", help="dataset directory (default: $GATENET_DATA or ./data)")
-
-
-def _add_seed_flag(p) -> None:
-    p.add_argument("--seed", type=int, help="run seed (default 0)")
+def _add_settings_flags(p, *keys: str) -> None:
+    for key in keys:
+        parse, text = _SETTINGS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,27 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.required = True
 
     p = sub.add_parser("train", help="train a network and write a checkpoint")
-    _add_data_flags(p)
+    _add_settings_flags(p, "dataset", "data_dir")
     p.add_argument("--preset", help=f"builtin recipe: {', '.join(preset_names())}")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--layers", type=int, help="number of gate layers (>= 2)")
-    p.add_argument("--width", type=int, help="gates per layer")
-    p.add_argument("--tau", type=_real, help="readout temperature (accepts fractions, e.g. 1/0.075)")
-    p.add_argument("--beta", type=_real, help="readout offset")
-    p.add_argument("--classes", type=int, help="class count (default: from the dataset)")
-    p.add_argument("--lr", type=_real, help="Adam learning rate")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--gate-mask", dest="gate_mask", type=_mask,
-                   help="16-bit mask of allowed gate ids, e.g. 0xFFFF")
-    _add_seed_flag(p)
+    _add_settings_flags(p, "layers", "width", "tau", "beta", "classes", "lr", "batch_size",
+                        "epochs", "gate_mask", "seed")
     p.add_argument("--out", help="checkpoint path (default <dataset>_s<seed>.gnet)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model file on a dataset")
     p.add_argument("--in", dest="in_path", required=True, help="model file (.gnet)")
-    _add_data_flags(p)
-    _add_seed_flag(p)
+    _add_settings_flags(p, "dataset", "data_dir", "seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("discretize", help="snap a checkpoint to a circuit")
@@ -196,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure packed-inference throughput")
     p.add_argument("--in", dest="in_path", required=True, help="circuit file")
-    _add_data_flags(p)
-    _add_seed_flag(p)
+    _add_settings_flags(p, "dataset", "data_dir", "seed")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="write a per-layer gate histogram")
@@ -235,34 +212,6 @@ def _print_max_probs(circ: Circuit) -> None:
         print(f"mean max-probability: {float(circ.max_probs.mean()):.4f}")
 
 
-def _format_setting(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _write_metrics(path: str, settings: dict, history: list[dict]) -> None:
-    """Metrics CSV: the effective config as # comments, then history rows."""
-    with open(path, "w", newline="") as fh:
-        for key in sorted(settings):
-            if key == "gate_mask":
-                fh.write(f"# gate_mask=0x{settings[key]:04X}\n")
-            else:
-                fh.write(f"# {key}={_format_setting(settings[key])}\n")
-        out = csv.writer(fh)
-        out.writerow(["epoch", "step", "split", "loss", "accuracy"])
-        for row in history:
-            out.writerow([
-                row["epoch"],
-                row["step"],
-                row["split"],
-                f"{row['loss']:.6f}" if "loss" in row else "",
-                f"{row['accuracy']:.6f}" if "accuracy" in row else "",
-            ])
-
-
 def _confusion_lines(confusion: np.ndarray) -> list[str]:
     k = confusion.shape[0]
     width = max(5, len(str(int(confusion.max(initial=0)))) + 1)
@@ -285,19 +234,7 @@ def cmd_train(args) -> int:
         raise UsageError("need at least 2 gate layers")
     seed = settings["seed"]
     train_ds, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=seed)
-    config = TrainConfig(
-        layers=settings["layers"],
-        width=settings["width"],
-        classes=settings["classes"],
-        tau=settings["tau"],
-        beta=settings["beta"],
-        learning_rate=settings["lr"],
-        batch_size=settings["batch_size"],
-        max_epochs=settings["epochs"],
-        seed=seed,
-        eval_every=settings["eval_every"],
-        allowed_gates=settings["gate_mask"],
-    )
+    config = train_config(settings)
     out_path = args.out or f"{settings['dataset']}_s{seed}.gnet"
     metrics_path = _derived_path(out_path, ".metrics.csv")
 
@@ -312,7 +249,7 @@ def cmd_train(args) -> int:
     echo = dict(settings)
     echo["classes"] = net.readout.k
     echo["data_dir"] = resolve_data_dir(settings["data_dir"])
-    _write_metrics(metrics_path, echo, result.history)
+    write_metrics(metrics_path, echo, result.history)
 
     relaxed = evaluate(net, test_ds).accuracy
     circuit = discretize(net)

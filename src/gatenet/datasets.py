@@ -34,7 +34,6 @@ class BinaryDataset:
     labels: np.ndarray
     width: int
     class_count: int
-    split: str = ""
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.uint8)
@@ -122,7 +121,7 @@ def ensure_monk_files(task: int, data_dir: str) -> tuple[str, str]:
     return train_path, test_path
 
 
-def load_monk(path: str, split: str = "") -> BinaryDataset:
+def load_monk(path: str) -> BinaryDataset:
     """Parse one MONK file: rows of `label a1..a6 id`, one-hot to 17 bits."""
     offsets = np.concatenate([[0], np.cumsum(MONK_CARDINALITIES)])
     feats, labels = [], []
@@ -158,7 +157,6 @@ def load_monk(path: str, split: str = "") -> BinaryDataset:
         labels=np.array(labels, dtype=np.int64),
         width=MONK_WIDTH,
         class_count=2,
-        split=split or os.path.basename(path),
     )
 
 
@@ -233,10 +231,8 @@ def load_adult(train_path: str, test_path: str) -> tuple[BinaryDataset, BinaryDa
     train_rows, train_labels = _parse_adult(train_path)
     test_rows, test_labels = _parse_adult(test_path)
     enc = _TabularEncoder(train_rows, _ADULT_CONTINUOUS)
-    train = BinaryDataset(
-        enc.encode(train_rows), train_labels, enc.width, 2, split="adult-train"
-    )
-    test = BinaryDataset(enc.encode(test_rows), test_labels, enc.width, 2, split="adult-test")
+    train = BinaryDataset(enc.encode(train_rows), train_labels, enc.width, 2)
+    test = BinaryDataset(enc.encode(test_rows), test_labels, enc.width, 2)
     return train, test
 
 
@@ -260,11 +256,10 @@ _BC_DOMAINS = (
 )
 BREAST_CANCER_WIDTH = sum(len(d) for d in _BC_DOMAINS)
 _BC_LABELS = {"no-recurrence-events": 0, "recurrence-events": 1}
+_BC_TEST_FRACTION = 0.2  # of each class's rows
 
 
-def load_breast_cancer(
-    path: str, seed: int = 0, test_fraction: float = 0.2
-) -> tuple[BinaryDataset, BinaryDataset]:
+def load_breast_cancer(path: str, seed: int = 0) -> tuple[BinaryDataset, BinaryDataset]:
     """Load, one-hot encode, and split stratified by class, seeded."""
     feats, labels = [], []
     try:
@@ -301,15 +296,11 @@ def load_breast_cancer(
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
         perm = rng.permutation(len(members))
-        test_idx.append(members[perm[: round(test_fraction * len(members))]])
+        test_idx.append(members[perm[: round(_BC_TEST_FRACTION * len(members))]])
     test_mask = np.zeros(len(labels), dtype=bool)
     test_mask[np.concatenate(test_idx)] = True
-    train = BinaryDataset(
-        features[~test_mask], labels[~test_mask], BREAST_CANCER_WIDTH, 2, split="bc-train"
-    )
-    test = BinaryDataset(
-        features[test_mask], labels[test_mask], BREAST_CANCER_WIDTH, 2, split="bc-test"
-    )
+    train = BinaryDataset(features[~test_mask], labels[~test_mask], BREAST_CANCER_WIDTH, 2)
+    test = BinaryDataset(features[test_mask], labels[test_mask], BREAST_CANCER_WIDTH, 2)
     return train, test
 
 
@@ -318,6 +309,7 @@ def load_breast_cancer(
 
 _IDX_IMAGE_MAGIC = 2051
 _IDX_LABEL_MAGIC = 2049
+_MNIST_THRESHOLD = 0.5  # a fraction of full intensity, 255
 
 
 def _read_idx(path: str, expect_magic: int) -> np.ndarray:
@@ -343,10 +335,8 @@ def _read_idx(path: str, expect_magic: int) -> np.ndarray:
     return payload.reshape(dims)
 
 
-def load_mnist(
-    images_path: str, labels_path: str, threshold: float = 0.5, split: str = ""
-) -> BinaryDataset:
-    """Binarize IDX images: bit = (pixel/255 > threshold); 10 classes."""
+def load_mnist(images_path: str, labels_path: str) -> BinaryDataset:
+    """Binarize IDX images: bit = (pixel/255 > _MNIST_THRESHOLD); 10 classes."""
     images = _read_idx(images_path, _IDX_IMAGE_MAGIC)
     labels = _read_idx(labels_path, _IDX_LABEL_MAGIC)
     if images.shape[0] != labels.shape[0]:
@@ -354,11 +344,8 @@ def load_mnist(
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    features = (images.reshape(images.shape[0], -1) > threshold * 255.0).astype(np.uint8)
-    return BinaryDataset(
-        features, labels.astype(np.int64), features.shape[1], 10,
-        split=split or os.path.basename(images_path),
-    )
+    features = (images.reshape(images.shape[0], -1) > _MNIST_THRESHOLD * 255.0).astype(np.uint8)
+    return BinaryDataset(features, labels.astype(np.int64), features.shape[1], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +393,10 @@ def load_dataset(
         train = load_mnist(
             _existing(d, "train-images-idx3-ubyte", "train-images.idx3-ubyte"),
             _existing(d, "train-labels-idx1-ubyte", "train-labels.idx1-ubyte"),
-            split="mnist-train",
         )
         test = load_mnist(
             _existing(d, "t10k-images-idx3-ubyte", "t10k-images.idx3-ubyte"),
             _existing(d, "t10k-labels-idx1-ubyte", "t10k-labels.idx1-ubyte"),
-            split="mnist-test",
         )
         return train, test
     raise DataError(f"unknown dataset {name!r}; known: {', '.join(DATASET_NAMES)}")

@@ -6,8 +6,8 @@ samples at once. ``pack`` gets there without moving single bytes: it packs 8
 features of a sample per byte, gathers the bytes of 8 samples into a word,
 transposes each word's 8x8 bit matrix (three masked delta swaps) and moves
 the resulting bytes, one per 8 samples of a feature, into rows. Input that
-is not C-contiguous is copied to C order first. ``unpack`` and the count
-decoding run the same transpose backwards. All 16 gates lower to
+is not C-contiguous is copied to C order first. The count decoding runs
+the same transpose backwards. All 16 gates lower to
 {AND, OR, XOR, NOT} word primitives:
 
     id  gate            words            id  gate            words
@@ -151,20 +151,6 @@ def _rows(samples, input_width: int) -> np.ndarray:
     return samples
 
 
-def unpack(batch: PackedBatch) -> np.ndarray:
-    """Inverse of pack: (samples, features) uint8."""
-    _require_little_endian()
-    f, lanes = batch.words.shape
-    if lanes == 0:
-        return np.zeros((0, f), dtype=np.uint8)
-    words = np.zeros((-(-f // 8) * 8, lanes), dtype=np.uint64)
-    words[:f] = batch.words
-    blocks = words.view(np.uint8).reshape(-1, 8, lanes * 8).transpose(0, 2, 1).copy()
-    _transpose_blocks(blocks)  # a word: one byte of features for each of 8 samples
-    octets = blocks.reshape(-1, lanes * 64)[:, : batch.sample_count].T.copy()
-    return np.ascontiguousarray(np.unpackbits(octets, axis=1, bitorder="little")[:, :f])
-
-
 # Delta swaps (shift, mask) that transpose the 8x8 bit matrix of a word.
 _TRANSPOSE_STEPS = (
     (7, np.uint64(0x00AA00AA00AA00AA)),
@@ -184,8 +170,9 @@ def _transpose_blocks(blocks: np.ndarray) -> None:
 
     ``blocks`` is C-contiguous, and each run of 8 bytes is one word: bit c of
     byte r swaps with bit r of byte c. The transpose is its own inverse, so
-    ``pack`` and ``unpack`` share it, and ``_decode_counts`` turns 8 count
-    planes into one count byte per sample with it.
+    ``pack`` moves bytes of features into words of samples with it, and
+    ``_decode_counts`` turns 8 count planes back into one count byte per
+    sample.
     """
     flat = blocks.reshape(-1).view(np.uint64)
     scratch = np.empty(min(flat.size, _TRANSPOSE_WORDS), dtype=np.uint64)

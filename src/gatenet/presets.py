@@ -1,13 +1,33 @@
-"""Built-in training recipes for the bundled benchmark datasets.
+"""Training settings: their defaults, the built-in recipes, and their files.
 
+A settings dict maps each setting's command-line name to its value.
+``DEFAULTS`` holds every setting: the dataset and its directory, then the
+fields of ``TrainConfig`` with their defaults (Adam, lr 0.01, batch 100,
+200 epochs), three of them renamed (``lr``, ``epochs``, ``gate_mask``).
 Each preset pins the architecture and readout temperature that reproduce the
-reference accuracy for its dataset, together with the shared optimizer
-settings (Adam, lr 0.01, batch 100, 200 epochs). Presets are the weakest
-configuration layer: config-file values and command-line flags both override
-them.
+reference accuracy for its dataset. Presets are the weakest configuration
+layer: config-file values and command-line flags both override them.
+``train_config`` turns a settings dict into a ``TrainConfig``, and
+``write_metrics`` writes a run's settings and history as its metrics CSV.
 """
 
 from __future__ import annotations
+
+import csv
+from dataclasses import fields
+
+from .training import TrainConfig
+
+# The command-line names of the TrainConfig fields that are named otherwise.
+_RENAMED = {"learning_rate": "lr", "max_epochs": "epochs", "allowed_gates": "gate_mask"}
+# Each TrainConfig field under its command-line name.
+_FIELDS = {_RENAMED.get(f.name, f.name): f for f in fields(TrainConfig)}
+
+DEFAULTS: dict = {
+    "dataset": None,
+    "data_dir": None,
+    **{key: f.default for key, f in _FIELDS.items()},
+}
 
 # Per-preset fields: dataset to load, gate layers, layer width, readout
 # temperature, class count. The temperatures are exact inverse values
@@ -76,9 +96,6 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-# Optimizer settings shared by every preset.
-_COMMON = {"lr": 0.01, "batch_size": 100, "beta": 0.0}
-
 
 def preset_names() -> tuple[str, ...]:
     return tuple(PRESETS)
@@ -89,4 +106,28 @@ def get_preset(name: str) -> dict:
     key = name.lower().replace("-", "_")
     if key not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
-    return {**_COMMON, **PRESETS[key]}
+    return {**DEFAULTS, **PRESETS[key]}
+
+
+def train_config(settings: dict) -> TrainConfig:
+    """The ``TrainConfig`` of a settings dict, whose other keys are ignored."""
+    return TrainConfig(**{f.name: settings[key] for key, f in _FIELDS.items()})
+
+
+def write_metrics(path: str, settings: dict, history: list[dict]) -> None:
+    """Metrics CSV: the effective settings as # comments, then history rows."""
+    with open(path, "w", newline="") as fh:
+        for key, value in sorted(settings.items()):
+            if key == "gate_mask":
+                value = f"0x{value:04X}"
+            fh.write(f"# {key}={'' if value is None else value}\n")
+        out = csv.writer(fh)
+        out.writerow(["epoch", "step", "split", "loss", "accuracy"])
+        for row in history:
+            out.writerow([
+                row["epoch"],
+                row["step"],
+                row["split"],
+                f"{row['loss']:.6f}" if "loss" in row else "",
+                f"{row['accuracy']:.6f}" if "accuracy" in row else "",
+            ])

@@ -6,11 +6,13 @@ evaluates gates one at a time. The oracles here deliberately avoid the
 package's fast code paths: the network oracle evaluates all 16 gates explicitly per neuron, and the circuit
 oracle applies truth-table lookups gate by gate on 0/1 arrays (no bit
 packing, no collapsed coefficients), and the pack oracle moves one byte per
-sample and feature before ``packbits``. ``adder_counts`` reads an adder
-aggregation's counter wires as binary counts. Tests compare the real
-implementations against these. ``check_equivalence`` compares two circuits'
-output bits through the packed path, which those oracles check, and
-``structurally_equal`` compares their netlists.
+sample and feature before ``packbits``. ``unpack`` inverts ``pack`` with
+the package's own word transpose run backwards; the package never unpacks
+whole batches. ``adder_counts`` reads an adder aggregation's counter wires
+as binary counts. Tests compare the real implementations against these.
+``check_equivalence`` compares two circuits' output bits through the packed
+path, which those oracles check, and ``structurally_equal`` compares their
+netlists.
 """
 
 import hashlib
@@ -29,7 +31,13 @@ from gatenet.model import (
     discretize,
     init_params,
 )
-from gatenet.packed import execute_packed, pack, unpack
+from gatenet.packed import (
+    PackedBatch,
+    _require_little_endian,
+    _transpose_blocks,
+    execute_packed,
+    pack,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -119,6 +127,20 @@ def oracle_circuit_counts(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
     bits = oracle_circuit_outputs(circuit, samples)
     k = circuit.readout.k
     return bits.reshape(bits.shape[0], k, -1).sum(axis=2).astype(np.int64)
+
+
+def unpack(batch: PackedBatch) -> np.ndarray:
+    """Inverse of ``pack``: (samples, features) uint8, by its word transpose run backwards."""
+    _require_little_endian()
+    f, lanes = batch.words.shape
+    if lanes == 0:
+        return np.zeros((0, f), dtype=np.uint8)
+    words = np.zeros((-(-f // 8) * 8, lanes), dtype=np.uint64)
+    words[:f] = batch.words
+    blocks = words.view(np.uint8).reshape(-1, 8, lanes * 8).transpose(0, 2, 1).copy()
+    _transpose_blocks(blocks)  # a word: one byte of features for each of 8 samples
+    octets = blocks.reshape(-1, lanes * 64)[:, : batch.sample_count].T.copy()
+    return np.ascontiguousarray(np.unpackbits(octets, axis=1, bitorder="little")[:, :f])
 
 
 def adder_counts(adder: Circuit, samples) -> np.ndarray:
@@ -282,7 +304,6 @@ class ToyData:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.width = self.features.shape[1]
         self.class_count = class_count or (int(self.labels.max()) + 1 if len(self.labels) else 0)
-        self.split = "toy"
 
 
 @pytest.fixture

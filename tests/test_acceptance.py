@@ -26,6 +26,7 @@ from conftest import (
     oracle_circuit_outputs,
     random_layered_circuit,
     random_small_net,
+    unpack,
 )
 from gatenet.datasets import load_dataset, resolve_data_dir
 from gatenet.emit import compile_and_load
@@ -38,11 +39,10 @@ from gatenet.packed import (
     execute_packed,
     pack,
     popcount_scores,
-    unpack,
 )
-from gatenet.presets import get_preset
+from gatenet.presets import get_preset, train_config
 from gatenet.relaxed import backward, forward_relaxed
-from gatenet.training import TrainConfig, evaluate, train
+from gatenet.training import evaluate, train
 
 DATA_DIR = resolve_data_dir(None)
 SEEDS = (0, 1, 2)
@@ -109,16 +109,7 @@ def _cpu_frequency() -> str:
 def _train_preset(name: str, seed: int, epochs: int | None = None):
     p = get_preset(name)
     train_ds, test_ds = load_dataset(p["dataset"], DATA_DIR, seed=seed)
-    config = TrainConfig(
-        layers=p["layers"],
-        width=p["width"],
-        classes=p["classes"],
-        tau=p["tau"],
-        learning_rate=p["lr"],
-        batch_size=p["batch_size"],
-        max_epochs=epochs or p["epochs"],
-        seed=seed,
-    )
+    config = train_config({**p, "seed": seed, "epochs": epochs or p["epochs"]})
     net = train(config, train_ds).final
     return net, test_ds
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, artifacts, config precedence."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from gatenet.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     merge_settings,
     read_config_file,
@@ -21,10 +23,12 @@ from gatenet.cli import (
 from gatenet.model import Circuit, LogicNet, ReadoutConfig
 from gatenet.modelfile import load_model, save_model
 from gatenet.packed import build_adder_aggregation
-from gatenet.presets import PRESETS, get_preset
+from gatenet.presets import DEFAULTS, PRESETS, get_preset, train_config
+from gatenet.training import TrainConfig
 
 # `python -m gatenet` subprocesses import the package from this checkout's src/.
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
 MODULE_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
@@ -90,14 +94,20 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             get_preset("cifar10")
 
+    def test_defaults_are_those_of_train_config(self):
+        assert train_config(DEFAULTS) == TrainConfig()
+        assert DEFAULTS["dataset"] is None and DEFAULTS["data_dir"] is None
+        config = train_config({**get_preset("adult"), "lr": 0.5, "epochs": 3, "gate_mask": 6})
+        assert (config.learning_rate, config.max_epochs, config.allowed_gates) == (0.5, 3, 6)
+        assert (config.layers, config.width, config.tau) == (5, 256, 1 / 0.075)
+
 
 class TestSettingsMerge:
     def _args(self, **kw):
         import argparse
 
         ns = argparse.Namespace(config=None, preset=None)
-        for key in ("dataset", "data_dir", "layers", "width", "tau", "beta",
-                    "classes", "lr", "batch_size", "epochs", "seed", "gate_mask"):
+        for key in DEFAULTS:
             setattr(ns, key, None)
         for key, value in kw.items():
             setattr(ns, key, value)
@@ -152,6 +162,50 @@ class TestSettingsMerge:
             merge_settings(self._args(preset="nope"))
 
 
+def _flag_value(key: str, text: str):
+    """``text`` given to ``train`` as the flag of ``key``: its value, or "usage error"."""
+    try:
+        args = build_parser().parse_args(["train", f"--{key.replace('_', '-')}={text}"])
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE
+        return "usage error"
+    return getattr(args, key)
+
+
+def _config_value(key: str, text: str, path):
+    """``text`` as the value of ``key`` in a config file: its value, or "usage error"."""
+    path.write_text(f"{key} = {text}\n")
+    try:
+        return merge_settings(build_parser().parse_args(["train", "--config", str(path)]))[key]
+    except UsageError:
+        return "usage error"
+
+
+class TestFlagConfigParity:
+    TEXTS = ("7", "-3", "0x6", "010", "0x00F7", "0b11", "1/0.5", "2.5", "1e3", "inf", "abc", "")
+
+    @pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "eval_every"])
+    def test_a_flag_and_a_config_line_parse_alike(self, key, tmp_path):
+        assert _flag_value(key, "7") != "usage error"  # every setting but eval_every has a flag
+        for text in self.TEXTS:
+            flag = _flag_value(key, text)
+            line = _config_value(key, text, tmp_path / "run.cfg")
+            assert (type(flag), flag) == (type(line), line), text
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("layers", "0x6", "usage error"),
+        ("seed", "010", 10),
+        ("tau", "1/0.5", 2.0),
+        ("gate_mask", "0x00F7", 0xF7),
+        ("gate_mask", "010", "usage error"),
+        ("eval_every", "010", 10),
+        ("eval_every", "0x2", "usage error"),
+    ])
+    def test_values(self, key, text, value, tmp_path):
+        assert _config_value(key, text, tmp_path / "run.cfg") == value
+        assert _flag_value(key, text) == (value if key != "eval_every" else "usage error")
+
+
 class TestTrain:
     def test_writes_checkpoint_and_metrics(self, ckpt, workdir):
         assert ckpt.exists()
@@ -201,6 +255,24 @@ class TestTrain:
         assert "# preset=monk2" in text
         assert "# width=12" in text  # from the preset
         assert "# epochs=1" in text  # flag override
+
+    def test_experiment_script_writes_the_same_metrics_file(self, tmp_path, data_dir):
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments", os.path.join(_ROOT, "scripts", "run_experiments.py")
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main([
+            "--presets", "monk1", "--seeds", "3", "--epochs", "2", "--data-dir", data_dir,
+            "--out-dir", str(tmp_path / "runs"),
+        ]) == 0
+        assert main([
+            "train", "--preset", "monk1", "--seed", "3", "--epochs", "2", "--data-dir", data_dir,
+            "--out", str(tmp_path / "monk1_s3.gnet"),
+        ]) == EXIT_OK
+        written = (tmp_path / "runs" / "monk1_s3.metrics.csv").read_text()
+        assert written.startswith("# batch_size=100\n")
+        assert written == (tmp_path / "monk1_s3.metrics.csv").read_text()
 
     def test_gate_mask_restricts_learned_ops(self, workdir, data_dir):
         out = workdir / "masked.gnet"

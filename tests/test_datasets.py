@@ -279,7 +279,7 @@ class TestBreastCancer:
             "no-recurrence-events,30-39,premeno,0-4,0-2,?,2,left,left_low,no\n"
             "recurrence-events,40-49,premeno,0-4,0-2,no,2,left,left_low,no\n"
         )
-        tr, te = load_breast_cancer(str(path), test_fraction=0.0)
+        tr, te = load_breast_cancer(str(path))
         assert len(tr) + len(te) == 1  # '?' row dropped
         path.write_text("recurrence-events,17-22,premeno,0-4,0-2,no,2,left,left_low,no\n")
         with pytest.raises(DataError, match="outside its domain"):
@@ -308,7 +308,7 @@ class TestMnist:
     def test_threshold_semantics(self, tmp_path):
         images = np.array([[[0, 127], [128, 255]]], dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, np.array([7]))
-        ds = load_mnist(img, lab, threshold=0.5)
+        ds = load_mnist(img, lab)
         np.testing.assert_array_equal(ds.features[0], [0, 0, 1, 1])
         assert ds.labels[0] == 7 and ds.class_count == 10 and ds.width == 4
 

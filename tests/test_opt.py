@@ -20,6 +20,7 @@ from conftest import (
     random_layered_circuit,
     random_netlist,
     structurally_equal,
+    unpack,
 )
 from gatenet import gates
 from gatenet.model import Circuit, ReadoutConfig, build_topology, discretize, init_params, LogicNet
@@ -36,7 +37,6 @@ from gatenet.packed import (
     circuit_scores,
     execute_packed,
     pack,
-    unpack,
 )
 
 

@@ -20,6 +20,7 @@ from conftest import (
     random_layered_circuit,
     random_netlist,
     structurally_equal,
+    unpack,
 )
 from gatenet import packed
 from gatenet.emit import emit_source
@@ -37,7 +38,6 @@ from gatenet.packed import (
     execute_packed,
     pack,
     popcount_scores,
-    unpack,
 )
 
 
