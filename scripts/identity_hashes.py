@@ -19,12 +19,12 @@ suite's. An adder form's scores are its counter wires read as binary by the
 test suite's ``adder_counts``, and its ``emit_source`` line is that of the
 circuit it was built from, since ``emit_source`` builds the adder itself.
 Training is covered by three short seeded ``train`` runs on small random
-data: the saved ``.gnet`` bytes of the final net and of the best snapshot,
-and the history rows with their losses and eval accuracies. The third run is
-wide enough that its relaxed passes and its Adam steps each run in several
-blocks of ``relaxed.BLOCK_BYTES``. The package is imported
-from ``src/`` beside this directory, so running the script in two checkouts
-and diffing the outputs shows whether a change altered any result.
+data: the saved ``.gnet`` bytes of the final net, and the history rows with
+their losses and eval accuracies. The third run is wide enough that its
+relaxed passes and its Adam steps each run in several blocks of
+``relaxed.BLOCK_BYTES``. The package is imported from ``src/`` beside this
+directory, so running the script in two checkouts and diffing the outputs
+shows whether a change altered any result.
 """
 
 import hashlib
@@ -142,7 +142,6 @@ def main() -> None:
             train_ds, eval_ds = planted_sets(settings.get("classes", 2), settings["seed"])
             result = train(TrainConfig(**settings), train_ds, eval_ds=eval_ds)
             print(f"train{i}.final.gnet {digest(model_bytes(result.final, path))}")
-            print(f"train{i}.best.gnet {digest(model_bytes(result.best, path))}")
             print(f"train{i}.history {digest(repr(result.history))}")
         for label, circuit, base in circuits():
             print(f"{label}.emit_source {digest(emit_source(circuit if base is None else base))}")

@@ -46,6 +46,8 @@ def main(argv=None) -> int:
     ap.add_argument("--data-dir", default=None)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args(argv)
+    if args.epochs is not None and args.epochs < 1:
+        ap.error(f"--epochs must be at least 1, got {args.epochs}")
 
     data_dir = resolve_data_dir(args.data_dir)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
         accs = []
         for seed in args.seeds:
             settings = {**preset, "preset": name, "data_dir": data_dir, "seed": seed,
-                        "epochs": args.epochs or preset["epochs"]}
+                        "epochs": preset["epochs"] if args.epochs is None else args.epochs}
             t0 = time.perf_counter()
             try:
                 result, relaxed, disc = run_one(settings)

@@ -183,11 +183,6 @@ class LogicNet:
     def dtype(self):
         return self.logits[0].dtype
 
-    def copy(self) -> "LogicNet":
-        return LogicNet(
-            self.topology, [m.copy() for m in self.logits], self.readout, self.allowed_gates
-        )
-
 
 @dataclass(eq=False, frozen=True)
 class Circuit:

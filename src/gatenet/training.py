@@ -177,11 +177,10 @@ class EvalResult:
 
 @dataclass
 class TrainResult:
+    """The trained net (``final``), its history rows and its wall time in seconds."""
+
     final: LogicNet
-    best: LogicNet | None
-    best_accuracy: float | None
     history: list[dict]
-    config: TrainConfig
     seconds: float
 
 
@@ -193,10 +192,9 @@ def train(
 ) -> TrainResult:
     """Train a fresh network on ``train_ds``.
 
-    ``eval_ds`` (optional) is evaluated every ``eval_every`` epochs; the
-    highest-accuracy snapshot is kept alongside the final model. History rows
-    carry (epoch, step, split, loss, accuracy); ``on_record`` sees each row as
-    it is produced.
+    ``eval_ds`` (optional) is evaluated every ``eval_every`` epochs. History
+    rows carry (epoch, step, split, loss, accuracy); ``on_record`` sees each
+    row as it is produced.
 
     The rows stay in the dataset's own dtype: each batch is cast into its
     ForwardCache's first activation, so the memory a run adds grows with the
@@ -224,8 +222,6 @@ def train(
     state = AdamState.zeros_like(net.logits)
     shuffle_rng = np.random.default_rng([2, config.seed])
     history: list[dict] = []
-    best: LogicNet | None = None
-    best_acc: float | None = None
     step = 0
     caches: dict = {}  # one ForwardCache per batch length, reused every step
     t0 = time.perf_counter()
@@ -252,16 +248,7 @@ def train(
         if eval_ds is not None and (epoch + 1) % config.eval_every == 0:
             acc = evaluate(net, eval_ds).accuracy
             record({"epoch": epoch, "step": step, "split": "eval", "accuracy": acc})
-            if best_acc is None or acc > best_acc:
-                best_acc, best = acc, net.copy()
-    return TrainResult(
-        final=net,
-        best=best,
-        best_accuracy=best_acc,
-        history=history,
-        config=config,
-        seconds=time.perf_counter() - t0,
-    )
+    return TrainResult(final=net, history=history, seconds=time.perf_counter() - t0)
 
 
 def evaluate(model: LogicNet | Circuit, dataset) -> EvalResult:

@@ -109,7 +109,7 @@ def _cpu_frequency() -> str:
 def _train_preset(name: str, seed: int, epochs: int | None = None):
     p = get_preset(name)
     train_ds, test_ds = load_dataset(p["dataset"], DATA_DIR, seed=seed)
-    config = train_config({**p, "seed": seed, "epochs": epochs or p["epochs"]})
+    config = train_config({**p, "seed": seed, "epochs": p["epochs"] if epochs is None else epochs})
     net = train(config, train_ds).final
     return net, test_ds
 

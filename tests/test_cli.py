@@ -64,6 +64,16 @@ def circuit_file(ckpt, workdir):
     return path
 
 
+def _experiment_script():
+    """``scripts/run_experiments.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", os.path.join(_ROOT, "scripts", "run_experiments.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestPresets:
     def test_table_values(self):
         assert PRESETS["monk1"] == {
@@ -257,11 +267,7 @@ class TestTrain:
         assert "# epochs=1" in text  # flag override
 
     def test_experiment_script_writes_the_same_metrics_file(self, tmp_path, data_dir):
-        spec = importlib.util.spec_from_file_location(
-            "run_experiments", os.path.join(_ROOT, "scripts", "run_experiments.py")
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _experiment_script()
         assert script.main([
             "--presets", "monk1", "--seeds", "3", "--epochs", "2", "--data-dir", data_dir,
             "--out-dir", str(tmp_path / "runs"),
@@ -273,6 +279,16 @@ class TestTrain:
         written = (tmp_path / "runs" / "monk1_s3.metrics.csv").read_text()
         assert written.startswith("# batch_size=100\n")
         assert written == (tmp_path / "monk1_s3.metrics.csv").read_text()
+
+    def test_experiment_script_rejects_zero_epochs(self, tmp_path, data_dir):
+        script = _experiment_script()
+        with pytest.raises(SystemExit) as exc:
+            script.main([
+                "--presets", "monk1", "--seeds", "3", "--epochs", "0", "--data-dir", data_dir,
+                "--out-dir", str(tmp_path / "runs"),
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "runs" / "summary.csv").exists()
 
     def test_gate_mask_restricts_learned_ops(self, workdir, data_dir):
         out = workdir / "masked.gnet"

@@ -291,7 +291,7 @@ class TestCacheReuse:
         x = rng.uniform(0, 1, size=(5, net.input_width))
         cache = forward_relaxed(net, x)
         kept = [a.copy() for a in cache.acts]
-        twin = net.copy()
+        twin = LogicNet(net.topology, [m.copy() for m in net.logits], net.readout)
         net64 = LogicNet(net.topology, [m.astype(np.float64) for m in net.logits], net.readout)
         for other, rows in ((twin, x), (net, x[:4]), (net64, x)):
             got = forward_relaxed(other, rows, out=cache)

@@ -1,5 +1,6 @@
 """Losses, Adam, the training loop, and evaluation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -247,15 +248,20 @@ class TestTrainLoop:
         steps = [r for r in result.history if r["split"] == "train"]
         assert len(steps) == 2  # 32 + 18
 
-    def test_best_checkpoint_tracked(self):
+    def test_eval_rows_every_eval_every_epochs(self):
         rng = np.random.default_rng(6)
-        data = planted_rule_data(rng)
-        cfg = TrainConfig(layers=1, width=8, max_epochs=5, batch_size=32, seed=2)
-        result = train(cfg, data, eval_ds=data)
-        assert result.best is not None
-        assert result.best_accuracy == pytest.approx(
-            max(r["accuracy"] for r in result.history if r["split"] == "eval")
-        )
+        data, eval_ds = planted_rule_data(rng), planted_rule_data(rng, n=64)
+        cfg = TrainConfig(layers=1, width=8, max_epochs=5, batch_size=32, seed=2, eval_every=2)
+        seen = []
+        result = train(cfg, data, eval_ds=eval_ds, on_record=seen.append)
+        assert seen == result.history
+        evals = [r for r in result.history if r["split"] == "eval"]
+        assert [(r["epoch"], r["step"]) for r in evals] == [(1, 16), (3, 32)]  # 8 steps an epoch
+        assert [r["split"] for r in result.history].count("train") == 40
+        result = train(dataclasses.replace(cfg, max_epochs=4), data, eval_ds=eval_ds)
+        last = result.history[-1]
+        assert (last["split"], last["step"]) == ("eval", 32)
+        assert last["accuracy"] == evaluate(result.final, eval_ds).accuracy
 
     def test_empty_dataset_rejected(self):
         empty = ToyData(np.zeros((0, 4), dtype=np.uint8), np.zeros(0), class_count=2)
