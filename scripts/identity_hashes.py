@@ -15,9 +15,11 @@ adder-aggregated and pruned-then-aggregated forms, a small hand-built
 circuit whose classes are all constant-true, all constant-false and mixed,
 with its adder form, and the 48000-gate 784 -> 6x8000, k=10 circuit of
 acceptance criterion 8 with its pruned form. ``unpack`` is the test
-suite's. An adder form's scores are its counter wires read as binary by the
-test suite's ``adder_counts``, and its ``emit_source`` line is that of the
-circuit it was built from, since ``emit_source`` builds the adder itself.
+suite's. An adder form's scores are the test suite's ``adder_counts`` of
+the circuit it was built from, its counter wires read as binary plus the
+fold's offset, as the emitted kernel returns them, so they equal that
+circuit's ``circuit_scores``; its ``emit_source`` line is that circuit's
+too, since ``emit_source`` builds the adder itself.
 Training is covered by three short seeded ``train`` runs on small random
 data: the saved ``.gnet`` bytes of the final net, and the history rows with
 their losses and eval accuracies. The third run is wide enough that its
@@ -152,7 +154,7 @@ def main() -> None:
                 if base is None:
                     scores = circuit_scores(circuit, x)
                 else:
-                    scores = adder_counts(circuit, x)
+                    scores = adder_counts(base, x)
                 print(f"{label}.n{n}.scores {digest(scores)}")
                 bits = unpack(execute_packed(circuit, pack(x)))
                 print(f"{label}.n{n}.outputs {digest(bits)}")

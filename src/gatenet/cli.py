@@ -20,7 +20,7 @@ from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import benchmark, build_adder_aggregation
+from .packed import _counted, benchmark, build_adder_aggregation
 from .presets import DEFAULTS, get_preset, preset_names, train_config, write_metrics
 from .training import NumericsError, evaluate, train
 
@@ -207,6 +207,17 @@ def _load_checkpoint(path: str) -> LogicNet:
     return model
 
 
+def _test_split(settings: dict, model: Circuit | LogicNet, noun: str):
+    """The selected dataset's test split, whose width must be the ``noun``'s input width."""
+    _, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=settings["seed"])
+    if int(test_ds.width) != model.input_width:
+        raise UsageError(
+            f"{noun} expects {model.input_width} input bits, "
+            f"dataset {settings['dataset']} provides {test_ds.width}"
+        )
+    return test_ds
+
+
 def _print_max_probs(circ: Circuit) -> None:
     if circ.max_probs is not None and circ.max_probs.size:
         print(f"mean max-probability: {float(circ.max_probs.mean()):.4f}")
@@ -267,13 +278,7 @@ def cmd_eval(args) -> int:
     if not settings["dataset"]:
         raise UsageError("no dataset selected (use --dataset)")
     model = load_model(args.in_path)
-    _, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=settings["seed"])
-    if int(test_ds.width) != model.input_width:
-        raise UsageError(
-            f"model expects {model.input_width} input bits, "
-            f"dataset {settings['dataset']} provides {test_ds.width}"
-        )
-    res = evaluate(model, test_ds)
+    res = evaluate(model, _test_split(settings, model, "model"))
     correct = int(np.trace(res.confusion))
     print(f"accuracy: {res.accuracy:.4f} ({correct}/{res.count})")
     print("confusion matrix (rows true, columns predicted):")
@@ -309,7 +314,7 @@ def cmd_compile(args) -> int:
     adder = build_adder_aggregation(circuit)
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
-        fh.write(_emit(adder, "circuit_eval"))
+        fh.write(_emit(adder, _counted(circuit).offset, "circuit_eval"))
     pruned = prune(circuit).num_gates
     print(f"gates: {circuit.num_gates} -> {pruned} -> {adder.num_gates} with counters")
     _print_max_probs(circuit)
@@ -321,13 +326,7 @@ def cmd_bench(args) -> int:
     settings = merge_settings(args)
     circuit = _load_circuit(args.in_path)
     if settings["dataset"]:
-        _, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=settings["seed"])
-        if int(test_ds.width) != circuit.input_width:
-            raise UsageError(
-                f"circuit expects {circuit.input_width} input bits, "
-                f"dataset {settings['dataset']} provides {test_ds.width}"
-            )
-        samples = test_ds.features
+        samples = _test_split(settings, circuit, "circuit").features
     else:
         rng = np.random.default_rng([5, settings["seed"]])
         samples = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)
@@ -362,16 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"gatenet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"gatenet: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, ModelFileError) as exc:
-        print(f"gatenet: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, ModelFileError, OSError) as exc:
         print(f"gatenet: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericsError as exc:

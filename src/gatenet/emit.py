@@ -3,9 +3,11 @@
 The emitted translation unit is plain C99 over the standard library: one
 fixed kernel plus ``static const`` tables holding the execution plan that
 ``execute_packed`` runs, for the pruned circuit with its adder aggregation
-(``build_adder_aggregation``). The kernel runs the plan over blocks of
-64-bit lanes in a heap plane and decodes each class's counter rows into
-scores. Only the tables depend on the circuit, and emission is a pure
+(``build_adder_aggregation``), and each class's offset. The kernel runs the
+plan over blocks of 64-bit lanes in a heap plane and decodes each class's
+counter rows, which count the fold's padded outputs, into scores that start
+from the class's offset, as ``circuit_scores`` adds ``_counted``'s offset to
+its popcounts. Only the tables depend on the circuit, and emission is a pure
 function of it: the text is byte-identical across runs, with no timestamps
 or environment-dependent parts, and the same for a circuit and its
 ``prune`` form.
@@ -26,6 +28,7 @@ from numpy import ctypeslib as npct
 from .model import Circuit
 from .packed import (
     _block_lanes,
+    _counted,
     _lane_blocks,
     _plan_for,
     _rows,
@@ -89,16 +92,17 @@ int SYMBOL(const uint64_t *in, size_t lanes, int64_t *scores, size_t samples) {
             case 15: GN_GATES(~(uint64_t)0)
             }
         }
-        /* each class's counter rows are its count in binary, LSB first */
+        /* each class's counter rows are its count in binary, LSB first,
+         * added to the class's offset */
         for (size_t l = 0; l < n; ++l) {
             const size_t base = (lo + l) * 64;
             const size_t valid = samples - base < 64 ? samples - base : 64;
             for (size_t c = 0; c < classes; ++c) {
                 const uint32_t *counter = gn_outputs + c * bits;
                 for (size_t s = 0; s < valid; ++s) {
-                    int64_t count = 0;
+                    int64_t count = gn_offset[c];
                     for (size_t k = 0; k < bits; ++k)
-                        count |= (int64_t)(plane[(size_t)counter[k] * n + l] >> s & 1u) << k;
+                        count += (int64_t)(plane[(size_t)counter[k] * n + l] >> s & 1u) << k;
                     scores[(base + s) * classes + c] = count;
                 }
             }
@@ -130,18 +134,19 @@ def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
     of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
     receives samples x k signed counts, sample-major: the plan runs the
     pruned circuit with the counters of ``build_adder_aggregation``, built
-    here from the plain circuit, and the kernel decodes their wires. So
+    here from the plain circuit, and the kernel decodes their wires and adds
+    ``_counted``'s offset, as ``circuit_scores`` does. So
     ``emit_source(c) == emit_source(prune(c))``, and the scores equal
     ``circuit_scores``, which runs the same pruned circuit. Downstream
     scaling (count/tau + beta) is left to the caller. The function returns
     0, or 1 when it cannot allocate its plane of ``BUDGET`` bytes per lane
     block.
     """
-    return _emit(build_adder_aggregation(circuit), symbol)
+    return _emit(build_adder_aggregation(circuit), _counted(circuit).offset, symbol)
 
 
-def _emit(adder: Circuit, symbol: str) -> str:
-    """``emit_source`` for the adder aggregation ``adder`` of a circuit."""
+def _emit(adder: Circuit, offset: np.ndarray, symbol: str) -> str:
+    """``emit_source`` for a circuit's adder aggregation ``adder`` and its fold's ``offset``."""
     plan = _plan_for(adder)
     dims = (
         adder.input_width,
@@ -156,7 +161,8 @@ def _emit(adder: Circuit, symbol: str) -> str:
             "/* Word-parallel evaluator for a fixed Boolean circuit: one fixed kernel\n"
             " * running the circuit's execution plan, held in the tables below.\n"
             " * gn_dims: input rows, plane rows, lanes per block, opcode groups,\n"
-            " * classes, counter bits per class. */\n",
+            " * classes, counter bits per class. gn_offset: each class's count of\n"
+            " * constant-true outputs less its constant-true pads. */\n",
             "#include <stddef.h>\n#include <stdint.h>\n",
             "#include <stdlib.h>\n#include <string.h>\n\n",
             _const_table("gn_dims", dims),
@@ -166,6 +172,7 @@ def _emit(adder: Circuit, symbol: str) -> str:
             _const_table("gn_src_a", plan.src_a),
             _const_table("gn_src_b", plan.src_b),
             _const_table("gn_outputs", plan.outputs),
+            _const_table("gn_offset", offset, "int64_t"),
             _KERNEL.replace("SYMBOL", symbol),
         ]
     )
@@ -216,7 +223,7 @@ def compile_and_load(
     if compiler is None:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc)")
     adder = build_adder_aggregation(circuit)
-    source = _emit(adder, symbol)
+    source = _emit(adder, _counted(circuit).offset, symbol)
     tmp = None
     if keep_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="gatenet_emit_")

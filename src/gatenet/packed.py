@@ -41,8 +41,10 @@ is given at once. Scoring and emission never run a circuit as it is given:
 and dead gates do not run, and leaves the outputs of the pruned circuit's
 constant gates uncounted, adding each class's constant-true outputs as an
 offset. Its fold is cached on the pruned circuit, so a circuit and its
-pruned form share one fold and one plan. The numpy readout and
-``build_adder_aggregation`` both follow it.
+pruned form share one fold and one plan. Both back ends count the fold's
+padded outputs with ``_carry_save_count`` and add its one offset: the numpy
+readout on words, and the emitted kernel on the counter wires of
+``build_adder_aggregation``.
 
 ``circuit_scores`` takes raw 0/1 rows, as the paper's images come, and is
 the one place that splits them into lane blocks: as few blocks as keep
@@ -402,50 +404,41 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     return _decode_counts(counts, outputs.sample_count)
 
 
-def _carry_save_count(
-    planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and, extra=(), zero=None
-) -> np.ndarray:
+def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and) -> np.ndarray:
     """Per-class sums of (k, G, lanes) bit planes as (width, k, lanes) count planes, LSB first.
 
     A column compressor (Wallace, 1964): the G planes are the weight-1
-    column, and ``extra[w]``, when given, holds (m, k, lanes) more planes of
-    weight 2**w that go in front of column w. Each pass replaces every three
-    planes a, b, c of a column by a sum plane a ^ b ^ c, kept in the column,
-    and a carry plane (a & b) ^ ((a ^ b) & c), sent to the next column; a
-    last pair goes through a half adder (a ^ b, a & b). A column is done when
-    one plane is left, and that plane is its count bit, so no final ripple
-    add is needed; a column left with no plane gets ``zero``. The count has
-    width = max(G.bit_length(), len(extra)) bits, and the caller makes sure
-    that every sum stays below 2**width, so carries out of the top column are
-    never formed. A full adder takes 5 word operations and leaves one plane
-    fewer, and a half adder, at most one per column, takes 2, so a count
-    costs at most 5 per counted bit. The planes a pass leaves over go in
-    front of its sums, so the next pass takes them first and, as gates, their
-    wires die sooner. Columns are held plane by plane, (planes, k, lanes), so
-    that each operand of a pass after the first is one contiguous block:
-    numpy runs small strided blocks several times slower. Each pass writes a
-    column's next planes into the other of two buffers; ``planes`` itself is
-    never written. ``xor`` and ``and_`` are called like ufuncs with ``out=``:
-    the defaults compute words, and ``build_adder_aggregation`` passes ones
-    that append gates.
+    column. Each pass replaces every three planes a, b, c of a column by a
+    sum plane a ^ b ^ c, kept in the column, and a carry plane
+    (a & b) ^ ((a ^ b) & c), sent to the next column; a last pair goes
+    through a half adder (a ^ b, a & b). A column is done when one plane is
+    left, and that plane is its count bit, so no final ripple add is needed.
+    The count has width = G.bit_length() bits, every column below it keeps
+    at least one plane, and no sum reaches 2**width, so carries out of the
+    top column are never formed. A full adder takes 5 word operations and
+    leaves one plane fewer, and a half adder, at most one per column, takes
+    2, so a count costs at most 5 per counted bit. The planes a pass leaves
+    over go in front of its sums, so the next pass takes them first and, as
+    gates, their wires die sooner. Columns are held plane by plane,
+    (planes, k, lanes), so that each operand of a pass after the first is
+    one contiguous block: numpy runs small strided blocks several times
+    slower. Each pass writes a column's next planes into the other of two
+    buffers; ``planes`` itself is never written. ``xor`` and ``and_`` are
+    called like ufuncs with ``out=``: the defaults compute words, and
+    ``build_adder_aggregation`` passes ones that append gates. Either way
+    the planes are the fold's padded outputs, and the caller adds
+    ``_counted``'s offset.
     """
     k, g, lanes = planes.shape
-    width = max(g.bit_length(), len(extra))
-    extra = [*extra, *[np.empty((0, k, lanes), planes.dtype)] * (width + 1 - len(extra))]
+    width = g.bit_length()
     col = planes.transpose(1, 0, 2)
-    if len(extra[0]):
-        col = np.concatenate([extra[0], col])
-    m = len(col)  # no later column holds more planes
     counts = np.empty((width, k, lanes), dtype=planes.dtype)
-    x = np.empty((m // 3, k, lanes), dtype=planes.dtype)  # a ^ b, then (a ^ b) & c
-    bufs = np.empty((2, m // 3 + 2, k, lanes), dtype=planes.dtype)
+    x = np.empty((g // 3, k, lanes), dtype=planes.dtype)  # a ^ b, then (a ^ b) & c
+    bufs = np.empty((2, g // 3 + 2, k, lanes), dtype=planes.dtype)  # no later column is taller
     turn = 0
     for w in range(width):
         top = w + 1 == width
-        sent = len(extra[w + 1])
-        up = np.empty((sent + len(col) // 2, k, lanes), dtype=planes.dtype)
-        if sent:
-            up[:sent] = extra[w + 1]
+        up, sent = np.empty((len(col) // 2, k, lanes), dtype=planes.dtype), 0
         while len(col) > 1:
             t = max(len(col) // 3, 1)  # full adders, or a half adder on a last pair
             a, b, c, rest = col[:t], col[t : 2 * t], col[2 * t : 3 * t], col[3 * t :]
@@ -466,7 +459,7 @@ def _carry_save_count(
                     and_(x[:t], c, out=x[:t])
                     xor(carry, x[:t], out=carry)
             col = nxt
-        counts[w] = col[0] if len(col) else zero
+        counts[w] = col[0]
         col = up[:sent]
     return counts
 
@@ -535,18 +528,10 @@ def _score_batch(circuit: Circuit, samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Fold(NamedTuple):
-    """Which outputs each class counts, and what it adds: see ``_counted``.
-
-    Every wire named here is a wire of the pruned circuit the fold is cached
-    on, which the fold does not reference.
-    """
+    """What each class counts, and what it adds: see ``_counted``."""
 
     circuit: Circuit  # the pruned circuit, its outputs each class's counted wires, then pads
     offset: np.ndarray  # (k,) added to each class's count of those outputs
-    counted: np.ndarray  # (k,) each class's counted wires, ahead of its pads
-    ones: np.ndarray  # (k,) each class's constant-true outputs
-    true: np.ndarray  # the first constant-true output wire, if any (0 or 1 wires)
-    false: np.ndarray  # the first constant-false output wire, if any
 
 
 def _counted(circuit: Circuit) -> _Fold:
@@ -562,7 +547,9 @@ def _counted(circuit: Circuit) -> _Fold:
     constant output wire, a constant-false one where there is one, and the
     offset is the class's constant-true outputs less its constant-true pads.
     The fold's circuit is a copy of the pruned circuit with the padded
-    wires, class after class, as its outputs.
+    wires, class after class, as its outputs. Both back ends count those
+    outputs and add the offset: ``_score_batch`` to its popcounts, and the
+    emitted kernel to the counters of ``build_adder_aggregation``.
 
     The fold is cached on the pruned circuit, so ``_counted(c) is
     _counted(prune(c))`` and both score with one plan. Its circuit is a new
@@ -585,36 +572,37 @@ def _counted(circuit: Circuit) -> _Fold:
         padded = padded[:, :width]
         padded[np.arange(width) >= counted[:, None]] = false if len(false) else true
         offset = ones - (width - counted) * (len(false) == 0)
-        scored = replace(base, output_wires=padded.ravel())
-        fold = _Fold(scored, offset, counted, ones, true, false)
+        fold = _Fold(replace(base, output_wires=padded.ravel()), offset)
         object.__setattr__(base, "_fold", fold)  # Circuit is frozen
     return fold
 
 
 def build_adder_aggregation(circuit: Circuit) -> Circuit:
-    """The pruned circuit with XOR/AND counters, so class counts come out as binary wires.
+    """The pruned circuit with counters, so class counts come out as binary wires.
 
-    The counters are appended to ``prune(circuit)``, not to
-    ``circuit``, so the adder of a circuit and that of its ``prune`` form
-    are the same. They are the readout's column compressor run over wire
-    ids: each word operation appends gates instead of computing words. Each
-    class counts the wires ``_counted`` keeps, and adds its offset through
-    the compressor's columns: a constant-true wire goes in front of column w
-    for each set bit w of the offset. A count bit that is always 0 is a
-    constant-false wire, made as a wire XOR itself if the circuit has none.
-    A class costs at most 5 gates per counted bit, plus about one per set
-    offset bit, and ceil(log2(G+1)) counter wires for its full group of G
-    outputs; its depth is at most ceil(log2(G+1))**2 (57 on the 48000-gate
-    criterion-8 circuit, G = 800). The returned circuit's output wires are
-    the counter wires, class after class, LSB first: read as binary, its k
-    runs of ``len(output_wires) // k`` bits are the popcount readout's counts
-    exactly. Only emission runs it; scored or aggregated again, it would
-    count its counter wires.
+    The counters are the readout's column compressor run over wire ids, with
+    word operations that append XOR and AND gates instead of computing
+    words: the very ``_carry_save_count`` call ``popcount_scores`` makes on
+    the outputs of ``_counted(circuit).circuit``, each class's counted wires
+    and then its constant pads. The result is pruned, so the gates that
+    count a pad fold into their other source, a constant or a negation, and
+    the pruned circuit's constant and NOT gates, which only the counters
+    read, fold away; the counters may then hold any opcode. A class costs at
+    most 5 gates per padded output and ceil(log2(G'+1)) counter wires for
+    the widest class's G' counted outputs; its depth is at most
+    ceil(log2(G'+1))**2 (50 on the 48000-gate criterion-8 circuit, G' = 457).
+    The returned circuit's output wires are the counter wires, class after
+    class, LSB first: read as binary, its k runs of ``len(output_wires) //
+    k`` bits count the fold's outputs, and adding the fold's offset gives
+    the popcount readout's scores exactly, which is what the emitted kernel
+    does. A circuit whose outputs are all constant has no counter wires.
+    The counters of a circuit and of its ``prune`` form are the same. Only
+    emission runs the result; scored or aggregated again, it would count
+    its counter wires.
     """
-    gsz = circuit.group_size
-    if gsz == 0:
+    if circuit.group_size == 0:
         raise ValueError("circuit has no output wires to aggregate")
-    fold, base = _counted(circuit), prune(circuit)
+    scored = _counted(circuit).circuit
     new_src: list[np.ndarray] = []
     new_ops: list[np.ndarray] = []
     added = 0
@@ -622,36 +610,27 @@ def build_adder_aggregation(circuit: Circuit) -> Circuit:
     def gate(opcode: int, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         nonlocal added
         new_src.append(np.stack([a.ravel(), b.ravel()], axis=1))  # before ``out`` may overwrite a
-        first, added = base.num_wires + added, added + a.size
+        first, added = scored.num_wires + added, added + a.size
         out[...] = np.arange(first, first + a.size).reshape(out.shape)
         new_ops.append(np.full(a.size, opcode, dtype=np.uint8))
 
-    xor, and_ = partial(gate, 6), partial(gate, 1)
-    k, width = base.readout.k, gsz.bit_length()
-    wires = fold.circuit.output_wires.astype(np.int64).reshape(k, -1)
-    planes = np.empty((k, width, 1, 1), dtype=np.int64)
-    for c, (counted, ones) in enumerate(zip(fold.counted.tolist(), fold.ones.tolist())):
-        bits = [fold.true[: ones >> w & 1, None, None] for w in range(width)]  # (0 or 1, 1, 1)
-        planes[c] = _carry_save_count(wires[c, None, :counted, None], xor, and_, bits, zero=-1)
-    unset = planes == -1  # count bits with no plane left are always 0
-    false = fold.false
-    if unset.any() and not len(false):
-        false = np.empty(1, dtype=np.int64)
-        xor(fold.true, fold.true, out=false)
-    planes[unset] = false[:1]
-    max_probs = base.max_probs
+    k = scored.readout.k
+    wires = scored.output_wires.astype(np.int64).reshape(k, -1, 1)
+    counts = _carry_save_count(wires, partial(gate, 6), partial(gate, 1))  # (width, k, 1)
+    max_probs = scored.max_probs
     if max_probs is not None:
         max_probs = np.concatenate([max_probs, np.ones(added)])
-    return Circuit(
-        input_width=base.input_width,
-        layer_sizes=base.layer_sizes + (added,),
-        sources=np.concatenate([base.sources, *new_src]),
-        opcodes=np.concatenate([base.opcodes, *new_ops]),
-        output_wires=planes.ravel(),
-        readout=base.readout,
-        seed=base.seed,
+    adder = Circuit(
+        input_width=scored.input_width,
+        layer_sizes=scored.layer_sizes + (added,),
+        sources=np.concatenate([scored.sources, *new_src]),
+        opcodes=np.concatenate([scored.opcodes, *new_ops]),
+        output_wires=counts.transpose(1, 0, 2).ravel(),
+        readout=scored.readout,
+        seed=scored.seed,
         max_probs=max_probs,
     )
+    return prune(adder)
 
 
 def _cpu_model() -> str:

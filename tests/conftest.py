@@ -9,7 +9,8 @@ packing, no collapsed coefficients), and the pack oracle moves one byte per
 sample and feature before ``packbits``. ``unpack`` inverts ``pack`` with
 the package's own word transpose run backwards; the package never unpacks
 whole batches. ``adder_counts`` reads an adder aggregation's counter wires
-as binary counts. Tests compare the real implementations against these.
+as binary counts and adds the fold's offset, as the emitted kernel does.
+Tests compare the real implementations against these.
 ``check_equivalence`` compares two circuits' output bits through the packed
 path, which those oracles check, and ``structurally_equal`` compares their
 netlists.
@@ -33,8 +34,10 @@ from gatenet.model import (
 )
 from gatenet.packed import (
     PackedBatch,
+    _counted,
     _require_little_endian,
     _transpose_blocks,
+    build_adder_aggregation,
     execute_packed,
     pack,
 )
@@ -143,16 +146,19 @@ def unpack(batch: PackedBatch) -> np.ndarray:
     return np.ascontiguousarray(np.unpackbits(octets, axis=1, bitorder="little")[:, :f])
 
 
-def adder_counts(adder: Circuit, samples) -> np.ndarray:
-    """(samples, k) counts an adder aggregation's output wires spell, for raw 0/1 rows.
+def adder_counts(circuit: Circuit, samples) -> np.ndarray:
+    """(samples, k) scores the emitted kernel gives ``circuit`` on raw 0/1 rows.
 
-    The outputs are k runs of ``bits`` counter wires, class after class,
-    LSB first: bit b of a class's run is worth 1 << b.
+    That is the count its adder aggregation's output wires spell, k runs of
+    ``bits`` counter wires, class after class, LSB first (bit b of a class's
+    run is worth 1 << b), plus the class's offset from ``_counted``.
     """
+    adder = build_adder_aggregation(circuit)
     wires = unpack(execute_packed(adder, pack(samples))).astype(np.int64)
     k = adder.readout.k
     bits = wires.shape[1] // k
-    return (wires.reshape(-1, k, bits) << np.arange(bits)).sum(axis=2)
+    counts = (wires.reshape(len(wires), k, bits) << np.arange(bits)).sum(axis=2)
+    return counts + _counted(circuit).offset
 
 
 def structurally_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -218,8 +218,7 @@ def test_criterion_03_packed_execution_oracle(report):
         assert np.array_equal(unpack(outputs), oracle_circuit_outputs(circuit, samples)), i
 
         pop = popcount_scores(outputs, circuit.readout)
-        adder = build_adder_aggregation(circuit)
-        assert np.array_equal(adder_counts(adder, samples), pop), i
+        assert np.array_equal(adder_counts(circuit, samples), pop), i
         assert np.array_equal(pop, oracle_circuit_counts(circuit, samples)), i
     seconds = time.perf_counter() - t0
     report(3, "packed execution oracle", seconds < 120,
@@ -334,6 +333,10 @@ def test_criterion_09_prune_and_emission_safety(report, big_circuit, capsys, tmp
     pruned = prune(circuit)
     rep = check_equivalence(circuit, pruned, mode="sampled", samples=10_000, seed=9)
     assert rep.equivalent and rep.tested == 10_000
+    if circuit is big_circuit:
+        # the counters the kernel runs count the fold's padded outputs once
+        added = build_adder_aggregation(pruned).num_gates - pruned.num_gates
+        assert added <= 20_484, added
     if shutil.which("cc") or shutil.which("gcc"):
         lib = compile_and_load(pruned, "accept9", keep_dir=str(tmp_path))
         mismatches = int((lib.scores(inputs) != circuit_scores(pruned, inputs)).sum())

@@ -75,11 +75,13 @@ class TestEmitText:
     @needs_cc
     def test_opcode_table_and_scores(self):
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        # constant outputs are offsets, not gates: the constant circuit runs no group
         for circuit, opcodes, expected in (
             (xor_circuit(), [6], [[0], [1], [1], [0]]),
-            (const_circuit(), [0, 15], [[0, 1]] * 4),
+            (const_circuit(), [], [[0, 1]] * 4),
         ):
-            assert tables(emit_source(circuit))["gn_group_op"] == opcodes
+            table = tables(emit_source(circuit))
+            assert table["gn_group_op"][: table["gn_dims"][3]] == opcodes
             np.testing.assert_array_equal(compile_and_load(circuit).scores(x), expected)
 
     @needs_cc
@@ -114,10 +116,9 @@ class TestCompiled:
 
     def test_counter_readout(self, rng):
         base = random_layered_circuit(rng, 9, [12, 12], k=3)
-        adder = build_adder_aggregation(base)
         handle = compile_and_load(base)
         x = rng.integers(0, 2, size=(321, 9), dtype=np.uint8)
-        np.testing.assert_array_equal(handle.scores(x), adder_counts(adder, x))
+        np.testing.assert_array_equal(handle.scores(x), adder_counts(base, x))
         np.testing.assert_array_equal(handle.scores(x), oracle_circuit_counts(base, x))
 
     def test_pruned_circuit_with_materialized_gates(self, rng):
@@ -135,6 +136,16 @@ class TestCompiled:
         for n in (1, 63, 65, 453):
             x = np.random.default_rng(n).integers(0, 2, size=(n, c.input_width), dtype=np.uint8)
             np.testing.assert_array_equal(handle.scores(x), oracle_circuit_counts(c, x))
+
+    def test_all_constant_circuit_returns_its_offsets(self):
+        # no counter rows to read: every score is its class's offset
+        c = fold_circuit(FOLD_CASES["all_constant"])
+        table = tables(emit_source(c))
+        assert table["gn_dims"][5] == 0 and table["gn_offset"] == [1, 2, 0]
+        handle = compile_and_load(c)
+        for n in (1, 65, 130):
+            x = np.random.default_rng(n).integers(0, 2, size=(n, c.input_width), dtype=np.uint8)
+            np.testing.assert_array_equal(handle.scores(x), np.tile([1, 2, 0], (n, 1)))
 
     def test_passthrough_outputs(self):
         c = Circuit(

@@ -58,8 +58,17 @@ def scored_rows(circuit: Circuit) -> int:
 
 
 def counter_gates(circuit: Circuit, adder: Circuit) -> slice:
-    """The gates ``build_adder_aggregation(circuit)`` appended to the pruned circuit."""
-    return slice(prune(circuit).num_gates, adder.num_gates)
+    """The gates ``build_adder_aggregation(circuit)`` holds after the pruned circuit's.
+
+    The adder is pruned, which drops the pruned circuit's constant and NOT
+    gates, read only by the counters; its other gates come first, unchanged.
+    """
+    base = prune(circuit)
+    kept = ~np.isin(base.opcodes, (0, 12, 15))
+    n = int(np.count_nonzero(kept))
+    assert np.array_equal(adder.opcodes[:n], base.opcodes[kept])
+    assert np.array_equal(adder.sources[:n], base.sources[kept])
+    return slice(n, adder.num_gates)
 
 
 def passthrough_circuit(width: int, k: int, op: int = 3) -> Circuit:
@@ -289,12 +298,11 @@ class TestChunkedScores:
     @pytest.mark.parametrize("adder", [False, True])
     def test_matches_whole_batch_readout_and_oracle(self, rng, monkeypatch, n, step, adder):
         circ = random_layered_circuit(rng, 12, [20, 20], 4)
-        scored = build_adder_aggregation(circ) if adder else circ
         monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
         x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
         whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
-        got = adder_counts(scored, x) if adder else circuit_scores(scored, x)
+        got = adder_counts(circ, x) if adder else circuit_scores(circ, x)
         np.testing.assert_array_equal(got, whole)
 
     def test_bad_input_raises_the_same_errors(self, rng, monkeypatch):
@@ -463,22 +471,26 @@ class TestAdderAggregation:
         agg = build_adder_aggregation(circ)
         assert len(agg.output_wires) == 2
         x = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=np.uint8)
-        scores = adder_counts(agg, x)
+        scores = adder_counts(circ, x)
         np.testing.assert_array_equal(scores[:, 0], [3, 2, 1, 0])
 
-    def test_counter_uses_only_xor_and_and(self, rng):
-        circ = random_layered_circuit(rng, 8, [16, 16], 2)
-        agg = build_adder_aggregation(circ)
-        new = agg.opcodes[counter_gates(circ, agg)]
-        assert set(np.unique(new)) <= {1, 6}
+    def test_counter_uses_only_xor_and_and(self):
+        # the compressor appends XOR and AND gates; the adder's prune folds
+        # constant pads and NOT gates into them, so only a circuit whose
+        # pruned outputs are inputs and two-input gates keeps exactly those
+        for circ in (passthrough_circuit(24, 2), fold_circuit(FOLD_CASES["no_constants"])):
+            agg = build_adder_aggregation(circ)
+            new = agg.opcodes[counter_gates(circ, agg)]
+            assert len(new) and set(np.unique(new)) <= {1, 6}
 
     def test_counter_width(self, rng):
+        # ceil(log2(G' + 1)) bits for the widest class's G' counted outputs
         for width, k in [(16, 2), (24, 4), (10, 10), (7, 7)]:
             circ = random_layered_circuit(rng, 8, [width, width], k)
             agg = build_adder_aggregation(circ)
-            g = width // k
-            want = int(np.ceil(np.log2(g + 1)))
-            assert agg.group_size == want
+            widest = _counted(circ).circuit.group_size
+            assert agg.group_size == int(np.ceil(np.log2(widest + 1)))
+            assert widest <= width // k
 
     def test_matches_popcount_on_random_circuits(self, rng):
         for _ in range(8):
@@ -487,9 +499,8 @@ class TestAdderAggregation:
             circ = random_layered_circuit(
                 rng, int(rng.integers(2, 20)), [width] * int(rng.integers(1, 4)), k
             )
-            agg = build_adder_aggregation(circ)
             x = (rng.uniform(size=(200, circ.input_width)) < 0.5).astype(np.uint8)
-            np.testing.assert_array_equal(adder_counts(agg, x), circuit_scores(circ, x))
+            np.testing.assert_array_equal(adder_counts(circ, x), circuit_scores(circ, x))
 
     def test_gate_count_growth_bound(self, rng):
         # a loose bound, about 2 * n * log2(n/k) for k groups of n/k bits; the
@@ -503,9 +514,9 @@ class TestAdderAggregation:
     @pytest.mark.parametrize("group", [7, 8, 63, 64, 800])
     def test_counter_size_and_depth(self, group):
         # the column compressor: a full adder is 5 gates and leaves one plane
-        # fewer, so at most 5 gates per counted bit of the widest class, plus
-        # one per set bit of a class's constant-true outputs, within the depth
-        # bound; constant outputs are added, not counted
+        # fewer, so at most 5 gates per counted bit of the widest class, within
+        # the depth bound; constant outputs are added, not counted, and only
+        # without constant pads are the counters XOR and AND gates alone
         k = 2
         plain = passthrough_circuit(group * k, k)
         ops = plain.opcodes.copy()
@@ -519,14 +530,14 @@ class TestAdderAggregation:
             added = agg.opcodes[counter_gates(circ, agg)]
             ops = circ.opcodes.reshape(k, group)
             widest = np.count_nonzero((ops != 0) & (ops != 15), axis=1).max()
-            ones = np.count_nonzero(ops == 15, axis=1)
-            assert len(added) <= 5 * k * widest + sum(bin(n).count("1") for n in ones)
+            assert len(added) <= 5 * k * widest
             levels = agg.levels()[counter_gates(circ, agg)]
             depth = levels.max() - levels.min() + 1
             assert depth <= int(np.ceil(np.log2(group + 1))) ** 2
-            assert set(np.unique(added)) <= {1, 6}
+            if circ is plain:
+                assert set(np.unique(added)) <= {1, 6}
             want = oracle_circuit_counts(circ, x)
-            np.testing.assert_array_equal(adder_counts(agg, x), want)
+            np.testing.assert_array_equal(adder_counts(circ, x), want)
             np.testing.assert_array_equal(circuit_scores(circ, x), want)
 
     @pytest.mark.parametrize("group", [7, 63])
@@ -537,7 +548,7 @@ class TestAdderAggregation:
         ones = np.ones((n, group * k), dtype=np.uint8)
         want = np.full((n, k), group)
         np.testing.assert_array_equal(popcount_scores(pack(ones), circ.readout), want)
-        np.testing.assert_array_equal(adder_counts(build_adder_aggregation(circ), ones), want)
+        np.testing.assert_array_equal(adder_counts(circ, ones), want)
 
 
 class TestConstantFold:
@@ -549,11 +560,10 @@ class TestConstantFold:
         circ = fold_circuit(FOLD_CASES[case])
         x = np.random.default_rng(n).integers(0, 2, size=(n, circ.input_width), dtype=np.uint8)
         want = oracle_circuit_counts(circ, x)
-        adder = build_adder_aggregation(circ)
-        assert set(np.unique(adder.opcodes[counter_gates(circ, adder)])) <= {1, 6}
-        group = len(FOLD_CASES[case][0])
-        assert adder.group_size == group.bit_length()
-        for scores in (circuit_scores(circ, x), adder_counts(adder, x)):
+        # the counters count the widest class's counted outputs, pads included
+        widest = max(sum(kind in "xi" for kind in kinds) for kinds in FOLD_CASES[case])
+        assert build_adder_aggregation(circ).group_size == widest.bit_length()
+        for scores in (circuit_scores(circ, x), adder_counts(circ, x)):
             np.testing.assert_array_equal(scores, want)
 
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
@@ -576,7 +586,6 @@ class TestConstantFold:
         circ = fold_circuit(FOLD_CASES[case])
         fold = _counted(circ)
         assert _counted(circ) is fold is _counted(prune(circ))  # cached on the pruned form
-        np.testing.assert_array_equal(fold.counted, counted)
         np.testing.assert_array_equal(fold.offset, offset)
         wires = fold.circuit.output_wires.astype(np.int64).reshape(circ.readout.k, -1)
         assert wires.shape[1] == max(counted)
@@ -616,12 +625,13 @@ class TestConstantFold:
         # prune resolves constant outputs to shared constant gates
         base = random_layered_circuit(rng, 12, [64, 64, 40], k=4)
         pruned = prune(base)
-        fold = _counted(pruned)
-        assert fold.counted.sum() < len(pruned.output_wires)
+        scored = _counted(pruned).circuit
+        ops = np.append(np.full(12, 3), scored.opcodes)[scored.output_wires]
+        assert np.count_nonzero(~np.isin(ops, (0, 15))) < len(pruned.output_wires)
         x = rng.integers(0, 2, size=(453, 12), dtype=np.uint8)
         want = oracle_circuit_counts(base, x)
         np.testing.assert_array_equal(circuit_scores(pruned, x), want)
-        np.testing.assert_array_equal(adder_counts(build_adder_aggregation(pruned), x), want)
+        np.testing.assert_array_equal(adder_counts(pruned, x), want)
 
 
 def dead_passthrough_constant_circuit() -> Circuit:
@@ -675,7 +685,6 @@ class TestPrunedScoring:
     def test_circuit_and_its_pruned_form_fold_alike(self, case):
         circ = SCORING_CASES[case]
         fold, pruned_fold = _counted(circ), _counted(prune(circ))
-        np.testing.assert_array_equal(fold.counted, pruned_fold.counted)
         np.testing.assert_array_equal(fold.offset, pruned_fold.offset)
         assert structurally_equal(fold.circuit, pruned_fold.circuit)
         assert emit_source(circ) == emit_source(prune(circ))
