@@ -20,7 +20,7 @@ from .emit import _emit
 from .model import Circuit, LogicNet, discretize
 from .modelfile import ModelFileError, load_model, save_model
 from .opt import op_histogram, prune, write_histogram_csv
-from .packed import _counted, benchmark, build_adder_aggregation
+from .packed import benchmark
 from .presets import DEFAULTS, get_preset, preset_names, train_config, write_metrics
 from .training import NumericsError, evaluate, train
 
@@ -311,10 +311,10 @@ def cmd_prune(args) -> int:
 
 def cmd_compile(args) -> int:
     circuit = _load_circuit(args.in_path)
-    adder = build_adder_aggregation(circuit)
+    source, adder = _emit(circuit)
     out_path = args.out or _derived_path(args.in_path, ".c")
     with open(out_path, "w") as fh:
-        fh.write(_emit(adder, _counted(circuit).offset, "circuit_eval"))
+        fh.write(source)
     pruned = prune(circuit).num_gates
     print(f"gates: {circuit.num_gates} -> {pruned} -> {adder.num_gates} with counters")
     _print_max_probs(circuit)
@@ -327,6 +327,8 @@ def cmd_bench(args) -> int:
     circuit = _load_circuit(args.in_path)
     if settings["dataset"]:
         samples = _test_split(settings, circuit, "circuit").features
+        if len(samples) == 0:
+            raise DataError(f"dataset {settings['dataset']} has no test rows to time")
     else:
         rng = np.random.default_rng([5, settings["seed"]])
         samples = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)

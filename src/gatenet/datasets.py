@@ -344,7 +344,8 @@ def load_mnist(images_path: str, labels_path: str) -> BinaryDataset:
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    features = (images.reshape(images.shape[0], -1) > _MNIST_THRESHOLD * 255.0).astype(np.uint8)
+    n, rows, cols = images.shape
+    features = (images.reshape(n, rows * cols) > _MNIST_THRESHOLD * 255.0).astype(np.uint8)
     return BinaryDataset(features, labels.astype(np.int64), features.shape[1], 10)
 
 

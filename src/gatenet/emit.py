@@ -1,22 +1,23 @@
 """Standalone C emission for Boolean circuits, plus a compile-and-load helper.
 
 The emitted translation unit is plain C99 over the standard library: one
-fixed kernel plus ``static const`` tables holding the execution plan that
-``execute_packed`` runs, for the pruned circuit with its adder aggregation
-(``build_adder_aggregation``), and each class's offset. The kernel runs the
-plan over blocks of 64-bit lanes in a heap plane and decodes each class's
-counter rows, which count the fold's padded outputs, into scores that start
-from the class's offset, as ``circuit_scores`` adds ``_counted``'s offset to
-its popcounts. Only the tables depend on the circuit, and emission is a pure
-function of it: the text is byte-identical across runs, with no timestamps
-or environment-dependent parts, and the same for a circuit and its
-``prune`` form.
+fixed kernel, ``circuit_eval``, plus ``static const`` tables holding the
+execution plan that ``execute_packed`` runs, for the pruned circuit with its
+adder aggregation (``build_adder_aggregation``), and each class's offset.
+The kernel counts its lanes from the sample count, runs the plan over blocks
+of 64-bit lanes in a heap plane and decodes each class's counter rows, which
+count the fold's padded outputs, into scores that start from the class's
+offset, as ``circuit_scores`` adds ``_counted``'s offset to its popcounts.
+Only ``_emit`` renders it, and only the tables depend on the circuit: the
+text is byte-identical across runs, with no timestamps or environment-
+dependent parts, and the same for a circuit and its ``prune`` form.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -51,13 +52,14 @@ _KERNEL = """
     }                                                                    \\
     break;
 
-/* in:     one plane of `lanes` uint64_t words per input wire, wire-major;
- *         bit b of lane L is sample 64*L+b (little-endian packing).
- * scores: samples x classes int64, sample-major, raw integer counts.
- * Returns 0, or 1 if the plane cannot be allocated. */
-int SYMBOL(const uint64_t *in, size_t lanes, int64_t *scores, size_t samples) {
+/* in:     one plane of ceil(samples/64) uint64_t words per input wire,
+ *         wire-major; bit b of lane L is sample 64*L+b (little-endian).
+ * scores: exactly `samples` rows of `classes` int64 raw counts.
+ * Returns 0, at once if samples is 0, or 1 if the plane cannot be allocated. */
+int circuit_eval(const uint64_t *in, size_t samples, int64_t *scores) {
     const size_t inputs = gn_dims[0], rows = gn_dims[1], groups = gn_dims[3];
     const size_t classes = gn_dims[4], bits = gn_dims[5];
+    const size_t lanes = samples / 64 + (samples % 64 != 0);
     if (lanes == 0) return 0;
     /* the fewest blocks of at most gn_dims[2] lanes, as even as they go:
      * block blk starts at lane lanes*blk/count, found without that product */
@@ -121,32 +123,32 @@ def _const_table(name: str, values, ctype: str = "uint32_t") -> str:
     return f"static const {ctype} {name}[{len(vals)}] = {{\n    " + ",\n    ".join(lines) + "\n};\n"
 
 
-def emit_source(circuit: Circuit, symbol: str = "circuit_eval") -> str:
+def emit_source(circuit: Circuit) -> str:
     """Render the circuit as a self-contained C function.
 
     The function signature is::
 
-        int <symbol>(const uint64_t *in, size_t lanes,
-                     int64_t *scores, size_t samples);
+        int circuit_eval(const uint64_t *in, size_t samples, int64_t *scores);
 
-    ``in`` holds one plane of ``lanes`` 64-bit words per input wire,
-    wire-major (word of wire i in lane L sits at ``in[i*lanes + L]``); bit b
-    of lane L is sample 64*L+b, matching the packed batch layout. ``scores``
-    receives samples x k signed counts, sample-major: the plan runs the
-    pruned circuit with the counters of ``build_adder_aggregation``, built
-    here from the plain circuit, and the kernel decodes their wires and adds
-    ``_counted``'s offset, as ``circuit_scores`` does. So
-    ``emit_source(c) == emit_source(prune(c))``, and the scores equal
-    ``circuit_scores``, which runs the same pruned circuit. Downstream
-    scaling (count/tau + beta) is left to the caller. The function returns
-    0, or 1 when it cannot allocate its plane of ``BUDGET`` bytes per lane
-    block.
+    ``in`` holds one plane of ``lanes = ceil(samples/64)`` 64-bit words per
+    input wire, wire-major (word of wire i in lane L sits at
+    ``in[i*lanes + L]``); bit b of lane L is sample 64*L+b, matching ``pack``.
+    ``scores`` receives exactly ``samples`` rows of k signed counts,
+    sample-major: the plan runs the pruned circuit with the counters of
+    ``build_adder_aggregation``, built here from the plain circuit, and the
+    kernel decodes their wires and adds ``_counted``'s offset, as
+    ``circuit_scores`` does. So ``emit_source(c) == emit_source(prune(c))``,
+    and the scores equal ``circuit_scores``, which runs the same pruned
+    circuit. Downstream scaling (count/tau + beta) is left to the caller.
+    The function returns 0, at once when ``samples`` is 0, or 1 when it
+    cannot allocate its plane of ``BUDGET`` bytes per lane block.
     """
-    return _emit(build_adder_aggregation(circuit), _counted(circuit).offset, symbol)
+    return _emit(circuit)[0]
 
 
-def _emit(adder: Circuit, offset: np.ndarray, symbol: str) -> str:
-    """``emit_source`` for a circuit's adder aggregation ``adder`` and its fold's ``offset``."""
+def _emit(circuit: Circuit) -> tuple[str, Circuit]:
+    """The C source for ``circuit`` and the adder aggregation whose plan it holds."""
+    adder = build_adder_aggregation(circuit)
     plan = _plan_for(adder)
     dims = (
         adder.input_width,
@@ -156,7 +158,7 @@ def _emit(adder: Circuit, offset: np.ndarray, symbol: str) -> str:
         adder.readout.k,
         adder.group_size,
     )
-    return "".join(
+    source = "".join(
         [
             "/* Word-parallel evaluator for a fixed Boolean circuit: one fixed kernel\n"
             " * running the circuit's execution plan, held in the tables below.\n"
@@ -172,20 +174,23 @@ def _emit(adder: Circuit, offset: np.ndarray, symbol: str) -> str:
             _const_table("gn_src_a", plan.src_a),
             _const_table("gn_src_b", plan.src_b),
             _const_table("gn_outputs", plan.outputs),
-            _const_table("gn_offset", offset, "int64_t"),
-            _KERNEL.replace("SYMBOL", symbol),
+            _const_table("gn_offset", _counted(circuit).offset, "int64_t"),
+            _KERNEL,
         ]
     )
+    return source, adder
 
 
 @dataclass
 class CompiledCircuit:
-    """A compiled evaluator bound through ctypes; mirrors circuit_scores."""
+    """``circuit_eval`` compiled and bound through ctypes; mirrors circuit_scores.
+
+    Its shared object lives in a temporary directory that the handle keeps.
+    """
 
     input_width: int
     classes: int
     plane_rows: int
-    library_path: str
     _fn: object = field(repr=False)
     _keepalive: object = field(repr=False)
 
@@ -202,7 +207,7 @@ class CompiledCircuit:
         if n == 0:
             return out
         batch = pack(samples)
-        if self._fn(batch.words, batch.lanes, out, n):
+        if self._fn(batch.words, n, out):
             lanes = max(hi - lo for lo, hi in _lane_blocks(batch.lanes, self.plane_rows))
             raise MemoryError(
                 f"cannot allocate the {self.plane_rows} x {lanes}-word plane "
@@ -211,48 +216,39 @@ class CompiledCircuit:
         return out
 
 
-def compile_and_load(
-    circuit: Circuit, symbol: str = "circuit_eval", keep_dir: str | None = None
-) -> CompiledCircuit:
-    """Emit, compile with the system C compiler ($CC, else cc or gcc), and bind.
+def compile_and_load(circuit: Circuit) -> CompiledCircuit:
+    """Emit, compile with the system C compiler, and bind ``circuit_eval``.
 
-    The shared object lives in a temporary directory owned by the returned
-    handle (or in ``keep_dir`` when given, for inspection).
+    The compiler is ``$CC``, split as a shell would, so ``CC="ccache gcc"``
+    works; else ``cc`` or ``gcc`` from the path. The shared object lives in
+    a temporary directory owned by the returned handle.
     """
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
+    found = shutil.which("cc") or shutil.which("gcc")
+    compiler = shlex.split(os.environ.get("CC", "")) or ([found] if found else [])
+    if not compiler:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc)")
-    adder = build_adder_aggregation(circuit)
-    source = _emit(adder, _counted(circuit).offset, symbol)
-    tmp = None
-    if keep_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="gatenet_emit_")
-        out_dir = tmp.name
-    else:
-        os.makedirs(keep_dir, exist_ok=True)
-        out_dir = keep_dir
-    c_path = os.path.join(out_dir, f"{symbol}.c")
-    so_path = os.path.join(out_dir, f"{symbol}.so")
+    source, adder = _emit(circuit)
+    tmp = tempfile.TemporaryDirectory(prefix="gatenet_emit_")
+    c_path = os.path.join(tmp.name, "circuit_eval.c")
+    so_path = os.path.join(tmp.name, "circuit_eval.so")
     with open(c_path, "w") as fh:
         fh.write(source)
-    cmd = [compiler, *_CFLAGS, "-o", so_path, c_path]
+    cmd = [*compiler, *_CFLAGS, "-o", so_path, c_path]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{compiler} failed ({proc.returncode}):\n{proc.stderr}")
+        raise RuntimeError(f"{shlex.join(compiler)} failed ({proc.returncode}):\n{proc.stderr}")
     lib = ctypes.CDLL(so_path)
-    fn = getattr(lib, symbol)
+    fn = lib.circuit_eval
     fn.restype = ctypes.c_int
     fn.argtypes = [
         npct.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS"),
         ctypes.c_size_t,
         npct.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        ctypes.c_size_t,
     ]
     return CompiledCircuit(
         input_width=circuit.input_width,
         classes=circuit.readout.k,
         plane_rows=_plan_for(adder).rows,
-        library_path=so_path,
         _fn=fn,
         _keepalive=(lib, tmp),
     )

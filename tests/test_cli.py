@@ -20,6 +20,8 @@ from gatenet.cli import (
     merge_settings,
     read_config_file,
 )
+from gatenet.datasets import generate_monk_files
+from gatenet.emit import emit_source
 from gatenet.model import Circuit, LogicNet, ReadoutConfig
 from gatenet.modelfile import load_model, save_model
 from gatenet.packed import build_adder_aggregation
@@ -391,6 +393,7 @@ class TestTransforms:
             assert main(["compile", "--in", str(given), "--out", str(source_file)]) == EXIT_OK
             texts.append(source_file.read_text())
             assert "int circuit_eval" in texts[-1]
+            assert texts[-1] == emit_source(load_model(str(given)))
             out = capsys.readouterr().out
             gates = out.splitlines()[0].removeprefix("gates: ").removesuffix(" with counters")
             assert gates == f"{count} -> {after} -> {counted.num_gates}"
@@ -484,6 +487,13 @@ class TestBenchInspect:
         out = capsys.readouterr().out
         assert "single thread:" in out and "samples/s" in out
         assert "threads:" not in out
+
+    def test_bench_on_an_empty_test_split_is_a_data_error(self, circuit_file, tmp_path, capsys):
+        _, test_path = generate_monk_files(1, str(tmp_path))
+        open(test_path, "w").close()
+        argv = ["bench", "--in", str(circuit_file), "--dataset", "monk1"]
+        assert main([*argv, "--data-dir", str(tmp_path)]) == EXIT_DATA
+        assert "dataset monk1 has no test rows to time" in capsys.readouterr().err
 
     def test_inspect_histogram_rows_sum_to_widths(self, ckpt, workdir, capsys):
         hist = workdir / "m1.hist.csv"

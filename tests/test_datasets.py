@@ -337,6 +337,12 @@ class TestMnist:
         with pytest.raises(DataError, match="payload"):
             load_mnist(img, lab)
 
+    def test_zero_images_load_empty(self, tmp_path):
+        # the header's dimensions shape the features, as an empty MONK file loads as (0, 17)
+        ds = load_mnist(*write_idx_pair(tmp_path, np.zeros((0, 28, 28), np.uint8), np.zeros(0)))
+        assert ds.features.shape == (0, 784) and ds.features.dtype == np.uint8
+        assert ds.labels.shape == (0,) and ds.width == 784 and ds.class_count == 10
+
     def test_count_mismatch_rejected(self, tmp_path):
         two, three = tmp_path / "two", tmp_path / "three"
         two.mkdir(), three.mkdir()

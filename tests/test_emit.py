@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import shlex
 import shutil
 import subprocess
 
@@ -51,6 +52,23 @@ def const_circuit() -> Circuit:
     )
 
 
+SENTINEL = np.iinfo(np.int64).min
+
+
+def kernel_scores(handle, x: np.ndarray) -> np.ndarray:
+    """The kernel's scores of raw rows ``x``, checking it writes no row after them.
+
+    The buffer holds 64 sentinel rows after the ``len(x)`` the kernel is
+    given, a lane's worth, and those must come back untouched.
+    """
+    n = len(x)
+    out = np.full((n + 64, handle.classes), SENTINEL, dtype=np.int64)
+    words = pack(x).words if n else np.zeros((x.shape[1], 0), dtype=np.uint64)
+    assert handle._fn(words, n, out) == 0
+    np.testing.assert_array_equal(out[n:], SENTINEL)
+    return out[:n]
+
+
 TABLE = re.compile(r"static const \w+ (\w+)\[\d+\] = \{([^}]*)\};\n")
 
 
@@ -64,7 +82,7 @@ class TestEmitText:
         kernel, other = (TABLE.sub("", emit_source(c)) for c in circuits)
         assert kernel == other
         assert "static const" not in kernel
-        assert "int circuit_eval(const uint64_t *in, size_t lanes" in kernel
+        assert "int circuit_eval(const uint64_t *in, size_t samples, int64_t *scores) {" in kernel
 
     def test_byte_identical_across_runs(self, rng):
         c = random_layered_circuit(rng, 8, [12, 8], k=2)
@@ -88,10 +106,11 @@ class TestEmitText:
     def test_compiles_as_strict_c99(self, rng, tmp_path):
         source = tmp_path / "circuit.c"
         source.write_text(emit_source(random_layered_circuit(rng, 40, [64, 64], k=2)))
-        compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+        found = shutil.which("cc") or shutil.which("gcc")
+        compiler = shlex.split(os.environ.get("CC", "")) or [found]
         flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-c"]
         proc = subprocess.run(
-            [compiler, *flags, "-o", str(tmp_path / "circuit.o"), str(source)],
+            [*compiler, *flags, "-o", str(tmp_path / "circuit.o"), str(source)],
             capture_output=True,
             text=True,
         )
@@ -166,12 +185,6 @@ class TestCompiled:
         with pytest.raises(ValueError, match="features"):
             handle.scores(np.zeros((4, 5), dtype=np.uint8))
 
-    def test_source_written_to_keep_dir(self, rng, tmp_path):
-        c = random_layered_circuit(rng, 6, [8, 4], k=2)
-        handle = compile_and_load(c, keep_dir=str(tmp_path))
-        assert (tmp_path / "circuit_eval.c").exists()
-        assert handle.library_path.endswith(".so")
-
     def test_failed_allocation_raises_memory_error(self, rng):
         c = random_layered_circuit(rng, 6, [8, 4], k=2)
         handle = dataclasses.replace(compile_and_load(c), _fn=lambda *args: 1)
@@ -191,8 +204,9 @@ class TestCompiled:
         for n in (1, 65, 453, 640, 701):
             x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
             np.testing.assert_array_equal(handle.scores(x), circuit_scores(c, x))
-        empty = np.zeros(1, dtype=np.uint64)
-        assert handle._fn(empty, 0, np.zeros(1, dtype=np.int64), 0) == 0
+        for n in (0, 453):
+            x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+            np.testing.assert_array_equal(kernel_scores(handle, x), circuit_scores(c, x))
 
     def test_empty_packed_batch(self, rng):
         # zero raw rows score as (0, k) without packing
@@ -217,21 +231,35 @@ class TestCompiled:
                     score(batch)
 
     def test_batch_claiming_more_samples_than_lanes_rejected(self, rng):
-        # the kernel gets the lanes and sample count of one pack of the rows,
-        # so it never reads past the words
+        # the kernel gets one pack of the rows and their count, from which it
+        # counts the pack's lanes, so it never reads past the words
         handle = compile_and_load(random_layered_circuit(rng, 12, [16, 8], k=2))
         calls = []
 
-        def kernel(words, lanes, out, samples):
-            calls.append((words.shape, lanes, out.shape, samples))
-            return handle._fn(words, lanes, out, samples)
+        def kernel(words, samples, out):
+            calls.append((words.shape, samples, out.shape))
+            return handle._fn(words, samples, out)
 
         spied = dataclasses.replace(handle, _fn=kernel)
         for n in (1, 64, 100):
             x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
             np.testing.assert_array_equal(spied.scores(x), handle.scores(x))
             lanes = -(-n // 64)
-            assert calls.pop() == ((12, lanes), lanes, (n, 2), n)
+            assert calls.pop() == ((12, lanes), n, (n, 2))
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_kernel_writes_exactly_samples_rows(self, rng, n):
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        x = rng.integers(0, 2, size=(n, 12), dtype=np.uint8)
+        np.testing.assert_array_equal(kernel_scores(compile_and_load(c), x), circuit_scores(c, x))
+
+    def test_cc_may_carry_flags(self, rng, monkeypatch):
+        # $CC is split as a shell splits it, as in CC="ccache gcc"
+        compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+        monkeypatch.setenv("CC", f"{compiler} -w")
+        c = random_layered_circuit(rng, 12, [16, 8], k=2)
+        x = rng.integers(0, 2, size=(70, 12), dtype=np.uint8)
+        np.testing.assert_array_equal(compile_and_load(c).scores(x), circuit_scores(c, x))
 
     def test_empty_packed_batch_of_the_wrong_width(self, rng):
         # zero raw rows of the wrong width are rejected, though nothing runs
