@@ -208,8 +208,10 @@ def _load_checkpoint(path: str) -> LogicNet:
 
 
 def _test_split(settings: dict, model: Circuit | LogicNet, noun: str):
-    """The selected dataset's test split, whose width must be the ``noun``'s input width."""
+    """The selected dataset's test split: at least one row, as wide as the ``noun``'s input."""
     _, test_ds = load_dataset(settings["dataset"], settings["data_dir"], seed=settings["seed"])
+    if len(test_ds.labels) == 0:
+        raise DataError(f"dataset {settings['dataset']} has no test rows to score")
     if int(test_ds.width) != model.input_width:
         raise UsageError(
             f"{noun} expects {model.input_width} input bits, "
@@ -327,8 +329,6 @@ def cmd_bench(args) -> int:
     circuit = _load_circuit(args.in_path)
     if settings["dataset"]:
         samples = _test_split(settings, circuit, "circuit").features
-        if len(samples) == 0:
-            raise DataError(f"dataset {settings['dataset']} has no test rows to time")
     else:
         rng = np.random.default_rng([5, settings["seed"]])
         samples = rng.integers(0, 2, size=(16384, circuit.input_width), dtype=np.uint8)

@@ -651,16 +651,16 @@ def benchmark(circuit: Circuit, samples, repetitions: int = 5) -> dict:
 
     Each repetition scores the raw 0/1 rows ``samples`` on the path
     ``circuit_scores`` runs, and sums each stage over the lane blocks.
-    ``samples_per_sec`` counts execution plus readout; ``pack_ms``,
-    ``execute_ms`` and ``readout_ms`` are the stages' medians. ``gates`` is
-    the gate count of the pruned circuit that runs, which
-    ``gate_ops_per_sec`` credits.
+    ``samples_per_sec`` counts pack, execute and readout, raw rows in and
+    class scores out; ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the
+    stages' medians. ``gates`` is the gate count of the pruned circuit that
+    runs, which ``gate_ops_per_sec`` credits.
     """
     n = len(circuit_scores(circuit, samples))  # warmup + plan build
     gates = prune(circuit).num_gates
-    stages = [_score_batch(circuit, samples)[1] for _ in range(repetitions)]
+    stages = np.array([_score_batch(circuit, samples)[1] for _ in range(repetitions)])
     pack_s, execute_s, readout_s = np.median(stages, axis=0)
-    med = float(np.median([e + r for _, e, r in stages]))
+    med = float(np.median(stages.sum(axis=1)))
     samples_per_sec = n / med
     return {
         "samples": n,

@@ -39,12 +39,6 @@ class NumericsError(RuntimeError):
     """Raised when a loss or gradient stops being finite."""
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy_loss(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the scores.
 
@@ -59,9 +53,11 @@ def cross_entropy_loss(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
     shifted = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    logz = np.log(s[:, 0])
     loss = float((logz - shifted[np.arange(n), labels]).mean())
-    grad = _softmax_rows(scores)
+    grad = e / s
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad

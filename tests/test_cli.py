@@ -474,6 +474,15 @@ class TestEval:
         ])
         assert rc == EXIT_DATA
 
+    def test_eval_on_an_empty_test_split_is_a_data_error(self, circuit_file, tmp_path, capsys):
+        _, test_path = generate_monk_files(1, str(tmp_path))
+        open(test_path, "w").close()
+        argv = ["eval", "--in", str(circuit_file), "--dataset", "monk1"]
+        assert main([*argv, "--data-dir", str(tmp_path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "dataset monk1 has no test rows to score" in captured.err
+        assert "accuracy" not in captured.out
+
     def test_corrupt_model_file(self, tmp_path, data_dir):
         bad = tmp_path / "bad.gnet"
         bad.write_bytes(b"GNETgarbagegarbagegarbage")
@@ -493,7 +502,7 @@ class TestBenchInspect:
         open(test_path, "w").close()
         argv = ["bench", "--in", str(circuit_file), "--dataset", "monk1"]
         assert main([*argv, "--data-dir", str(tmp_path)]) == EXIT_DATA
-        assert "dataset monk1 has no test rows to time" in capsys.readouterr().err
+        assert "dataset monk1 has no test rows to score" in capsys.readouterr().err
 
     def test_inspect_histogram_rows_sum_to_widths(self, ckpt, workdir, capsys):
         hist = workdir / "m1.hist.csv"

@@ -1,6 +1,7 @@
 """Bit-packed circuit execution against the truth-table interpreter."""
 
 import re
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -780,3 +781,17 @@ class TestBenchmark:
         for stage in ("pack_ms", "execute_ms", "readout_ms"):
             assert rep[stage] > 0, stage
         assert isinstance(rep["cpu"], str) and rep["cpu"]
+
+    def test_rate_counts_pack(self, rng, monkeypatch):
+        circ = random_layered_circuit(rng, 16, [64, 64], 4)
+        rows = (rng.uniform(size=(2000, 16)) < 0.5).astype(np.uint8)
+        sleep, unpatched = 0.02, packed.pack
+
+        def slow_pack(samples):
+            time.sleep(sleep)
+            return unpatched(samples)
+
+        monkeypatch.setattr(packed, "pack", slow_pack)
+        rep = benchmark(circ, rows, repetitions=3)
+        assert rep["pack_ms"] >= sleep * 1e3
+        assert rep["samples_per_sec"] <= rep["samples"] / sleep
