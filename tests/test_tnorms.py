@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import eval_relaxed
 from tnorms import FAMILY_NAMES, RelaxationFamily, eval_family, t_conorm, t_norm
@@ -26,26 +25,6 @@ def oracle_t(kind, p, a, b):
         return 0.0 if den == 0 else a * b / den
     if kind == "frank":
         return math.log(1 + (p**a - 1) * (p**b - 1) / (p - 1)) / math.log(p)
-    if kind == "yager":
-        return max(0.0, 1 - ((1 - a) ** p + (1 - b) ** p) ** (1 / p))
-    if kind == "aczel-alsina":
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return math.exp(-((abs(math.log(a)) ** p + abs(math.log(b)) ** p) ** (1 / p)))
-    if kind == "dombi":
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        if a == 1.0 and b == 1.0:
-            return 1.0
-        ra = (1 - a) / a
-        rb = (1 - b) / b
-        return 1 / (1 + (ra**p + rb**p) ** (1 / p))
-    if kind == "schweizer-sklar":
-        if p > 0:
-            return max(a**p + b**p - 1, 0.0) ** (1 / p)
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return (a**p + b**p - 1) ** (1 / p)
     raise AssertionError(kind)
 
 
@@ -59,10 +38,6 @@ PARAM_CHOICES = {
     "einstein": [None],
     "hamacher": [0.0, 0.5, 1.0, 2.0, 7.5],
     "frank": [0.1, 0.5, 2.0, 10.0],
-    "yager": [0.5, 1.0, 2.0, 5.0],
-    "aczel-alsina": [0.5, 1.0, 2.0, 5.0],
-    "dombi": [0.5, 1.0, 2.0, 5.0],
-    "schweizer-sklar": [-5.0, -1.0, 0.5, 2.0],
 }
 
 ALL_FAMILIES = [
@@ -144,18 +119,6 @@ def test_boundary_corners_match_boolean(fam):
             assert t_conorm(fam, a, b) == pytest.approx(float(a == 1.0 or b == 1.0), abs=1e-12)
 
 
-@given(
-    st.sampled_from(["yager", "aczel-alsina", "dombi"]),
-    st.floats(min_value=0.1, max_value=20.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=150)
-def test_parameterized_duality_property(kind, p, a, b):
-    fam = RelaxationFamily(kind, p)
-    assert t_norm(fam, a, b) == pytest.approx(1.0 - t_conorm(fam, 1.0 - a, 1.0 - b), abs=1e-9)
-
-
 @pytest.mark.parametrize(
     "kind,bad",
     [
@@ -163,12 +126,6 @@ def test_parameterized_duality_property(kind, p, a, b):
         ("frank", 1.0),
         ("frank", 0.0),
         ("frank", -2.0),
-        ("yager", 0.0),
-        ("yager", -1.0),
-        ("aczel-alsina", -0.1),
-        ("dombi", 0.0),
-        ("schweizer-sklar", 0.0),
-        ("yager", float("nan")),
     ],
 )
 def test_parameter_domain_rejected(kind, bad):
@@ -185,7 +142,7 @@ def test_parameterless_families_reject_parameter():
 
 def test_missing_parameter_rejected():
     with pytest.raises(ValueError):
-        RelaxationFamily("yager")
+        RelaxationFamily("frank")
 
 
 def test_inputs_outside_unit_square_rejected():

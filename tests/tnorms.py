@@ -7,10 +7,8 @@ an independent reference. Its probabilistic family is the oracle that
 ``test_tnorms`` checks the gate relaxations in :mod:`gatenet.gates` against;
 the other families are utilities for studying alternative relaxations.
 
-Boundary inputs where a closed form divides by zero (Dombi and Aczel-Alsina
-at a or b in {0,1}, Hamacher p=0 at (0,0)/(1,1)) take their continuous-limit
-values. Schweizer-Sklar with p > 0 clamps the pre-root expression at zero,
-without which the formula leaves [0,1] and the fractional root is undefined.
+Boundary inputs where a closed form divides by zero (Hamacher p=0 at
+(0,0)/(1,1)) take their continuous-limit values.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ _DOMAINS: dict[str, tuple[str, object] | None] = {
     "einstein": None,
     "hamacher": ("p >= 0", lambda p: p >= 0),
     "frank": ("p > 0 and p != 1", lambda p: p > 0 and p != 1),
-    "yager": ("p > 0", lambda p: p > 0),
-    "aczel-alsina": ("p > 0", lambda p: p > 0),
-    "dombi": ("p > 0", lambda p: p > 0),
-    "schweizer-sklar": ("p != 0", lambda p: p != 0),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(_DOMAINS)
@@ -105,57 +99,12 @@ def _s_frank(p, a, b):
     return 1.0 - _t_frank(p, 1.0 - a, 1.0 - b)
 
 
-def _t_yager(p, a, b):
-    root = ((1.0 - a) ** p + (1.0 - b) ** p) ** (1.0 / p)
-    return np.maximum(0.0, 1.0 - root)
-
-
-def _s_yager(p, a, b):
-    return np.minimum(1.0, (a**p + b**p) ** (1.0 / p))
-
-
-def _t_aczel_alsina(p, a, b):
-    inner = (np.abs(np.log(a)) ** p + np.abs(np.log(b)) ** p) ** (1.0 / p)
-    return np.exp(-inner)
-
-
-def _s_aczel_alsina(p, a, b):
-    return 1.0 - _t_aczel_alsina(p, 1.0 - a, 1.0 - b)
-
-
-def _t_dombi(p, a, b):
-    ra = (1.0 - a) / a
-    rb = (1.0 - b) / b
-    return 1.0 / (1.0 + (ra**p + rb**p) ** (1.0 / p))
-
-
-def _s_dombi(p, a, b):
-    ra = a / (1.0 - a)
-    rb = b / (1.0 - b)
-    return 1.0 / (1.0 + (ra**p + rb**p) ** (-1.0 / p))
-
-
-def _t_schweizer_sklar(p, a, b):
-    base = a**p + b**p - 1.0
-    if p > 0:
-        base = np.maximum(base, 0.0)
-    return base ** (1.0 / p)
-
-
-def _s_schweizer_sklar(p, a, b):
-    return 1.0 - _t_schweizer_sklar(p, 1.0 - a, 1.0 - b)
-
-
 _T_FUNCS = {
     "minimum": _t_minimum,
     "probabilistic": _t_probabilistic,
     "einstein": _t_einstein,
     "hamacher": _t_hamacher,
     "frank": _t_frank,
-    "yager": _t_yager,
-    "aczel-alsina": _t_aczel_alsina,
-    "dombi": _t_dombi,
-    "schweizer-sklar": _t_schweizer_sklar,
 }
 
 _S_FUNCS = {
@@ -164,10 +113,6 @@ _S_FUNCS = {
     "einstein": _s_einstein,
     "hamacher": _s_hamacher,
     "frank": _s_frank,
-    "yager": _s_yager,
-    "aczel-alsina": _s_aczel_alsina,
-    "dombi": _s_dombi,
-    "schweizer-sklar": _s_schweizer_sklar,
 }
 
 
