@@ -61,6 +61,13 @@ def _mask(text: str) -> int:
     return int(text, 0)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
+
+
 # Each key of presets.DEFAULTS: the parser of its text, as a flag and as a
 # config-file value alike, and its flag's help. eval_every has no flag.
 _SETTINGS = {
@@ -75,7 +82,7 @@ _SETTINGS = {
     "batch_size": (int, None),
     "epochs": (int, None),
     "gate_mask": (_mask, "16-bit mask of allowed gate ids, e.g. 0xFFFF"),
-    "seed": (int, "run seed (default 0)"),
+    "seed": (_seed, "non-negative run seed (default 0)"),
     "eval_every": (int, None),
 }
 
@@ -111,7 +118,8 @@ def merge_settings(args: argparse.Namespace) -> dict:
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = read_config_file(args.config)
-    preset_name = getattr(args, "preset", None) or file_cfg.pop("preset", None)
+    file_preset = file_cfg.pop("preset", None)
+    preset_name = getattr(args, "preset", None) or file_preset
     try:
         settings = get_preset(preset_name) if preset_name else dict(DEFAULTS)
     except ValueError as exc:

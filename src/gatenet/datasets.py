@@ -201,7 +201,6 @@ class _TabularEncoder:
     def __init__(self, rows: list[list[str]], continuous: set[int]):
         if not rows:
             raise DataError("no usable training rows to fit the encoder")
-        self.continuous = continuous
         self.columns = []
         for col in range(len(rows[0])):
             raw = [r[col] for r in rows]

@@ -141,6 +141,13 @@ class TestSettingsMerge:
         assert s["width"] == 12 and s["epochs"] == 7
         assert s["preset"] == "monk2"
 
+    def test_preset_flag_beats_preset_in_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = monk2\nepochs = 7\n")
+        s = merge_settings(self._args(config=str(cfg), preset="monk1"))
+        assert s["width"] == 24 and s["epochs"] == 7
+        assert s["preset"] == "monk1"
+
     def test_config_file_syntax(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -207,6 +214,7 @@ class TestFlagConfigParity:
     @pytest.mark.parametrize("key, text, value", [
         ("layers", "0x6", "usage error"),
         ("seed", "010", 10),
+        ("seed", "-1", "usage error"),
         ("tau", "1/0.5", 2.0),
         ("gate_mask", "0x00F7", 0xF7),
         ("gate_mask", "010", "usage error"),
