@@ -5,7 +5,7 @@
 
 Each line is ``<label> <sha256>``. The hashed artifacts are the class scores
 of ``circuit_scores`` on raw rows, which runs on one thread, and the output
-bits ``unpack(execute_packed(...))``, for n = 1, 63, 64, 65 and 16384 random
+bits ``unpack(execute_packed(...))[:n]``, for n = 1, 63, 64, 65 and 16384 random
 rows seeded by the circuit's label, so a circuit whose gates change, as a new
 counter's do, is still scored on the same rows; plus the ``emit_source`` text
 and the saved ``.gnet`` bytes of every circuit, and the words ``pack`` makes
@@ -156,14 +156,14 @@ def main() -> None:
                 else:
                     scores = adder_counts(base, x)
                 print(f"{label}.n{n}.scores {digest(scores)}")
-                bits = unpack(execute_packed(circuit, pack(x)))
+                bits = unpack(execute_packed(circuit, pack(x)))[:n]
                 print(f"{label}.n{n}.outputs {digest(bits)}")
     for f in PACK_FEATURES:
         rng = np.random.default_rng([10, f])
         for n in SAMPLE_COUNTS:
             x = rng.integers(0, 2, size=(n, f), dtype=np.uint8)
             for dtype in PACK_DTYPES:
-                words = pack(x.astype(dtype)).words
+                words = pack(x.astype(dtype))
                 print(f"pack.{np.dtype(dtype).name}.n{n}.f{f}.words {digest(words)}")
 
 

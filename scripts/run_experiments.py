@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
+from gatenet.cli import _SETTINGS
 from gatenet.datasets import DataError, load_dataset, resolve_data_dir
 from gatenet.model import discretize
 from gatenet.presets import get_preset, preset_names, train_config, write_metrics
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--presets", nargs="+", default=["monk1", "monk2", "monk3"],
                     metavar="NAME", help=f"choices: {', '.join(preset_names())}")
-    ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
+    ap.add_argument("--seeds", nargs="+", type=_SETTINGS["seed"][0], default=[0, 1, 2])
     ap.add_argument("--epochs", type=int, default=None,
                     help="override every preset's epoch count")
     ap.add_argument("--data-dir", default=None)

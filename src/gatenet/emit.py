@@ -198,17 +198,17 @@ class CompiledCircuit:
         """(samples, k) int64 class scores for a 2-d matrix of raw 0/1 rows.
 
         As in ``circuit_scores``, zero rows of the circuit's width score as
-        (0, k), and anything but a 2-d matrix, a ``PackedBatch`` too, is a
-        ValueError.
+        (0, k), and anything but a 2-d matrix of exact 0/1 values of the
+        circuit's width is a ValueError.
         """
         samples = _rows(samples, self.input_width)
         n = len(samples)
         out = np.empty((n, self.classes), dtype=np.int64)
         if n == 0:
             return out
-        batch = pack(samples)
-        if self._fn(batch.words, n, out):
-            lanes = max(hi - lo for lo, hi in _lane_blocks(batch.lanes, self.plane_rows))
+        words = pack(samples)
+        if self._fn(words, n, out):
+            lanes = max(hi - lo for lo, hi in _lane_blocks(words.shape[1], self.plane_rows))
             raise MemoryError(
                 f"cannot allocate the {self.plane_rows} x {lanes}-word plane "
                 f"({self.plane_rows * lanes * 8} bytes)"

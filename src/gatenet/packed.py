@@ -27,10 +27,11 @@ strictly layered circuit needs its input rows plus two bands. Inside a wave
 the gates are renumbered so that every opcode group fills one contiguous
 slice of rows: the group's two operands are gathered with ``np.take`` into
 scratch blocks and combined by numpy's bitwise ufuncs with ``out=`` straight
-into its slice. ``execute_packed`` runs the batch it is given as one block,
-its plane and scratch carved from one buffer. Padding bits in the last lane
-never influence real samples (bitwise ops are per-bit independent); returned
-batches have their padding re-zeroed to keep the layout canonical.
+into its slice. ``execute_packed`` runs the (features, lanes) ``np.uint64``
+words it is given as one block, its plane and scratch carved from one
+buffer. Padding bits in the last lane never influence real samples (bitwise
+ops are per-bit independent), so nothing masks them: the readout returns a
+row per bit position, and the caller keeps its samples' rows.
 
 Class scores count the set output bits of each group without leaving the
 packed words: a column compressor of full adders reduces a group's planes,
@@ -60,13 +61,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Circuit, ReadoutConfig
+from .model import Circuit
 from .opt import prune
 
 
@@ -75,39 +76,13 @@ def _require_little_endian() -> None:
         raise RuntimeError("bit packing requires a little-endian host")
 
 
-@dataclass
-class PackedBatch:
-    """Bit-transposed samples: words[i, l] holds feature i of samples 64*l .. 64*l+63.
+def pack(samples: np.ndarray) -> np.ndarray:
+    """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words.
 
-    The words are ``np.uint64``; bit j (LSB-first) of that word is sample
-    64*l + j. Bits at or beyond sample_count in the last lane are zero.
-    ``words`` must be 2-d with exactly ceil(sample_count / 64) lanes, so no
-    sample is read from beyond the words.
+    The words are (features, lanes) ``np.uint64``: bit j (LSB-first) of
+    ``words[i, l]`` is feature i of sample 64*l + j. The last lane's bits
+    beyond the samples are zero.
     """
-
-    words: np.ndarray
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if np.ndim(self.words) != 2:
-            raise ValueError(f"words must be 2-d (features, lanes), got {np.ndim(self.words)}-d")
-        need = -(-self.sample_count // 64)
-        if self.sample_count < 0 or self.lanes != need:
-            raise ValueError(
-                f"{self.sample_count} samples need {max(need, 0)} lanes, words have {self.lanes}"
-            )
-
-    @property
-    def lanes(self) -> int:
-        return self.words.shape[1]
-
-    @property
-    def feature_count(self) -> int:
-        return self.words.shape[0]
-
-
-def pack(samples: np.ndarray) -> PackedBatch:
-    """Bit-transpose a (samples, features) matrix of exact 0/1 values into 64-bit words."""
     _require_little_endian()
     samples = _sample_matrix(samples)
     exact = True
@@ -133,7 +108,7 @@ def pack(samples: np.ndarray) -> PackedBatch:
     _transpose_blocks(blocks)  # ... now 8 samples of each of 8 features
     words = np.empty((blocks.shape[0] * 8, lanes * 8), dtype=np.uint8)
     words.reshape(-1, 8, lanes * 8)[...] = blocks.reshape(-1, lanes * 8, 8).transpose(0, 2, 1)
-    return PackedBatch(words=words[:f].view(np.uint64), sample_count=n)
+    return words[:f].view(np.uint64)
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -358,31 +333,27 @@ def _require_width(features: int, input_width: int) -> None:
         raise ValueError(f"batch has {features} features, circuit wants {input_width}")
 
 
-def execute_packed(circuit: Circuit, batch: PackedBatch) -> PackedBatch:
-    """Evaluate the circuit on the whole batch as one block; returns the output wires.
+def execute_packed(circuit: Circuit, words: np.ndarray) -> np.ndarray:
+    """Evaluate the circuit on (features, lanes) words as one block: the output wires' words.
 
     The plane and two scratch blocks are carved from one buffer, so each
     ``out=`` of ``_run_groups`` is C-contiguous. The plane holds every lane:
     34 MB for 16384 rows of the 48000-gate criterion-8 circuit.
     ``circuit_scores`` keeps within ``BUDGET`` by passing one lane block.
     """
-    _require_width(batch.feature_count, circuit.input_width)
+    _require_width(len(words), circuit.input_width)
     plan = _plan_for(circuit)
-    rows, lanes = plan.rows, batch.lanes
+    rows, lanes = plan.rows, words.shape[1]
     buf = np.empty((rows + 2 * plan.scratch) * lanes, dtype=np.uint64)
     plane = buf[: rows * lanes].reshape(rows, lanes)
     a, b = buf[rows * lanes :].reshape(2, plan.scratch, lanes)
-    plane[: plan.input_width] = batch.words
+    plane[: plan.input_width] = words
     _run_groups(plan, plane, a, b)
-    out = np.take(plane, plan.outputs, axis=0)
-    tail = batch.sample_count % 64
-    if tail:  # only the last lane holds padding bits
-        out[:, -1] &= np.uint64((1 << tail) - 1)
-    return PackedBatch(words=out, sample_count=batch.sample_count)
+    return np.take(plane, plan.outputs, axis=0)
 
 
-def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
-    """Set-bit counts per contiguous output group: (samples, k) int64.
+def popcount_scores(words: np.ndarray, k: int) -> np.ndarray:
+    """Set-bit counts per contiguous output group: (64 * lanes, k) int64, a row per bit.
 
     Counting stays on the packed words: each group's G output planes are
     reduced by ``_carry_save_count``'s column compressor, so only the
@@ -390,18 +361,15 @@ def popcount_scores(outputs: PackedBatch, readout: ReadoutConfig) -> np.ndarray:
     lanes are counted at once; inside ``circuit_scores`` that is one lane
     block's counted outputs, which leave out constant outputs, so the
     class offsets are added there, not here. Padding bits never reach a
-    real sample's count (every word operation is per-bit independent) and
-    are dropped at the unpack.
+    real sample's count (every word operation is per-bit independent); the
+    caller keeps the rows of its samples.
     """
-    n = outputs.feature_count
-    k = readout.k
+    n, lanes = words.shape
     if n % k:
         raise ValueError(f"output width {n} not divisible by k={k}")
-    group = n // k
-    if group == 0:
-        return np.zeros((outputs.sample_count, k), dtype=np.int64)
-    counts = _carry_save_count(outputs.words.reshape(k, group, outputs.lanes))
-    return _decode_counts(counts, outputs.sample_count)
+    if n == 0:
+        return np.zeros((64 * lanes, k), dtype=np.int64)
+    return _decode_counts(_carry_save_count(words.reshape(k, n // k, lanes)))
 
 
 def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_and) -> np.ndarray:
@@ -464,8 +432,8 @@ def _carry_save_count(planes: np.ndarray, xor=np.bitwise_xor, and_=np.bitwise_an
     return counts
 
 
-def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
-    """Counts held in (bits, k, lanes) LSB-first count planes: (samples, k) int64.
+def _decode_counts(planes: np.ndarray) -> np.ndarray:
+    """Counts held in (bits, k, lanes) LSB-first count planes: (64 * lanes, k) int64.
 
     Eight planes at a time are bit-transposed, which leaves one byte per
     sample: count bits 0-7, then 8-15, and so on.
@@ -475,9 +443,9 @@ def _decode_counts(planes: np.ndarray, sample_count: int) -> np.ndarray:
     octets[:bits] = planes
     blocks = octets.view(np.uint8).reshape(-1, 8, k, lanes * 8).transpose(0, 2, 3, 1).copy()
     _transpose_blocks(blocks)
-    counts = np.zeros((k, sample_count), dtype=np.int64)
+    counts = np.zeros((k, lanes * 64), dtype=np.int64)
     for i, byte in enumerate(blocks.reshape(-1, k, lanes * 64)):
-        counts += np.left_shift(byte[:, :sample_count], 8 * i, dtype=np.int64)
+        counts += np.left_shift(byte, 8 * i, dtype=np.int64)
     return counts.T
 
 
@@ -492,9 +460,9 @@ def circuit_scores(circuit: Circuit, samples, threads: int = 1) -> np.ndarray:
     counted into its rows of the scores, plus each class's offset for its
     constant-true outputs. The scores are those of ``circuit`` itself, since
     pruning keeps every output bit. Zero raw rows of the circuit's width
-    score as (0, k). Anything but a 2-d matrix, a ``PackedBatch`` too, is a
-    ValueError: packing is part of scoring. Scoring runs on one thread:
-    ``threads`` accepts only 1.
+    score as (0, k). Anything but a 2-d matrix of exact 0/1 values of the
+    circuit's width is a ValueError: packing is part of scoring. Scoring
+    runs on one thread: ``threads`` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"scoring runs on one thread, got threads={threads}")
@@ -514,16 +482,16 @@ def _score_batch(circuit: Circuit, samples) -> tuple[np.ndarray, np.ndarray]:
     stages = np.zeros(3)
     for lo, hi in _lane_blocks(-(-n // 64), _plan_for(scored).rows):
         t0 = time.perf_counter()
-        batch = pack(samples[64 * lo : 64 * hi])
+        words = pack(samples[64 * lo : 64 * hi])
         t1 = time.perf_counter()
-        outputs = execute_packed(scored, batch)
+        outputs = execute_packed(scored, words)
         t2 = time.perf_counter()
-        block = scores[64 * lo : 64 * lo + batch.sample_count]
-        np.add(popcount_scores(outputs, scored.readout), offset, out=block)
+        block = scores[64 * lo : 64 * hi]  # the last block's rows stop at n
+        np.add(popcount_scores(outputs, scored.readout.k)[: len(block)], offset, out=block)
         stages += (t1 - t0, t2 - t1, time.perf_counter() - t2)
         # free before the next block allocates: otherwise the heap shrinks and
         # regrows every block, about 1900 page faults per 16384-row call
-        del batch, outputs
+        del words, outputs
     return scores, stages
 
 
@@ -654,9 +622,14 @@ def benchmark(circuit: Circuit, samples, repetitions: int = 5) -> dict:
     ``samples_per_sec`` counts pack, execute and readout, raw rows in and
     class scores out; ``pack_ms``, ``execute_ms`` and ``readout_ms`` are the
     stages' medians. ``gates`` is the gate count of the pruned circuit that
-    runs, which ``gate_ops_per_sec`` credits.
+    runs, which ``gate_ops_per_sec`` credits. An empty batch or fewer than
+    one repetition is a ValueError.
     """
+    if repetitions < 1:
+        raise ValueError(f"need at least 1 repetition, got repetitions={repetitions}")
     n = len(circuit_scores(circuit, samples))  # warmup + plan build
+    if n == 0:
+        raise ValueError("the batch has no rows to time")
     gates = prune(circuit).num_gates
     stages = np.array([_score_batch(circuit, samples)[1] for _ in range(repetitions)])
     pack_s, execute_s, readout_s = np.median(stages, axis=0)

@@ -82,8 +82,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.layers < 1 or self.width < 2:
             raise ValueError("need at least 1 gate layer of width >= 2")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:

@@ -33,7 +33,6 @@ from gatenet.model import (
     init_params,
 )
 from gatenet.packed import (
-    PackedBatch,
     _counted,
     _require_little_endian,
     _transpose_blocks,
@@ -132,17 +131,20 @@ def oracle_circuit_counts(circuit: Circuit, samples: np.ndarray) -> np.ndarray:
     return bits.reshape(bits.shape[0], k, -1).sum(axis=2).astype(np.int64)
 
 
-def unpack(batch: PackedBatch) -> np.ndarray:
-    """Inverse of ``pack``: (samples, features) uint8, by its word transpose run backwards."""
+def unpack(words: np.ndarray) -> np.ndarray:
+    """Inverse of ``pack``: (64 * lanes, features) uint8, by its word transpose run backwards.
+
+    A row for every bit position of the (features, lanes) words, padding
+    included: the caller keeps its samples' rows.
+    """
     _require_little_endian()
-    f, lanes = batch.words.shape
+    f, lanes = words.shape
     if lanes == 0:
         return np.zeros((0, f), dtype=np.uint8)
-    words = np.zeros((-(-f // 8) * 8, lanes), dtype=np.uint64)
-    words[:f] = batch.words
+    words = np.concatenate([words, np.zeros((-f % 8, lanes), dtype=np.uint64)])
     blocks = words.view(np.uint8).reshape(-1, 8, lanes * 8).transpose(0, 2, 1).copy()
     _transpose_blocks(blocks)  # a word: one byte of features for each of 8 samples
-    octets = blocks.reshape(-1, lanes * 64)[:, : batch.sample_count].T.copy()
+    octets = blocks.reshape(-1, lanes * 64).T.copy()
     return np.ascontiguousarray(np.unpackbits(octets, axis=1, bitorder="little")[:, :f])
 
 
@@ -154,7 +156,7 @@ def adder_counts(circuit: Circuit, samples) -> np.ndarray:
     run is worth 1 << b), plus the class's offset from ``_counted``.
     """
     adder = build_adder_aggregation(circuit)
-    wires = unpack(execute_packed(adder, pack(samples))).astype(np.int64)
+    wires = unpack(execute_packed(adder, pack(samples)))[: len(samples)].astype(np.int64)
     k = adder.readout.k
     bits = wires.shape[1] // k
     counts = (wires.reshape(len(wires), k, bits) << np.arange(bits)).sum(axis=2)
@@ -237,8 +239,8 @@ def check_equivalence(
 
     tested = 0
     for x in batches():
-        o1 = unpack(execute_packed(c1, pack(x)))
-        o2 = unpack(execute_packed(c2, pack(x)))
+        o1 = unpack(execute_packed(c1, pack(x)))[: len(x)]
+        o2 = unpack(execute_packed(c2, pack(x)))[: len(x)]
         if not np.array_equal(o1, o2):
             row = int(np.nonzero((o1 != o2).any(axis=1))[0][0])
             return EquivalenceReport(False, mode, tested + row + 1, x[row].copy())

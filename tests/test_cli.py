@@ -300,6 +300,26 @@ class TestTrain:
         assert exc.value.code == 2
         assert not (tmp_path / "runs" / "summary.csv").exists()
 
+    def test_experiment_script_rejects_a_negative_seed(self, tmp_path, data_dir, capsys):
+        script = _experiment_script()
+        with pytest.raises(SystemExit) as exc:
+            script.main([
+                "--presets", "monk1", "--seeds", "3", "-1", "--epochs", "1",
+                "--data-dir", data_dir, "--out-dir", str(tmp_path / "runs"),
+            ])
+        assert exc.value.code == 2
+        assert "argument --seeds: invalid _seed value: '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "summary.csv").exists()
+
+    def test_infinite_learning_rate_is_usage_error(self, workdir, data_dir):
+        out = workdir / "lr_inf.gnet"
+        rc = main([
+            "train", "--dataset", "monk1", "--layers", "2", "--width", "6",
+            "--epochs", "1", "--lr", "inf", "--data-dir", data_dir, "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_gate_mask_restricts_learned_ops(self, workdir, data_dir):
         out = workdir / "masked.gnet"
         rc = main([

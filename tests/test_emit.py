@@ -22,7 +22,7 @@ from gatenet import packed
 from gatenet.emit import compile_and_load, emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
-from gatenet.packed import PackedBatch, _plan_for, build_adder_aggregation, circuit_scores, pack
+from gatenet.packed import _plan_for, build_adder_aggregation, circuit_scores, pack
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -63,7 +63,7 @@ def kernel_scores(handle, x: np.ndarray) -> np.ndarray:
     """
     n = len(x)
     out = np.full((n + 64, handle.classes), SENTINEL, dtype=np.int64)
-    words = pack(x).words if n else np.zeros((x.shape[1], 0), dtype=np.uint64)
+    words = pack(x) if n else np.zeros((x.shape[1], 0), dtype=np.uint64)
     assert handle._fn(words, n, out) == 0
     np.testing.assert_array_equal(out[n:], SENTINEL)
     return out[:n]
@@ -221,14 +221,19 @@ class TestCompiled:
                 score(np.zeros(12, dtype=np.uint8))
 
     def test_a_packed_batch_is_rejected(self, rng):
-        # both scorers take raw rows only: packing is part of scoring
+        # both scorers take raw rows only: packing is part of scoring, and
+        # (features, lanes) words are rows of the wrong width
         c = random_layered_circuit(rng, 12, [16, 8], k=2)
         handle = compile_and_load(c)
         x = rng.integers(0, 2, size=(70, 12), dtype=np.uint8)
-        for batch in (pack(x), PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0)):
+        cases = [
+            (pack(x), "batch has 2 features, circuit wants 12"),
+            (np.zeros((12, 0), dtype=np.uint64), "need a non-empty 2-d sample matrix"),
+        ]
+        for words, message in cases:
             for score in (lambda b: circuit_scores(c, b), handle.scores):
-                with pytest.raises(ValueError, match="^need a non-empty 2-d sample matrix$"):
-                    score(batch)
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    score(words)
 
     def test_batch_claiming_more_samples_than_lanes_rejected(self, rng):
         # the kernel gets one pack of the rows and their count, from which it

@@ -28,7 +28,6 @@ from gatenet.emit import emit_source
 from gatenet.model import Circuit, ReadoutConfig
 from gatenet.opt import prune
 from gatenet.packed import (
-    PackedBatch,
     _counted,
     _decode_counts,
     _lane_blocks,
@@ -87,14 +86,14 @@ def passthrough_circuit(width: int, k: int, op: int = 3) -> Circuit:
 class TestPack:
     def test_direct_placement(self):
         samples = np.array([[1], [0], [1]], dtype=np.uint8)
-        batch = pack(samples)
-        assert batch.words.shape == (1, 1)
-        assert int(batch.words[0, 0]) == 0b101
+        words = pack(samples)
+        assert words.shape == (1, 1)
+        assert int(words[0, 0]) == 0b101
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         x = (rng.uniform(size=(1000, 23)) < 0.5).astype(np.uint8)
-        np.testing.assert_array_equal(unpack(pack(x)), x)
+        np.testing.assert_array_equal(unpack(pack(x))[: len(x)], x)
 
     @given(
         st.integers(min_value=1, max_value=9),
@@ -105,30 +104,18 @@ class TestPack:
         gen = np.random.default_rng(seed)
         for n in SAMPLE_COUNTS:
             x = (gen.uniform(size=(n, f)) < 0.5).astype(np.uint8)
-            batch = pack(x)
-            assert batch.words.dtype == np.uint64
-            assert batch.lanes == -(-n // 64)
-            np.testing.assert_array_equal(unpack(batch), x)
+            words = pack(x)
+            assert words.dtype == np.uint64
+            assert words.shape == (f, -(-n // 64))
+            np.testing.assert_array_equal(unpack(words)[:n], x)
 
     def test_zero_rows_round_trip(self):
-        got = unpack(PackedBatch(np.zeros((12, 0), dtype=np.uint64), 0))
+        got = unpack(np.zeros((12, 0), dtype=np.uint64))
         assert got.shape == (0, 12) and got.dtype == np.uint8
-
-    @pytest.mark.parametrize("lanes, samples", [(1, 100), (2, 64), (0, 1), (2, 0), (1, -1)])
-    def test_lanes_must_hold_exactly_the_samples(self, lanes, samples):
-        need = max(-(-samples // 64), 0)
-        message = f"^{samples} samples need {need} lanes, words have {lanes}$"
-        with pytest.raises(ValueError, match=message):
-            PackedBatch(np.zeros((12, lanes), dtype=np.uint64), samples)
-
-    @pytest.mark.parametrize("shape", [(12,), (12, 1, 1), ()])
-    def test_words_must_be_2d(self, shape):
-        with pytest.raises(ValueError, match=f"words must be 2-d .*, got {len(shape)}-d"):
-            PackedBatch(np.zeros(shape, dtype=np.uint64), 0)
 
     def test_padding_bits_are_zero(self):
         for n in SAMPLE_COUNTS:
-            words = pack(np.ones((n, 3), dtype=np.uint8)).words
+            words = pack(np.ones((n, 3), dtype=np.uint8))
             assert (words[:, :-1] == np.iinfo(np.uint64).max).all()
             assert (words[:, -1] == (1 << (n % 64 or 64)) - 1).all(), n
 
@@ -143,9 +130,9 @@ class TestPack:
 
     def test_accepts_exact_0_1_of_any_dtype(self):
         x = np.random.default_rng(11).integers(0, 2, size=(70, 5), dtype=np.uint8)
-        want = pack(x).words
+        want = pack(x)
         for dtype in (bool, np.int64, np.float64):
-            np.testing.assert_array_equal(pack(x.astype(dtype)).words, want)
+            np.testing.assert_array_equal(pack(x.astype(dtype)), want)
 
     def test_rejects_empty_or_wrong_rank(self):
         for shape in [(0, 4), (5, 0), (4,)]:
@@ -159,15 +146,15 @@ class TestPack:
         x = gen.integers(0, 2, size=(n, 2 * f), dtype=np.uint8)
         want = oracle_pack(x[:, :f])
         for dtype in (np.uint8, bool, np.int64, np.float64):
-            np.testing.assert_array_equal(pack(x[:, :f].astype(dtype)).words, want)
-        np.testing.assert_array_equal(pack(np.asfortranarray(x[:, :f])).words, want)
-        np.testing.assert_array_equal(pack(x[:, ::2]).words, oracle_pack(x[:, ::2]))
+            np.testing.assert_array_equal(pack(x[:, :f].astype(dtype)), want)
+        np.testing.assert_array_equal(pack(np.asfortranarray(x[:, :f])), want)
+        np.testing.assert_array_equal(pack(x[:, ::2]), oracle_pack(x[:, ::2]))
 
     def test_peak_memory_is_a_few_times_the_words(self):
         x = np.random.default_rng(3).integers(0, 2, size=(16384, 784), dtype=np.uint8)
         tracemalloc.start()
         try:
-            words = pack(x).words
+            words = pack(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -176,17 +163,9 @@ class TestPack:
 
 class TestExecutePacked:
     def test_single_and_gate(self):
-        batch = pack(np.array([[1, 1], [1, 0]], dtype=np.uint8))
-        out = execute_packed(single_gate_circuit(1), batch)
-        np.testing.assert_array_equal(unpack(out), [[1], [0]])
-
-    def test_constant_true_circuit_masks_padding(self):
-        circ = single_gate_circuit(15)
-        for n in SAMPLE_COUNTS:
-            out = execute_packed(circ, pack(np.zeros((n, 2), dtype=np.uint8)))
-            np.testing.assert_array_equal(unpack(out), np.ones((n, 1)))
-            # padding bits beyond the n samples stay zero in the returned batch
-            assert int(out.words[0, -1]) == (1 << (n % 64 or 64)) - 1, n
+        words = pack(np.array([[1, 1], [1, 0]], dtype=np.uint8))
+        out = execute_packed(single_gate_circuit(1), words)
+        np.testing.assert_array_equal(unpack(out)[:2], [[1], [0]])
 
     @pytest.mark.parametrize("n", SAMPLE_COUNTS)
     @pytest.mark.parametrize("step", [1, 3])  # lanes per block of circuit_scores
@@ -197,7 +176,7 @@ class TestExecutePacked:
             k = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
             circ = random_layered_circuit(rng, int(rng.integers(2, 30)), [width] * depth, k)
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
-            got = unpack(execute_packed(circ, pack(x)))
+            got = unpack(execute_packed(circ, pack(x)))[:n]
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
             monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
             counts = circuit_scores(circ, x)
@@ -206,7 +185,7 @@ class TestExecutePacked:
     def test_all_sixteen_opcodes_exhaustive(self):
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         for op in range(16):
-            out = unpack(execute_packed(single_gate_circuit(op), pack(x)))[:, 0]
+            out = unpack(execute_packed(single_gate_circuit(op), pack(x)))[:4, 0]
             want = [eval_hard(op, a, b) for a, b in x]
             np.testing.assert_array_equal(out, want)
 
@@ -216,14 +195,8 @@ class TestExecutePacked:
         x = (rng.uniform(size=(3 * 64 + 7, 9)) < 0.5).astype(np.uint8)
         whole = unpack(execute_packed(circ, pack(x)))
         for n in SAMPLE_COUNTS:
-            alone = unpack(execute_packed(circ, pack(x[:n])))
+            alone = unpack(execute_packed(circ, pack(x[:n])))[:n]
             np.testing.assert_array_equal(alone, whole[:n])
-
-    def test_batch_claiming_more_samples_than_lanes_rejected(self):
-        # words of one lane cannot hold 100 samples: nothing reads past them
-        circ = passthrough_circuit(12, 2)
-        with pytest.raises(ValueError, match="100 samples need 2 lanes, words have 1"):
-            execute_packed(circ, PackedBatch(np.zeros((12, 1), dtype=np.uint64), 100))
 
     def test_width_mismatch_rejected(self, rng):
         circ = random_layered_circuit(rng, 9, [12], 3)
@@ -249,7 +222,7 @@ class TestGeneralNetlists:
             width, gate_count = int(rng.integers(1, 20)), int(rng.integers(0, 200))
             circ = random_netlist(rng, width, gate_count, k, group)
             x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
-            got = unpack(execute_packed(circ, pack(x)))
+            got = unpack(execute_packed(circ, pack(x)))[:n]
             np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
             monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
             counts = circuit_scores(circ, x)
@@ -265,13 +238,13 @@ class TestGeneralNetlists:
         monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
         lanes = 3 * step + step // 3
         x = (rng.uniform(size=(64 * lanes - 5, 8)) < 0.5).astype(np.uint8)
-        batch = pack(x)
-        got = execute_packed(circ, batch)
+        out = execute_packed(circ, pack(x))
+        got = unpack(out)[: len(x)]
         assert lanes % step and lanes // step >= 3
-        for lo in range(0, batch.sample_count, 64 * 64):  # the oracle, 64 lanes at a time
-            want = pack(oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])).words
-            np.testing.assert_array_equal(got.words[:, lo // 64 : lo // 64 + 64], want)
-        want = popcount_scores(got, circ.readout)
+        for lo in range(0, len(x), 64 * 64):  # the oracle, 64 lanes at a time
+            want = oracle_circuit_outputs(circ, x[lo : lo + 64 * 64])
+            np.testing.assert_array_equal(got[lo : lo + 64 * 64], want)
+        want = popcount_scores(out, circ.readout.k)[: len(x)]
         np.testing.assert_array_equal(circuit_scores(circ, x), want)
 
 
@@ -301,7 +274,7 @@ class TestChunkedScores:
         circ = random_layered_circuit(rng, 12, [20, 20], 4)
         monkeypatch.setattr(packed, "BUDGET", 8 * scored_rows(circ) * step)
         x = (rng.uniform(size=(n, circ.input_width)) < 0.5).astype(np.uint8)
-        whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout)
+        whole = popcount_scores(execute_packed(circ, pack(x)), circ.readout.k)[:n]
         np.testing.assert_array_equal(whole, oracle_circuit_counts(circ, x))
         got = adder_counts(circ, x) if adder else circuit_scores(circ, x)
         np.testing.assert_array_equal(got, whole)
@@ -345,7 +318,7 @@ class TestPlaneRows:
         assert _plan_for(circ).rows == 44 + 26
         x = (rng.uniform(size=(131, 3)) < 0.5).astype(np.uint8)
         np.testing.assert_array_equal(
-            unpack(execute_packed(circ, pack(x))), oracle_circuit_outputs(circ, x)
+            unpack(execute_packed(circ, pack(x)))[: len(x)], oracle_circuit_outputs(circ, x)
         )
         np.testing.assert_array_equal(circuit_scores(circ, x), oracle_circuit_counts(circ, x))
 
@@ -374,13 +347,12 @@ class TestMnistPreset:
 
 class TestPopcount:
     def test_stated_examples(self):
-        out = pack(np.array([[1, 0, 1, 1]], dtype=np.uint8))
-        counts = popcount_scores(PackedBatch(out.words, out.sample_count), ReadoutConfig(k=2))
+        counts = popcount_scores(pack(np.array([[1, 0, 1, 1]], dtype=np.uint8)), 2)[:1]
         np.testing.assert_array_equal(counts, [[1, 2]])
         assert counts.argmax(axis=1)[0] == 1
 
     def test_all_zero_ties_break_low(self):
-        counts = popcount_scores(pack(np.zeros((3, 4), dtype=np.uint8)), ReadoutConfig(k=2))
+        counts = popcount_scores(pack(np.zeros((3, 4), dtype=np.uint8)), 2)[:3]
         np.testing.assert_array_equal(counts, 0)
         np.testing.assert_array_equal(counts.argmax(axis=1), 0)
 
@@ -414,48 +386,43 @@ class TestPopcount:
         counts = circuit_scores(circ, x)
         np.testing.assert_array_equal(counts, oracle_circuit_counts(circ, x))
         np.testing.assert_array_equal(counts, 4)
-        # the readout alone drops set padding bits too
+        # the readout alone counts every bit position, a row each, padding too
         lanes = -(-n // 64)
-        ones = PackedBatch(np.full((12, lanes), np.iinfo(np.uint64).max, np.uint64), n)
-        np.testing.assert_array_equal(popcount_scores(ones, ReadoutConfig(k=3)), np.full((n, 3), 4))
+        ones = np.full((12, lanes), np.iinfo(np.uint64).max, np.uint64)
+        np.testing.assert_array_equal(popcount_scores(ones, 3), np.full((64 * lanes, 3), 4))
 
     def test_one_tree_over_lanes_matches_unpacked_sum(self, rng):
-        # 64 planes of 14 lanes, the last one partial, counted in one tree
+        # 64 planes of 14 lanes counted in one tree
         lanes = 14
         words = rng.integers(0, 2**64, size=(64, lanes), dtype=np.uint64)
-        batch = PackedBatch(words, lanes * 64 - 17)
-        want = unpack(batch).reshape(batch.sample_count, 4, 16).sum(axis=2)
-        np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=4)), want)
+        want = unpack(words).reshape(lanes * 64, 4, 16).sum(axis=2)
+        np.testing.assert_array_equal(popcount_scores(words, 4), want)
 
     @pytest.mark.parametrize("group", [16, 48, 69])
     def test_one_tree_over_lanes_matches_per_plane_sum(self, rng, group):
-        # 11 lanes, the last one partial, counted in one tree per group;
-        # groups of 16, 48 and 69 planes leave an odd number over at no, one
-        # and most levels of the tree
+        # 11 lanes counted in one tree per group; groups of 16, 48 and 69
+        # planes leave an odd number over at no, one and most levels of the tree
         k, lanes = 2, 11
         words = rng.integers(0, 2**64, size=(k * group, lanes), dtype=np.uint64)
-        batch = PackedBatch(words, lanes * 64 - 17)
-        want = np.zeros((k, batch.sample_count), dtype=np.int64)
+        want = np.zeros((k, lanes * 64), dtype=np.int64)
         for row, plane in enumerate(words):
-            want[row // group] += np.unpackbits(plane.view(np.uint8), bitorder="little")[
-                : batch.sample_count
-            ]
-        np.testing.assert_array_equal(popcount_scores(batch, ReadoutConfig(k=k)), want.T)
+            want[row // group] += np.unpackbits(plane.view(np.uint8), bitorder="little")
+        np.testing.assert_array_equal(popcount_scores(words, k), want.T)
 
     @pytest.mark.parametrize("bits", [1, 8, 9, 16])
     @pytest.mark.parametrize("n", [1, 64, 65, 200])
     def test_decode_counts_per_plane(self, rng, bits, n):
         k, lanes = 3, -(-n // 64)
         planes = rng.integers(0, 2**64, size=(bits, k, lanes), dtype=np.uint64)
-        want = np.zeros((n, k), dtype=np.int64)
+        want = np.zeros((64 * lanes, k), dtype=np.int64)
         for t, plane in enumerate(planes):
             sample_bits = np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
-            want += sample_bits[:, :n].T.astype(np.int64) << t
-        np.testing.assert_array_equal(_decode_counts(planes, n), want)
+            want += sample_bits.T.astype(np.int64) << t
+        np.testing.assert_array_equal(_decode_counts(planes), want)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            popcount_scores(pack(np.zeros((2, 5), dtype=np.uint8)), ReadoutConfig(k=2))
+            popcount_scores(pack(np.zeros((2, 5), dtype=np.uint8)), 2)
 
 
 class TestAdderAggregation:
@@ -548,7 +515,7 @@ class TestAdderAggregation:
         circ = passthrough_circuit(group * k, k)
         ones = np.ones((n, group * k), dtype=np.uint8)
         want = np.full((n, k), group)
-        np.testing.assert_array_equal(popcount_scores(pack(ones), circ.readout), want)
+        np.testing.assert_array_equal(popcount_scores(pack(ones), k)[:n], want)
         np.testing.assert_array_equal(adder_counts(circ, ones), want)
 
 
@@ -571,7 +538,7 @@ class TestConstantFold:
     def test_execute_packed_still_returns_every_output(self, case):
         circ = fold_circuit(FOLD_CASES[case])
         x = np.random.default_rng(3).integers(0, 2, size=(70, circ.input_width), dtype=np.uint8)
-        got = unpack(execute_packed(circ, pack(x)))
+        got = unpack(execute_packed(circ, pack(x)))[: len(x)]
         np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
 
     @pytest.mark.parametrize(
@@ -612,9 +579,9 @@ class TestConstantFold:
         circ = fold_circuit(FOLD_CASES["all_true"])
         widths = []
 
-        def spy(circuit, batch):
-            out = execute_packed(circuit, batch)
-            widths.append(out.feature_count)
+        def spy(circuit, words):
+            out = execute_packed(circuit, words)
+            widths.append(len(out))
             return out
 
         monkeypatch.setattr(packed, "execute_packed", spy)
@@ -714,9 +681,9 @@ class TestPrunedScoring:
         circ = dead_passthrough_constant_circuit()
         ran = []
 
-        def spy(circuit, batch):
+        def spy(circuit, words):
             ran.append(circuit.num_gates)
-            return execute_packed(circuit, batch)
+            return execute_packed(circuit, words)
 
         monkeypatch.setattr(packed, "execute_packed", spy)
         x = np.random.default_rng(6).integers(0, 2, size=(100, 4), dtype=np.uint8)
@@ -727,7 +694,7 @@ class TestPrunedScoring:
     def test_execute_packed_runs_the_circuit_as_given(self):
         circ = dead_passthrough_constant_circuit()
         x = np.random.default_rng(7).integers(0, 2, size=(70, 4), dtype=np.uint8)
-        got = unpack(execute_packed(circ, pack(x)))
+        got = unpack(execute_packed(circ, pack(x)))[: len(x)]
         np.testing.assert_array_equal(got, oracle_circuit_outputs(circ, x))
         assert _plan_for(circ).group_op.tolist().count(3) == 2  # its two copies ran
 
@@ -795,3 +762,16 @@ class TestBenchmark:
         rep = benchmark(circ, rows, repetitions=3)
         assert rep["pack_ms"] >= sleep * 1e3
         assert rep["samples_per_sec"] <= rep["samples"] / sleep
+
+    def test_empty_batch_rejected(self, rng):
+        circ = random_layered_circuit(rng, 16, [64, 64], 4)
+        with pytest.raises(ValueError, match="^the batch has no rows to time$"):
+            benchmark(circ, np.zeros((0, 16), dtype=np.uint8))
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_fewer_than_one_repetition_rejected(self, rng, repetitions):
+        circ = random_layered_circuit(rng, 16, [64, 64], 4)
+        rows = rng.integers(0, 2, size=(70, 16), dtype=np.uint8)
+        message = f"^need at least 1 repetition, got repetitions={repetitions}$"
+        with pytest.raises(ValueError, match=message):
+            benchmark(circ, rows, repetitions=repetitions)

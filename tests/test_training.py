@@ -204,6 +204,7 @@ class TestTrainConfigValidation:
             {"allowed_gates": 0},
             {"tau": float("inf")},
             {"beta": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
